@@ -6,6 +6,7 @@ success, 1 on usage/validation errors, 2 on runtime errors.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import random
@@ -92,7 +93,6 @@ def _embedder_config(cfg: RunConfig) -> EmbedderConfig:
         backend=cfg.get("embed_backend"),
         endpoint=cfg.get("embed_endpoint"),
         dimension=int(cfg.get("embed_dim")),
-        max_concurrency=int(cfg.get("concurrency")),
     )
 
 
@@ -324,14 +324,10 @@ def _cmd_optimize(args) -> int:
         raise RagradeError("optimize calls a model; pass --endpoint (and --model)")
     proposal_cfg = None
     if args.proposal_endpoint:
-        proposal_cfg = ModelConfig(
+        proposal_cfg = dataclasses.replace(
+            model_cfg,
             endpoint=args.proposal_endpoint,
-            model=args.proposal_model or cfg.get("model"),
-            temperature=float(cfg.get("temperature")),
-            max_tokens=int(cfg.get("max_tokens")),
-            timeout=float(cfg.get("timeout")),
-            max_retries=int(cfg.get("max_retries")),
-            concurrency=int(cfg.get("concurrency")),
+            model=args.proposal_model or model_cfg.model,
         )
 
     instructions = None

@@ -124,7 +124,8 @@ class Corpus:
         return [r for r in self.records if self.split_assignment[r.id] == split]
 
 
-def _parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
+def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
+    """Validate one corpus row (as written by ``AnswerRecord.to_row``) into a record and its split."""
     for key in _REQUIRED_KEYS:
         if key not in row:
             raise MissingField(row_no, key)
@@ -192,7 +193,7 @@ def load_corpus(path, fmt: str = "jsonl") -> Corpus:
         raise FileNotFoundError(path)
     corpus = Corpus()
     for row_no, row in enumerate(_iter_rows(path, fmt), start=1):
-        record, split = _parse_row(row, row_no)
+        record, split = parse_row(row, row_no)
         corpus.records.append(record)
         corpus.split_assignment[record.id] = split
     corpus.validate()
@@ -220,7 +221,3 @@ def split_view(corpus: Corpus, split: str) -> List[AnswerRecord]:
     """Records of one split, in corpus (input) order."""
     split = canonical_split(split)
     return [r for r in corpus.records if corpus.split_assignment[r.id] == split]
-
-
-def question_ids(records: Iterable[AnswerRecord]) -> "set[str]":
-    return {r.question_id for r in records}

@@ -8,7 +8,7 @@ unit length, whatever the backend returned.
 
 import threading
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import List, Optional, Sequence
 
@@ -29,8 +29,6 @@ class EmbedderConfig:
     backend: str = "deterministic_test"  # "remote" | "deterministic_test"
     endpoint: Optional[str] = None
     dimension: int = 32
-    marker: str = ROLE_DOCUMENT  # query/document role passed to the backend
-    max_concurrency: int = 4
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -38,12 +36,9 @@ class EmbedderConfig:
         if self.backend not in ("remote", "deterministic_test"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
-    def with_marker(self, marker: str) -> "EmbedderConfig":
-        return replace(self, marker=marker)
-
 
 def config_fingerprint(cfg: EmbedderConfig) -> str:
-    """Identity of an embedding space; the role marker is per-call, not identity."""
+    """Identity of an embedding space; the query/document role is per-call, not identity."""
     key = f"{cfg.backend}|{cfg.endpoint or ''}|{cfg.dimension}"
     return sha256(key.encode("utf-8")).hexdigest()[:16]
 
@@ -144,7 +139,7 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 class RemoteEmbeddingClient:
-    """HTTP client for the embedding service, bounded concurrent in-flight requests.
+    """HTTP client for the embedding service; callers bound the requests in flight.
 
     Wire format: POST {"texts": [...], "role": "query"|"document"} ->
     {"embeddings": [[[f, ...], ...], ...], "tokens": [[...], ...]}, one token
@@ -155,7 +150,6 @@ class RemoteEmbeddingClient:
         if not cfg.endpoint:
             raise ValueError("remote backend requires an endpoint")
         self.cfg = cfg
-        self._semaphore = threading.Semaphore(max(1, cfg.max_concurrency))
         import requests
 
         self._session = requests.Session()
@@ -164,11 +158,10 @@ class RemoteEmbeddingClient:
         import requests
 
         payload = {"texts": list(texts), "role": role}
-        with self._semaphore:
-            try:
-                resp = self._session.post(self.cfg.endpoint, json=payload, timeout=60)
-            except requests.RequestException as exc:
-                raise BackendUnavailable(f"embedding service: {exc}") from exc
+        try:
+            resp = self._session.post(self.cfg.endpoint, json=payload, timeout=60)
+        except requests.RequestException as exc:
+            raise BackendUnavailable(f"embedding service: {exc}") from exc
         if resp.status_code != 200:
             raise BackendUnavailable(
                 f"embedding service returned HTTP {resp.status_code}"
@@ -204,25 +197,23 @@ class RemoteEmbeddingClient:
         return out
 
 
-_remote_clients: "dict[tuple, RemoteEmbeddingClient]" = {}
+_remote_clients: "dict[str, RemoteEmbeddingClient]" = {}
 _remote_clients_lock = threading.Lock()
 
 
 def _remote_client(cfg: EmbedderConfig) -> RemoteEmbeddingClient:
-    key = (cfg.endpoint, cfg.max_concurrency)
     with _remote_clients_lock:
-        client = _remote_clients.get(key)
+        client = _remote_clients.get(cfg.endpoint)
         if client is None:
             client = RemoteEmbeddingClient(cfg)
-            _remote_clients[key] = client
+            _remote_clients[cfg.endpoint] = client
     return client
 
 
 def embed_texts(
-    texts: Sequence[str], cfg: EmbedderConfig, role: Optional[str] = None
+    texts: Sequence[str], cfg: EmbedderConfig, role: str = ROLE_DOCUMENT
 ) -> List[TokenEmbeddingMatrix]:
     """Embed a batch of texts into token matrices (one per text)."""
-    role = role or cfg.marker
     if cfg.backend == "deterministic_test":
         out = []
         for text in texts:
@@ -237,6 +228,6 @@ def embed_texts(
 
 
 def embed_tokens(
-    text: str, cfg: EmbedderConfig, role: Optional[str] = None
+    text: str, cfg: EmbedderConfig, role: str = ROLE_DOCUMENT
 ) -> TokenEmbeddingMatrix:
     return embed_texts([text], cfg, role)[0]

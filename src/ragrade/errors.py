@@ -74,15 +74,11 @@ class EmptyNeighborSet(RagradeError):
 
 # --- prompt compilation ---
 
-class SignatureError(RagradeError):
+class DuplicateField(RagradeError):
     pass
 
 
-class DuplicateField(SignatureError):
-    pass
-
-
-class EmptySignature(SignatureError):
+class EmptySignature(RagradeError):
     pass
 
 

@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 from .dataset import canonical_label
@@ -67,25 +67,7 @@ class Judgment:
     fallback_raw_text: Optional[str] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "score": self.score,
-            "label": self.label,
-            "feedback": self.feedback,
-            "parse_path": self.parse_path,
-            "raw_text": self.raw_text,
-            "fallback_raw_text": self.fallback_raw_text,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Judgment":
-        return cls(
-            score=data.get("score"),
-            label=data.get("label"),
-            feedback=data.get("feedback"),
-            parse_path=data["parse_path"],
-            raw_text=data.get("raw_text"),
-            fallback_raw_text=data.get("fallback_raw_text"),
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -148,12 +130,7 @@ class ErrorLedger:
     def to_dict(self) -> Dict:
         with self._lock:
             return {
-                "|".join(map(str, key)): {
-                    "total_calls": e.total_calls,
-                    "typed_failures": e.typed_failures,
-                    "fallback_successes": e.fallback_successes,
-                    "hard_failures": e.hard_failures,
-                }
+                "|".join(map(str, key)): asdict(e)
                 for key, e in sorted(self._entries.items())
             }
 
@@ -178,11 +155,10 @@ def _completions_url(endpoint: str) -> str:
 
 
 class ChatClient:
-    """Thread-safe client; concurrent in-flight requests bounded by the config cap."""
+    """Thread-safe client; the caller's worker pool bounds requests in flight."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self._semaphore = threading.Semaphore(cfg.concurrency)
         import requests
 
         self._session = requests.Session()
@@ -215,10 +191,9 @@ class ChatClient:
             if attempt:
                 time.sleep(self.cfg.retry_backoff * (2 ** (attempt - 1)))
             try:
-                with self._semaphore:
-                    resp = self._session.post(
-                        url, json=body, headers=headers, timeout=self.cfg.timeout
-                    )
+                resp = self._session.post(
+                    url, json=body, headers=headers, timeout=self.cfg.timeout
+                )
             except requests.Timeout as exc:
                 last_error = Timeout(f"request timed out: {exc}")
                 continue

@@ -207,12 +207,17 @@ _CSV_FIELDS = (
     "excluded",
 )
 
-# metrics where a larger value is better; rmse inverts
-_HIGHER_BETTER = {"acc": True, "f1": True, "rmse": False, "bleu": True, "rouge2": True, "embedsim": True}
+# metric column -> (text-table format, whether a larger value is better)
+_METRIC_COLUMNS = {
+    "acc": ("%.3f", True),
+    "f1": ("%.3f", True),
+    "rmse": ("%.3f", False),
+    "bleu": ("%.2f", True),
+    "rouge2": ("%.3f", True),
+    "embedsim": ("%.3f", True),
+}
 
-
-class _JudgmentView(namedtuple("_JudgmentView", ["label", "score"])):
-    pass
+_JudgmentView = namedtuple("_JudgmentView", ["label", "score"])
 
 
 @dataclass
@@ -297,45 +302,9 @@ def report_to_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.DictWriter(buf, fieldnames=list(_CSV_FIELDS), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow(
-            {
-                "model": row.model,
-                "mode": row.mode,
-                "k": row.k,
-                "split": row.split,
-                "acc": repr(row.acc),
-                "f1": repr(row.f1),
-                "rmse": repr(row.rmse),
-                "bleu": "" if row.bleu is None else repr(row.bleu),
-                "rouge2": "" if row.rouge2 is None else repr(row.rouge2),
-                "embedsim": "" if row.embedsim is None else repr(row.embedsim),
-                "n": row.n,
-                "excluded": row.excluded,
-            }
-        )
+        # csv writes None as "" and a float as its repr
+        writer.writerow({name: getattr(row, name) for name in _CSV_FIELDS})
     return buf.getvalue()
-
-
-def parse_report_csv(text: str) -> List[ReportRow]:
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            ReportRow(
-                model=raw["model"],
-                mode=raw["mode"],
-                k=int(raw["k"]),
-                split=raw["split"],
-                acc=float(raw["acc"]),
-                f1=float(raw["f1"]),
-                rmse=float(raw["rmse"]),
-                n=int(raw["n"]),
-                excluded=int(raw["excluded"]),
-                bleu=float(raw["bleu"]) if raw["bleu"] else None,
-                rouge2=float(raw["rouge2"]) if raw["rouge2"] else None,
-                embedsim=float(raw["embedsim"]) if raw["embedsim"] else None,
-            )
-        )
-    return rows
 
 
 def _mark(value: Optional[float], fmt: str, best: bool, second: bool) -> str:
@@ -351,14 +320,6 @@ def _mark(value: Optional[float], fmt: str, best: bool, second: bool) -> str:
 
 def report_to_text(rows: Sequence[ReportRow]) -> str:
     """Aligned table grouped by split; best value per column starred, second underlined."""
-    metric_fmt = {
-        "acc": "%.3f",
-        "f1": "%.3f",
-        "rmse": "%.3f",
-        "bleu": "%.2f",
-        "rouge2": "%.3f",
-        "embedsim": "%.3f",
-    }
     metrics = ["acc", "f1", "rmse"]
     if any(r.bleu is not None for r in rows):
         metrics += ["bleu", "rouge2", "embedsim"]
@@ -373,7 +334,7 @@ def report_to_text(rows: Sequence[ReportRow]) -> str:
                 for i, r in enumerate(rows)
                 if r.split == split and getattr(r, metric) is not None
             ]
-            scored.sort(key=lambda p: p[1], reverse=_HIGHER_BETTER[metric])
+            scored.sort(key=lambda p: p[1], reverse=_METRIC_COLUMNS[metric][1])
             for pos, (i, _) in enumerate(scored):
                 marks[(split, metric, i)] = (pos == 0, pos == 1)
 
@@ -386,7 +347,7 @@ def report_to_text(rows: Sequence[ReportRow]) -> str:
             cells = [row.model, row.mode, str(row.k), row.split]
             for metric in metrics:
                 best, second = marks.get((split, metric, i), (False, False))
-                cells.append(_mark(getattr(row, metric), metric_fmt[metric], best, second))
+                cells.append(_mark(getattr(row, metric), _METRIC_COLUMNS[metric][0], best, second))
             cells += [str(row.n), str(row.excluded)]
             table.append(cells)
 

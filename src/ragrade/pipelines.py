@@ -11,7 +11,7 @@ import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -91,12 +91,7 @@ class OptimizedProgram:
     trace: List[Dict] = field(default_factory=list)
 
     def to_dict(self) -> Dict:
-        return {
-            "instruction": self.instruction,
-            "demo_record_ids": self.demo_record_ids,
-            "dev_accuracy": self.dev_accuracy,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "OptimizedProgram":
@@ -249,12 +244,10 @@ def run_split(
             ledger.record_hard_failure(key)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
 
+    # the only bound on requests in flight, chat and embedding alike
     workers = cfg.model.concurrency if cfg.model else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            judgments = list(pool.map(one, records))
-    else:
-        judgments = [one(r) for r in records]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        judgments = list(pool.map(one, records))
 
     ledger.check_conservation()
     return judgments, ledger
@@ -274,17 +267,12 @@ def propose_instructions(
     base: str, proposal_client: ChatClient, n: int = 4
 ) -> List[str]:
     """Ask the proposal model for instruction paraphrases; best effort."""
-    request = f"Rewrite this instruction {n} different ways:\n{base}"
-    prompt = CompiledPrompt(
-        system_text=_PROPOSAL_SYSTEM,
-        user_text=request,
-        output_schema=(),
-        demo_count=0,
-        relaxed_system_text=_PROPOSAL_SYSTEM,
-        relaxed_user_text=request,
-    )
+    messages = [
+        {"role": "system", "content": _PROPOSAL_SYSTEM},
+        {"role": "user", "content": f"Rewrite this instruction {n} different ways:\n{base}"},
+    ]
     try:
-        raw = proposal_client.complete(prompt)
+        raw = proposal_client.complete_messages(messages)
     except TransportError as exc:
         logger.warning("proposal model unavailable (%s); using base instruction", exc)
         return []

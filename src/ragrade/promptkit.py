@@ -91,9 +91,6 @@ class Demo:
     outputs: Tuple[Tuple[str, str], ...]
     source_record_id: str
 
-    def input_map(self) -> Dict[str, str]:
-        return dict(self.inputs)
-
     def output_map(self) -> Dict[str, str]:
         return dict(self.outputs)
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .dataset import AnswerRecord
+from .dataset import AnswerRecord, parse_row
 from .embedding import (
     EmbedderConfig,
     ROLE_DOCUMENT,
@@ -69,17 +69,11 @@ def maxsim_score(query: TokenEmbeddingMatrix, doc: TokenEmbeddingMatrix) -> floa
     return float(np.sum(np.max(sims, axis=1)))
 
 
-def build_index(
-    records: Sequence[AnswerRecord],
-    cfg: EmbedderConfig,
-    field_name: str = "student_answer",
-) -> MaxSimIndex:
+def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimIndex:
     """Embed each record's student answer (document role) into a fresh index.
 
     Records with empty student answers are skipped and counted, not indexed.
     """
-    if field_name != "student_answer":
-        raise ValueError("only the student_answer field is indexable")
     if not records:
         raise EmptyIndex("no records to index")
 
@@ -180,7 +174,6 @@ def save_index(index: MaxSimIndex, path) -> None:
             "backend": index.config.backend,
             "endpoint": index.config.endpoint,
             "dimension": index.config.dimension,
-            "max_concurrency": index.config.max_concurrency,
         },
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -222,7 +215,6 @@ def load_index(
         backend=header["config"]["backend"],
         endpoint=header["config"]["endpoint"],
         dimension=header["config"]["dimension"],
-        max_concurrency=header["config"].get("max_concurrency", 4),
     )
     if cfg is not None and config_fingerprint(cfg) != header["fingerprint"]:
         if not force:
@@ -253,17 +245,10 @@ def load_index(
 
     payload_raw = reader.take(reader.u64())
     payload: Dict[str, AnswerRecord] = {}
-    for row in json.loads(payload_raw.decode("utf-8"))["records"]:
-        payload[str(row["id"])] = AnswerRecord(
-            id=str(row["id"]),
-            question=row["question"],
-            question_id=row["question_id"],
-            reference_answer=row["reference_answer"],
-            student_answer=row["student_answer"],
-            gold_score=float(row["score"]),
-            gold_label=row["label"],
-            gold_feedback=row["feedback"],
-        )
+    rows = json.loads(payload_raw.decode("utf-8"))["records"]
+    for row_no, row in enumerate(rows, start=1):
+        record, _ = parse_row(row, row_no)
+        payload[record.id] = record
 
     return MaxSimIndex(
         dim=dim,

@@ -106,9 +106,8 @@ def test_dimension_minimum():
         deterministic_embed("cat", 1)
 
 
-def test_fingerprint_ignores_marker():
+def test_fingerprint_differs_by_dimension():
     base = EmbedderConfig(dimension=32)
-    assert config_fingerprint(base) == config_fingerprint(base.with_marker("query"))
     assert config_fingerprint(base) != config_fingerprint(EmbedderConfig(dimension=16))
 
 

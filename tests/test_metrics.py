@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import numpy as np
@@ -16,12 +18,13 @@ from ragrade.metrics import (
     build_report,
     embed_sim_f1,
     manifest_metrics,
-    parse_report_csv,
     report_to_csv,
     report_to_text,
     rouge2,
     scoring_metrics,
 )
+
+from stub_servers import mirror_embedding_app
 
 # hand-executed oracle for the 2-sentence fixture below: pooled counts
 # [5,2,1,0]/[9,7,5,3], the zero at n=4 smoothed to 1/(2*3), bp=exp(1-10/9)
@@ -188,6 +191,15 @@ def test_embed_sim_matches_double_loop_oracle():
     assert embed_sim_f1(candidate, reference, cfg) == pytest.approx(expected, abs=1e-9)
 
 
+def test_embed_sim_remote_sends_document_role(stub_server_factory):
+    # embed_sim_f1 passes no role, so both texts go out under the default
+    server = stub_server_factory(mirror_embedding_app(16))
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=16)
+    local = embed_sim_f1("one two three", "two three four", EmbedderConfig(dimension=16))
+    assert embed_sim_f1("one two three", "two three four", cfg) == pytest.approx(local, abs=1e-9)
+    assert [r["body"]["role"] for r in server.requests] == ["document", "document"]
+
+
 def _manifest(model="m1", mode="zero_shot", k=0, split="test_ua", items=None):
     default_items = [
         {
@@ -261,12 +273,18 @@ def test_build_report_marks_best_and_second():
 
 def test_report_csv_round_trip(tmp_path):
     rows = build_report([_manifest()], text_metrics=True, embed_cfg=EmbedderConfig())
-    parsed = parse_report_csv(report_to_csv(rows))
+    parsed = list(csv.DictReader(io.StringIO(report_to_csv(rows))))
     assert len(parsed) == 1
-    assert parsed[0].acc == rows[0].acc
-    assert parsed[0].rmse == rows[0].rmse
-    assert parsed[0].bleu == rows[0].bleu
-    assert parsed[0].embedsim == rows[0].embedsim
+    # floats are written as their repr, so they read back exactly
+    assert parsed[0]["acc"] == repr(rows[0].acc)
+    assert parsed[0]["rmse"] == repr(rows[0].rmse)
+    assert parsed[0]["bleu"] == repr(rows[0].bleu)
+    assert parsed[0]["embedsim"] == repr(rows[0].embedsim)
+    assert float(parsed[0]["embedsim"]) == rows[0].embedsim
+    assert parsed[0]["n"] == str(rows[0].n)
+    # without text metrics those columns are empty
+    plain = list(csv.DictReader(io.StringIO(report_to_csv(build_report([_manifest()])))))
+    assert (plain[0]["bleu"], plain[0]["rouge2"], plain[0]["embedsim"]) == ("", "", "")
 
 
 def test_build_report_version_mismatch():

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from ragrade.dataset import split_view
@@ -119,6 +122,58 @@ def test_run_split_preserves_order_under_concurrency(fixture_corpus, stub_server
     for record, judgment in zip(records, judgments):
         assert judgment.label == record.gold_label, "order or content drifted"
     assert ledger.entry(("stub-model", MODE_ZERO_SHOT, 0)).total_calls == len(records)
+
+
+class _InFlight:
+    """Slows stub apps to ``delay`` s per request and records the peak in flight."""
+
+    def __init__(self, delay=0.05):
+        self.delay = delay
+        self.now = 0
+        self.peak = 0
+        self.lock = threading.Lock()
+
+    def wrap(self, app):
+        def slow(path, body):
+            with self.lock:
+                self.now += 1
+                self.peak = max(self.peak, self.now)
+            try:
+                time.sleep(self.delay)
+                return app(path, body)
+            finally:
+                with self.lock:
+                    self.now -= 1
+
+        return slow
+
+
+def test_worker_pool_is_the_only_chat_concurrency_bound(fixture_corpus, stub_server_factory):
+    gauge = _InFlight()
+    gold = gold_by_answer(fixture_corpus.records)
+    server = stub_server_factory(gauge.wrap(echo_gold_chat_app(gold)))
+    cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg(server.url, concurrency=2))
+    judgments, _ = run_split(fixture_corpus.records[:8], cfg)
+    assert [j.parse_path for j in judgments] == ["typed"] * 8
+    assert gauge.peak == 2
+
+
+def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_server_factory):
+    # rag embeds each query on the pool worker that then calls the model
+    from stub_servers import mirror_embedding_app
+
+    gauge = _InFlight()
+    gold = gold_by_answer(fixture_corpus.records)
+    chat = stub_server_factory(gauge.wrap(echo_gold_chat_app(gold)))
+    embed = stub_server_factory(gauge.wrap(mirror_embedding_app(32)))
+    embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
+    index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
+    gauge.peak = 0
+    cfg = PipelineConfig(mode=MODE_RAG, k=2, model=_model_cfg(chat.url, concurrency=2))
+    judgments, _ = run_split(fixture_corpus.records[:8], cfg, index)
+    assert [j.parse_path for j in judgments] == ["typed"] * 8
+    assert len(embed.requests) == 1 + 8  # the index batch, then one query per item
+    assert gauge.peak == 2
 
 
 def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_server_factory):
