@@ -86,12 +86,9 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _splitmix64(state: int) -> "tuple[int, int]":
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 _det_cache: "dict[tuple[str, int], np.ndarray]" = {}
@@ -113,11 +110,14 @@ def deterministic_embed(token: str, d: int) -> np.ndarray:
     if cached is not None:
         return cached.copy()
 
-    state = _fnv1a64(token.encode("utf-8"))
-    values = np.empty(d, dtype=np.float64)
-    for i in range(d):
-        state, draw = _splitmix64(state)
-        values[i] = ((draw >> 11) + 0.5) / float(1 << 53) * 2.0 - 1.0
+    # splitmix64: draw i (from 1) mixes the state seed + i * gamma, so all d
+    # draws are one uint64 expression; numpy's uint64 arithmetic wraps mod 2^64
+    seed = np.uint64(_fnv1a64(token.encode("utf-8")))
+    z = seed + np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    values = ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53) * 2.0 - 1.0
     norm = float(np.linalg.norm(values))
     if norm == 0.0:  # unreachable for real tokens; keeps the contract total
         values[0] = 1.0
@@ -197,16 +197,16 @@ class RemoteEmbeddingClient:
         return out
 
 
-_remote_clients: "dict[str, RemoteEmbeddingClient]" = {}
+_remote_clients: "dict[EmbedderConfig, RemoteEmbeddingClient]" = {}
 _remote_clients_lock = threading.Lock()
 
 
 def _remote_client(cfg: EmbedderConfig) -> RemoteEmbeddingClient:
     with _remote_clients_lock:
-        client = _remote_clients.get(cfg.endpoint)
+        client = _remote_clients.get(cfg)
         if client is None:
             client = RemoteEmbeddingClient(cfg)
-            _remote_clients[cfg.endpoint] = client
+            _remote_clients[cfg] = client
     return client
 
 

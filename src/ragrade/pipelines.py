@@ -44,7 +44,7 @@ from .promptkit import (
     demo_from_record,
     render_prompt,
 )
-from .retrieval import MaxSimIndex, RetrievedExample, same_question_ids, top_k
+from .retrieval import MaxSimIndex, RetrievedExample, top_k
 from .votegrader import vote_classify
 
 logger = logging.getLogger(__name__)
@@ -108,7 +108,8 @@ def _retrieve_neighbors(
 ) -> List[RetrievedExample]:
     exclude: Set[str] = {record.id}
     if cfg.exclude_same_question:
-        exclude |= same_question_ids(index, record.question_id)
+        rows = index.question_rows.get(record.question_id, ())
+        exclude.update(index.record_ids[row] for row in rows)
     return top_k(index, record.student_answer, cfg.k, exclude=exclude)
 
 

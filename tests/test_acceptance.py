@@ -24,7 +24,7 @@ from ragrade.votegrader import vote_classify
 from conftest import gold_by_answer
 from stub_servers import StubServer, echo_gold_chat_app
 from test_promptkit import GOLDEN_DIR, golden_cases, _golden_bytes
-from test_retrieval import _matrix
+from test_retrieval import _exact_order, _matrix, _stored_docs
 from test_votegrader import _neighbors
 
 SAF_ENV = "ASASF_SAF_DATA"
@@ -128,12 +128,8 @@ def test_acceptance_2_maxsim_oracle_equivalence():
         for _ in range(10):
             query_text = " ".join(pyrng.choice(words) for _ in range(3))
             query_matrix = embed_tokens(query_text, cfg, role="query")
-            brute = sorted(
-                (
-                    (maxsim_score(query_matrix, entry.matrix), entry.record_id)
-                    for entry in index.entries
-                ),
-                key=lambda pair: (-pair[0], pair[1]),
+            brute = _exact_order(
+                [(maxsim_score(query_matrix, doc), rid) for rid, doc in _stored_docs(index)]
             )
             k = min(10, size)
             got = [r.record.id for r in top_k(index, query_text, k)]

@@ -40,6 +40,31 @@ def test_fnv1a64_known_vectors():
     assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
 
 
+def _scalar_splitmix_embed(token, d):
+    """Reference: one scalar splitmix64 step per draw, in Python integers."""
+    mask = (1 << 64) - 1
+    state = _fnv1a64(token.encode("utf-8"))
+    values = []
+    for _ in range(d):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        values.append(((z >> 11) + 0.5) / float(1 << 53) * 2.0 - 1.0)
+    vector = np.array(values)
+    return vector / float(np.linalg.norm(vector))
+
+
+def test_deterministic_embed_matches_scalar_splitmix_reference():
+    rng = random.Random(5000)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-.é"
+    for _ in range(5000):
+        token = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
+        d = rng.choice([2, 4, 16, 32, 64])
+        assert deterministic_embed(token, d).tobytes() == _scalar_splitmix_embed(token, d).tobytes()
+
+
 def test_deterministic_embed_purity():
     first = deterministic_embed("cat", 32)
     second = deterministic_embed("cat", 32)
@@ -153,3 +178,13 @@ def test_remote_batch_order(stub_server_factory):
     matrices = embed_texts(["alpha beta", "gamma"], cfg, role="document")
     assert [m.tokens for m in matrices] == [["alpha", "beta"], ["gamma"]]
     assert server.requests[0]["body"]["role"] == "document"
+
+
+def test_remote_client_per_config_not_per_endpoint(stub_server_factory):
+    # an empty text gets a zero-row matrix of its own config's width, even
+    # after another config has used the same endpoint
+    server = stub_server_factory(mirror_embedding_app(dimension=16))
+    narrow = EmbedderConfig(backend="remote", endpoint=server.url, dimension=16)
+    wide = EmbedderConfig(backend="remote", endpoint=server.url, dimension=32)
+    assert embed_tokens("hello", narrow).vectors.shape == (1, 16)
+    assert embed_tokens("", wide).vectors.shape == (0, 32)

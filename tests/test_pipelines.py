@@ -97,7 +97,7 @@ def test_rag_prompt_demo_provenance(fixture_corpus, train_index, stub_server_fac
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url, concurrency=1))
     records = split_view(fixture_corpus, "test_ua")
     run_split(records, cfg, train_index)
-    indexed_answers = {e.record_id for e in train_index.entries}
+    indexed_answers = set(train_index.record_ids)
     for request, record in zip(server.requests, records):
         user_text = next(
             m["content"] for m in request["body"]["messages"] if m["role"] == "user"
@@ -243,6 +243,23 @@ def test_exclude_same_question_flag(fixture_corpus, train_index, stub_server_fac
     for rid, rec in train_index.payload.items():
         if rec.question_id == record.question_id:
             assert rec.student_answer not in demo_section
+
+
+def test_exclude_same_question_matches_payload_filter(fixture_corpus, train_index):
+    from ragrade.pipelines import _retrieve_neighbors
+    from ragrade.retrieval import top_k
+
+    for k in (1, 3, 8):
+        cfg = PipelineConfig(mode=MODE_VOTE, k=k, exclude_same_question=True)
+        for record in fixture_corpus.records:
+            same_question = {
+                rid for rid, rec in train_index.payload.items()
+                if rec.question_id == record.question_id
+            }
+            reference = top_k(train_index, record.student_answer, k,
+                              exclude={record.id} | same_question)
+            got = _retrieve_neighbors(record, cfg, train_index)
+            assert [n.record.id for n in got] == [n.record.id for n in reference]
 
 
 def test_chain_of_thought_style_end_to_end(fixture_corpus, train_index, stub_server_factory):

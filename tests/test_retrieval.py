@@ -1,10 +1,14 @@
+import functools
 import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragrade.dataset import AnswerRecord
-from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, normalize_rows
+from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_tokens, normalize_rows
 from ragrade.errors import (
     DimensionMismatch,
     EmptyIndex,
@@ -12,6 +16,7 @@ from ragrade.errors import (
     FingerprintMismatch,
 )
 from ragrade.retrieval import (
+    MaxSimIndex,
     build_index,
     load_index,
     maxsim_score,
@@ -39,6 +44,25 @@ def _naive_maxsim(query, doc):
             best = max(best, float(np.dot(q_row, d_row)))
         total += best
     return total
+
+
+def _stored_docs(index):
+    """(record id, stored token rows) for every indexed document."""
+    return [
+        (rid, _matrix(index.vectors[index.offsets[i] : index.offsets[i + 1]]))
+        for i, rid in enumerate(index.record_ids)
+    ]
+
+
+def _exact_order(scored):
+    """The documented tie rule: scores equal to 1e-9 tie; ascending id breaks ties."""
+    return sorted(scored, key=lambda p: (-round(p[0], 9), p[1]))
+
+
+def _brute_force(index, query_matrix):
+    return _exact_order(
+        [(maxsim_score(query_matrix, doc), rid) for rid, doc in _stored_docs(index)]
+    )
 
 
 def _record(rid, answer, qid="q1", score=1.0, label="correct"):
@@ -150,15 +174,10 @@ def test_top_k_matches_brute_force():
     cfg = EmbedderConfig(dimension=32)
     index = build_index(records, cfg)
 
-    from ragrade.embedding import embed_tokens
-
     for _ in range(10):
         query = " ".join(rng.choice(["router", "tree", "frame", "pigeon"]) for _ in range(3))
         query_matrix = embed_tokens(query, cfg, role="query")
-        brute = sorted(
-            ((maxsim_score(query_matrix, e.matrix), e.record_id) for e in index.entries),
-            key=lambda p: (-p[0], p[1]),
-        )
+        brute = _brute_force(index, query_matrix)
         results = top_k(index, query, 5)
         assert [r.record.id for r in results] == [rid for _, rid in brute[:5]]
         assert [r.relevance for r in results] == pytest.approx([s for s, _ in brute[:5]])
@@ -202,9 +221,16 @@ def test_top_k_tie_break_by_record_id():
 
 
 def test_empty_index_error():
-    records = [_record("r1", "an answer")]
-    index = build_index(records, EmbedderConfig(dimension=16))
-    index.entries = []
+    cfg = EmbedderConfig(dimension=16)
+    index = MaxSimIndex(
+        dim=16,
+        fingerprint="",
+        config=cfg,
+        record_ids=[],
+        offsets=np.zeros(1, dtype=np.int64),
+        vectors=np.zeros((0, 16), dtype=np.float32),
+        payload={},
+    )
     with pytest.raises(EmptyIndex):
         top_k(index, "an answer", 1)
 
@@ -221,8 +247,11 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.dim == index.dim
     assert loaded.fingerprint == index.fingerprint
     assert loaded.skipped_empty == index.skipped_empty
-    assert [e.record_id for e in loaded.entries] == [e.record_id for e in index.entries]
+    assert loaded.record_ids == index.record_ids
     assert loaded.payload == index.payload
+    assert np.array_equal(loaded.offsets, index.offsets)
+    assert loaded.vectors.dtype == np.float32 and loaded.vectors.flags.c_contiguous
+    assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
     for _ in range(20):
         query = " ".join(rng.choice(["router", "header", "tree", "port"]) for _ in range(4))
@@ -273,3 +302,120 @@ def test_remote_and_local_backends_rank_identically(stub_server_factory, tmp_pat
         assert [r.record.id for r in top_k(local, query, 4)] == [
             r.record.id for r in top_k(remote, query, 4)
         ]
+
+
+def _small_vocab_records(rng, n, words):
+    return [
+        _record(f"r{i:04d}", " ".join(rng.choice(words) for _ in range(rng.randint(2, 8))),
+                qid=f"q{i % 7}")
+        for i in range(n)
+    ]
+
+
+_VOCAB40 = [f"w{i:02d}" for i in range(40)]
+
+
+def test_built_and_reloaded_indexes_rank_identically(tmp_path):
+    # a small vocabulary makes many near-equal scores, so any difference
+    # between built and reloaded rows would reorder neighbours
+    rng = random.Random(2024)
+    cfg = EmbedderConfig(dimension=32)
+    built = build_index(_small_vocab_records(rng, 3000, _VOCAB40), cfg)
+    save_index(built, tmp_path / "index.rgix")
+    loaded = load_index(tmp_path / "index.rgix", cfg)
+    differ = 0
+    for _ in range(300):
+        query = " ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 6)))
+        differ += [r.record.id for r in top_k(built, query, 5)] != [
+            r.record.id for r in top_k(loaded, query, 5)
+        ]
+    assert differ == 0, f"{differ}/300 queries ranked differently after reload"
+
+
+def _fraction_maxsim(query_rows, doc_rows):
+    query = [[Fraction(float(x)) for x in row] for row in query_rows]
+    doc = [[Fraction(float(x)) for x in row] for row in doc_rows]
+    return sum(max(sum(a * b for a, b in zip(q, d)) for d in doc) for q in query)
+
+
+def test_top_k_equals_exact_rational_order():
+    # acceptance 2's corpus and queries, scored in exact rational arithmetic
+    words = ["router", "switch", "frame", "packet", "header", "tree", "path", "ack"]
+    pyrng = random.Random(77)
+    cfg = EmbedderConfig(dimension=32)
+    for size in (5, 20, 50):
+        records = [
+            _record(f"r{i:03d}", " ".join(pyrng.choice(words) for _ in range(pyrng.randint(2, 7))))
+            for i in range(size)
+        ]
+        index = build_index(records, cfg)
+        docs = _stored_docs(index)
+        for _ in range(10):
+            query_text = " ".join(pyrng.choice(words) for _ in range(3))
+            query = embed_tokens(query_text, cfg, role="query").vectors
+            exact = _exact_order(
+                [(_fraction_maxsim(query, doc.vectors), rid) for rid, doc in docs]
+            )
+            k = min(10, size)
+            got = top_k(index, query_text, k)
+            assert [r.record.id for r in got] == [rid for _, rid in exact[:k]]
+            for result, (score, _) in zip(got, exact):
+                assert abs(result.relevance - float(score)) <= 1e-12
+
+
+_PROPERTY_WORDS = [f"v{i}" for i in range(12)]
+
+
+@functools.lru_cache(maxsize=1)
+def _property_index():
+    # 400 answers over 4 of the 12 query words, each row nudged by 1e-9 to
+    # 1e-7: many documents score within float32 rounding of each other
+    records = _small_vocab_records(random.Random(31), 400, _PROPERTY_WORDS[:4])
+    index = build_index(records, EmbedderConfig(dimension=32))
+    rng = np.random.default_rng(31)
+    scale = 10.0 ** -rng.integers(7, 10, size=(len(index.vectors), 1))
+    nudged = index.vectors + rng.normal(size=index.vectors.shape) * scale
+    index.vectors = normalize_rows(nudged).astype(np.float32)
+    return index
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.integers(min_value=1, max_value=200).flatmap(
+        lambda n: st.lists(st.sampled_from(_PROPERTY_WORDS), min_size=n, max_size=n)
+    ),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_top_k_equals_float64_ranking_for_any_query_length(words, k):
+    index = _property_index()
+    query_text = " ".join(words)
+    brute = _brute_force(index, embed_tokens(query_text, index.config, role="query"))
+    got = top_k(index, query_text, k)
+    assert [(r.record.id, r.relevance) for r in got] == [(rid, s) for s, rid in brute[:k]]
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(6)]
+    index = build_index(records, EmbedderConfig(dimension=16))
+    path = tmp_path / "index.rgix"
+    save_index(index, path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    offsets_at = 12 + header_len
+    vectors_at = offsets_at + index.offsets.nbytes
+    payload_len_at = vectors_at + index.vectors.nbytes
+    # a cut inside each block: header length, header, offsets, vectors,
+    # payload length, payload
+    for cut in (10, offsets_at - 5, offsets_at + 20, vectors_at + 100,
+                payload_len_at + 4, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_index(path)
+
+
+def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
+    path = tmp_path / "index.rgix"
+    header = b'{"dim": 16}'
+    path.write_bytes(b"RGIX" + struct.pack("<II", 1, len(header)) + header)
+    with pytest.raises(ValueError, match="re-index"):
+        load_index(path)
