@@ -41,19 +41,22 @@ _REQUIRED_KEYS = (
 _NULLABLE_TEXT = {"student_answer", "feedback"}
 
 
+def _canonical(raw: str, allowed: "tuple[str, ...]", kind: str) -> str:
+    if raw in allowed:  # already canonical: folding would return it unchanged
+        return raw
+    folded = "_".join(p for p in re.split(r"[\s_]+", str(raw).strip().lower()) if p)
+    if folded not in allowed:
+        raise ValueError(f"unknown {kind} {raw!r}")
+    return folded
+
+
 def canonical_label(raw: str) -> str:
     """Fold case, whitespace, and underscores: "Partially correct" -> partially_correct."""
-    folded = "_".join(p for p in re.split(r"[\s_]+", str(raw).strip().lower()) if p)
-    if folded not in LABELS:
-        raise ValueError(f"unknown label {raw!r}")
-    return folded
+    return _canonical(raw, LABELS, "label")
 
 
 def canonical_split(raw: str) -> str:
-    folded = "_".join(p for p in re.split(r"[\s_]+", str(raw).strip().lower()) if p)
-    if folded not in SPLITS:
-        raise ValueError(f"unknown split {raw!r}")
-    return folded
+    return _canonical(raw, SPLITS, "split")
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,20 @@ def embed_texts(
 ) -> List[TokenEmbeddingMatrix]:
     """Embed a batch of texts into token matrices (one per text)."""
     if cfg.backend == "deterministic_test":
+        d = cfg.dimension
         out = []
         for text in texts:
             tokens = tokenize(text)
             if tokens:
-                vectors = np.stack([deterministic_embed(t, cfg.dimension) for t in tokens])
+                with _det_cache_lock:
+                    rows = [_det_cache.get((t, d)) for t in tokens]
+                # np.stack copies, so the cached rows are stacked as they are
+                vectors = np.stack([
+                    deterministic_embed(t, d) if row is None else row
+                    for t, row in zip(tokens, rows)
+                ])
             else:
-                vectors = np.zeros((0, cfg.dimension), dtype=np.float64)
+                vectors = np.zeros((0, d), dtype=np.float64)
             out.append(TokenEmbeddingMatrix(tokens, vectors))
         return out
     return _remote_client(cfg).embed(texts, role)

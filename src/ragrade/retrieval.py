@@ -6,11 +6,17 @@ exhaustive over the index; no approximate pruning. Scores equal to 1e-9 tie;
 ascending record id breaks ties.
 
 Every document's token rows live in one C-contiguous float32 matrix, with an
-offsets array marking where each document starts. ``top_k`` scans that matrix
-in float32 and then re-scores in float64 every document whose float32 score is
-within a proven error bound of the k-th best, so the ranking equals the exact
-one over the stored rows. The index persists to a single binary file and
-refuses to load under a different embedder fingerprint unless forced.
+offsets array marking where each document starts. Documents are stored in
+ascending token count, stable with respect to input order, so the documents
+of one length form a contiguous run. ``top_k`` scans each run in chunks: one
+float32 matmul, a zero-copy (documents, length, query tokens) view, and a max
+over token positions by in-place pairwise halving. It then re-scores in
+float64 every document whose float32 score is within a proven error bound of
+the k-th best, so the ranking equals the exact one over the stored rows. The
+index persists to a single binary file (format v2) and refuses to load under
+a different embedder fingerprint unless forced. A v2 file written in another
+document order, as earlier versions wrote it, is put into length order on
+load, with no re-indexing.
 """
 
 import json
@@ -36,15 +42,17 @@ from .errors import DimensionMismatch, EmptyIndex, EmptyMatrix, FingerprintMisma
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 2
 _EMBED_BATCH = 32
-# documents per float32 matmul in top_k; bounds the (query tokens x block
-# tokens) similarity matrix a scan holds at once
-_SCAN_BLOCK_DOCS = 128
+# document tokens per float32 matmul in top_k; sizes the one (chunk tokens x
+# query tokens) similarity buffer a scan holds
+_SCAN_CHUNK_TOKENS = 4096
 
 
 @dataclass(eq=False)
 class MaxSimIndex:
     """Document ``i`` is ``record_ids[i]``; its token rows are
-    ``vectors[offsets[i]:offsets[i + 1]]``, at least one per document."""
+    ``vectors[offsets[i]:offsets[i + 1]]``, at least one per document.
+    Construction puts the documents in ascending token count, stable with
+    respect to the order given."""
 
     dim: int
     fingerprint: str
@@ -58,6 +66,17 @@ class MaxSimIndex:
     question_rows: Dict[str, List[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        lengths = np.diff(self.offsets)
+        if np.any(lengths[1:] < lengths[:-1]):
+            order = np.argsort(lengths, kind="stable")
+            lengths = lengths[order]
+            offsets = np.zeros_like(self.offsets)
+            np.cumsum(lengths, out=offsets[1:])
+            # every row of document order[i] moves from its old start to offsets[i]
+            shift = np.repeat(self.offsets[:-1][order] - offsets[:-1], lengths)
+            self.vectors = self.vectors[shift + np.arange(offsets[-1])]
+            self.offsets = offsets
+            self.record_ids = [self.record_ids[i] for i in order]
         self.row_of = {rid: row for row, rid in enumerate(self.record_ids)}
         self.question_rows = {}
         for row, rid in enumerate(self.record_ids):
@@ -137,12 +156,24 @@ def _scan_scores(index: MaxSimIndex, query: np.ndarray) -> np.ndarray:
     """float32 MaxSim of ``query`` against every document, summed in float64."""
     scores = np.empty(len(index), dtype=np.float64)
     offsets = index.offsets
-    for start in range(0, len(index), _SCAN_BLOCK_DOCS):
-        stop = min(start + _SCAN_BLOCK_DOCS, len(index))
-        lo, hi = offsets[start], offsets[stop]
-        sims = index.vectors[lo:hi] @ query.T
-        best = np.maximum.reduceat(sims, offsets[start:stop] - lo, axis=0)
-        scores[start:stop] = best.sum(axis=1, dtype=np.float64)
+    lengths = np.diff(offsets)
+    # documents come in ascending token count: one run per distinct length
+    bounds = [*np.flatnonzero(np.diff(lengths, prepend=0)).tolist(), len(index)]
+    buffer = np.empty((max(_SCAN_CHUNK_TOKENS, lengths.max()), len(query)), np.float32)
+    for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
+        length = int(lengths[run_start])
+        step = max(1, _SCAN_CHUNK_TOKENS // length)
+        for start in range(run_start, run_stop, step):
+            stop = min(start + step, run_stop)
+            lo, hi = offsets[start], offsets[stop]
+            sims = np.matmul(index.vectors[lo:hi], query.T, out=buffer[: hi - lo])
+            sims = sims.reshape(stop - start, length, len(query))
+            rows = length
+            while rows > 1:  # fold the last half of the rows onto the first
+                half = rows // 2
+                np.maximum(sims[:, :half], sims[:, rows - half : rows], out=sims[:, :half])
+                rows -= half
+            scores[start:stop] = sims[:, 0].sum(axis=1, dtype=np.float64)
     return scores
 
 

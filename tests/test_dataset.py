@@ -1,9 +1,14 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ragrade.dataset import (
+    LABELS,
+    SPLITS,
     canonical_label,
+    canonical_split,
     load_corpus,
     save_corpus,
     split_view,
@@ -113,6 +118,44 @@ def test_label_canonicalization():
     assert canonical_label("partially_ correct") == "partially_correct"
     with pytest.raises(ValueError):
         canonical_label("sort of right")
+
+
+def _fold_reference(raw, allowed, kind):
+    """The folding rule: case, surrounding space, and runs of whitespace and
+    underscores all fold away."""
+    folded = "_".join(p for p in re.split(r"[\s_]+", str(raw).strip().lower()) if p)
+    if folded not in allowed:
+        raise ValueError(f"unknown {kind} {raw!r}")
+    return folded
+
+
+def _outcome(fn, raw):
+    try:
+        return ("ok", fn(raw))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+# canonical values, their parts with case and separators varied, and any text
+_label_like = st.one_of(
+    st.sampled_from(LABELS + SPLITS),
+    st.lists(
+        st.sampled_from(["correct", "partially", "train", "test", "ua", "uq", "CORRECT",
+                         "Test", "_", " ", "\t", "__", "\u00a0", "x"]),
+        max_size=6,
+    ).map("".join),
+    st.text(max_size=20),
+)
+
+
+@given(raw=_label_like)
+def test_canonical_label_and_split_equal_the_folding_rule(raw):
+    assert _outcome(canonical_label, raw) == _outcome(
+        lambda r: _fold_reference(r, LABELS, "label"), raw
+    )
+    assert _outcome(canonical_split, raw) == _outcome(
+        lambda r: _fold_reference(r, SPLITS, "split"), raw
+    )
 
 
 def test_max_points_normalization(tmp_path):

@@ -98,6 +98,18 @@ def test_embed_tokens_repeated_token_rows_identical():
     assert np.array_equal(matrix.vectors[0], matrix.vectors[1])
 
 
+def test_embedded_rows_are_copies_of_the_cache():
+    cfg = EmbedderConfig(dimension=16)
+    expected = embed_texts(["cache copy probe", "probe"], cfg)
+    snapshot = [m.vectors.copy() for m in expected]
+    for matrix in expected:
+        matrix.vectors[:] = 0.0
+    deterministic_embed("probe", 16)[:] = 0.0
+    again = embed_texts(["cache copy probe", "probe"], cfg)
+    assert [m.vectors.tobytes() for m in again] == [v.tobytes() for v in snapshot]
+    assert again[1].vectors[0].tobytes() == _scalar_splitmix_embed("probe", 16).tobytes()
+
+
 def test_embed_tokens_single_token_shape_and_norm():
     matrix = embed_tokens("cat", EmbedderConfig(dimension=32))
     assert matrix.vectors.shape == (1, 32)

@@ -1,6 +1,8 @@
 import functools
+import json
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,9 @@ from ragrade.errors import (
     FingerprintMismatch,
 )
 from ragrade.retrieval import (
+    _SCAN_CHUNK_TOKENS,
     MaxSimIndex,
+    _scan_scores,
     build_index,
     load_index,
     maxsim_score,
@@ -419,3 +423,160 @@ def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
     path.write_bytes(b"RGIX" + struct.pack("<II", 1, len(header)) + header)
     with pytest.raises(ValueError, match="re-index"):
         load_index(path)
+
+
+def _is_length_ordered(index):
+    return bool(np.all(np.diff(np.diff(index.offsets)) >= 0))
+
+
+def test_built_and_loaded_indexes_store_documents_in_length_order(tmp_path):
+    answers = ["a b c d", "a", "a b", "b c", "c", "a b c", "d e"]
+    records = [_record(f"r{i}", text) for i, text in enumerate(answers)]
+    cfg = EmbedderConfig(dimension=16)
+    index = build_index(records, cfg)
+    # ascending token count; equal counts keep the input order
+    assert index.record_ids == ["r1", "r4", "r2", "r3", "r6", "r5", "r0"]
+    assert _is_length_ordered(index)
+    for rid, doc in _stored_docs(index):
+        expected = embed_tokens(answers[int(rid[1:])], cfg).vectors.astype(np.float32)
+        assert np.array_equal(doc.vectors, expected)
+    assert index.row_of == {rid: row for row, rid in enumerate(index.record_ids)}
+    save_index(index, tmp_path / "index.rgix")
+    loaded = load_index(tmp_path / "index.rgix", cfg)
+    assert loaded.record_ids == index.record_ids
+    assert _is_length_ordered(loaded)
+
+
+def _index_from_docs(docs):
+    """An index over ``docs`` (token-row arrays), in the order given."""
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum([len(doc) for doc in docs], out=offsets[1:])
+    record_ids = [f"d{i:03d}" for i in range(len(docs))]
+    return MaxSimIndex(
+        dim=docs[0].shape[1],
+        fingerprint="",
+        config=EmbedderConfig(dimension=docs[0].shape[1]),
+        record_ids=record_ids,
+        offsets=offsets,
+        vectors=np.concatenate(docs).astype(np.float32),
+        payload={rid: _record(rid, "unused") for rid in record_ids},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=40), max_size=40).map(
+        lambda drawn: drawn + [1, _SCAN_CHUNK_TOKENS + 3]
+    ).flatmap(st.permutations),
+    n_query=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_scan_scores_equal_per_document_reference(lengths, n_query, seed):
+    # Small integer components keep every float32 dot product and every sum
+    # exact, so any correct scan matches the per-document reference bit for
+    # bit, however BLAS blocks the matmul. With real-valued rows the float32
+    # products depend on the matmul's shape; the next test bounds that error.
+    rng = np.random.default_rng(seed)
+    dim = 4
+    docs = [rng.integers(-8, 9, size=(n, dim)).astype(np.float32) for n in lengths]
+    query = rng.integers(-8, 9, size=(n_query, dim)).astype(np.float32)
+    index = _index_from_docs(docs)
+    assert _is_length_ordered(index)
+    expected = {
+        f"d{i:03d}": np.max(doc @ query.T, axis=0).sum(dtype=np.float64)
+        for i, doc in enumerate(docs)
+    }
+    got = _scan_scores(index, query)
+    assert [float(s) for s in got] == [float(expected[rid]) for rid in index.record_ids]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60),
+    n_query=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
+    # the bound top_k's float64 re-score relies on: n_q * d * 2^-23
+    rng = np.random.default_rng(seed)
+    dim = 32
+    docs = [normalize_rows(rng.normal(size=(n, dim))) for n in lengths]
+    query = normalize_rows(rng.normal(size=(n_query, dim)))
+    index = _index_from_docs(docs)
+    exact = {
+        f"d{i:03d}": np.max(doc.astype(np.float32).astype(np.float64) @ query.T, axis=0).sum()
+        for i, doc in enumerate(docs)
+    }
+    got = _scan_scores(index, query.astype(np.float32))
+    bound = n_query * dim * 2.0**-23
+    for rid, score in zip(index.record_ids, got):
+        assert abs(score - exact[rid]) <= bound
+
+
+def _write_v2_in_corpus_order(index, order, path):
+    """A format v2 file whose blocks list the documents in ``order`` (row
+    numbers of ``index``): the layout of files written before the index was
+    kept in length order."""
+    docs = [index.vectors[index.offsets[row] : index.offsets[row + 1]] for row in order]
+    offsets = np.zeros(len(docs) + 1, dtype="<i8")
+    np.cumsum([len(doc) for doc in docs], out=offsets[1:])
+    header = json.dumps({
+        "dim": index.dim,
+        "fingerprint": index.fingerprint,
+        "record_ids": [index.record_ids[row] for row in order],
+        "skipped_empty": index.skipped_empty,
+        "config": {"backend": index.config.backend, "endpoint": index.config.endpoint,
+                   "dimension": index.config.dimension},
+    }, sort_keys=True).encode("utf-8")
+    payload = json.dumps(
+        {"records": [rec.to_row("train") for rec in index.payload.values()]},
+        sort_keys=True, ensure_ascii=False,
+    ).encode("utf-8")
+    path.write_bytes(
+        b"RGIX" + struct.pack("<II", 2, len(header)) + header + offsets.tobytes()
+        + np.concatenate(docs).astype("<f4").tobytes()
+        + struct.pack("<Q", len(payload)) + payload
+    )
+
+
+def test_corpus_ordered_v2_file_loads_in_length_order_and_ranks_identically(tmp_path):
+    rng = random.Random(404)
+    cfg = EmbedderConfig(dimension=32)
+    records = _small_vocab_records(rng, 600, _VOCAB40)
+    built = build_index(records, cfg)
+    corpus_order = [built.row_of[r.id] for r in records]
+    assert corpus_order != sorted(corpus_order)
+    _write_v2_in_corpus_order(built, corpus_order, tmp_path / "index.rgix")
+
+    loaded = load_index(tmp_path / "index.rgix", cfg)
+    assert _is_length_ordered(loaded)
+    assert loaded.record_ids == built.record_ids
+    assert np.array_equal(loaded.offsets, built.offsets)
+    assert loaded.vectors.tobytes() == built.vectors.tobytes()
+    for _ in range(100):
+        query = " ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12)))
+        exclude = {r.id for r in rng.sample(records, 5)}
+        assert [(r.record.id, r.relevance) for r in top_k(loaded, query, 8, exclude)] == [
+            (r.record.id, r.relevance) for r in top_k(built, query, 8, exclude)
+        ]
+
+
+def test_top_k_peak_memory_stays_under_1_mib():
+    # 5,000 answers of 12-28 tokens; tracemalloc sees numpy's buffers, so
+    # this bounds the scan's transient similarity chunks
+    rng = random.Random(5000)
+    vocab = [f"t{i}" for i in range(400)]
+    records = [
+        _record(f"r{i:04d}", " ".join(rng.choice(vocab) for _ in range(rng.randint(12, 28))))
+        for i in range(5000)
+    ]
+    index = build_index(records, EmbedderConfig(dimension=32))
+    query = " ".join(rng.choice(vocab) for _ in range(28))
+    top_k(index, query, 5)  # warm the embedder's cache
+    tracemalloc.start()
+    try:
+        top_k(index, query, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"top_k peaked at {peak / 2**20:.2f} MiB"
