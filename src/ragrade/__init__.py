@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .dataset import AnswerRecord, Corpus, load_corpus, save_corpus, split_view
 from .embedding import EmbedderConfig, TokenEmbeddingMatrix, deterministic_embed, tokenize
-from .llmclient import ChatClient, ErrorLedger, Judgment, ModelConfig
+from .llmclient import ChatClient, Judgment, LedgerEntry, ModelConfig
 from .pipelines import OptimizedProgram, PipelineConfig, grade_item, optimize_few_shot, run_split
 from .promptkit import CompiledPrompt, Demo, Signature, compile_signature, render_prompt
 from .retrieval import MaxSimIndex, RetrievedExample, build_index, load_index, maxsim_score, save_index, top_k
@@ -17,8 +17,8 @@ __all__ = [
     "Corpus",
     "Demo",
     "EmbedderConfig",
-    "ErrorLedger",
     "Judgment",
+    "LedgerEntry",
     "MaxSimIndex",
     "ModelConfig",
     "OptimizedProgram",

@@ -154,7 +154,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_index(args) -> int:
     cfg = RunConfig(args)
     corpus = _load_corpus(cfg)
-    records = dataset.split_view(corpus, cfg.get("split", "train") or "train")
+    # the index is built over --split (train by default); a config file's
+    # "split" names the grading split and does not apply here
+    records = dataset.split_view(corpus, args.split or "train")
     embed_cfg = _embedder_config(cfg)
     index = retrieval.build_index(records, embed_cfg)
     out_dir = Path(cfg.get("out_dir"))
@@ -227,7 +229,7 @@ def _cmd_grade(args) -> int:
         exclude_same_question=bool(cfg.get("exclude_same_question")),
         seed=int(cfg.get("seed")),
     )
-    judgments, ledger = pipelines.run_split(
+    judgments = pipelines.run_split(
         records,
         pipe_cfg,
         index,
@@ -253,7 +255,6 @@ def _cmd_grade(args) -> int:
         run_config,
         records,
         judgments,
-        ledger,
         index_fingerprint=index.fingerprint if index else None,
     )
 

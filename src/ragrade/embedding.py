@@ -166,7 +166,12 @@ class RemoteEmbeddingClient:
             raise BackendUnavailable(
                 f"embedding service returned HTTP {resp.status_code}"
             )
-        data = resp.json()
+        try:
+            data = resp.json()
+        except ValueError:
+            data = None
+        if not isinstance(data, dict):
+            raise BackendUnavailable("embedding service response is not a JSON object")
         embeddings = data.get("embeddings")
         token_lists = data.get("tokens")
         if embeddings is None or token_lists is None:

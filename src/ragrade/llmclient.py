@@ -3,18 +3,19 @@
 The strict path asks for a single JSON object and parses it under the
 prompt's output schema. When that fails, a second request goes out with the
 relaxed plain-text prompt ("Score:", "Label:", "Feedback:" lines) and the
-response is recovered by line-anchored matching. Every item lands in exactly
-one ledger bucket: typed success, fallback success, or hard failure.
+response is recovered by line-anchored matching. Each judgment's
+``parse_path`` (typed, fallback or failed) is the only record of its item's
+outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 """
 
 import json
 import logging
 import os
 import re
-import threading
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .dataset import canonical_label
 from .errors import (
@@ -55,6 +56,8 @@ class ModelConfig:
             raise ValueError("temperature must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass
@@ -70,81 +73,28 @@ class Judgment:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LedgerEntry:
-    total_calls: int = 0
-    typed_failures: int = 0
-    fallback_successes: int = 0
-    hard_failures: int = 0
+    """One run's outcome tally, counted from its judgments' parse paths."""
 
-    @property
-    def typed_successes(self) -> int:
-        return self.total_calls - self.typed_failures
+    total_calls: int
+    typed_failures: int
+    fallback_successes: int
+    hard_failures: int
+
+    @classmethod
+    def of(cls, judgments: Sequence[Judgment]) -> "LedgerEntry":
+        paths = Counter(j.parse_path for j in judgments)
+        return cls(
+            total_calls=len(judgments),
+            typed_failures=paths[PARSE_FALLBACK] + paths[PARSE_FAILED],
+            fallback_successes=paths[PARSE_FALLBACK],
+            hard_failures=paths[PARSE_FAILED],
+        )
 
     @property
     def typed_failure_rate(self) -> float:
         return self.typed_failures / self.total_calls if self.total_calls else 0.0
-
-
-class ErrorLedger:
-    """Per-(model, pipeline, k) accounting of typed failures and recoveries."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: Dict[Tuple[str, str, int], LedgerEntry] = {}
-
-    def _entry(self, key: Tuple[str, str, int]) -> LedgerEntry:
-        if key not in self._entries:
-            self._entries[key] = LedgerEntry()
-        return self._entries[key]
-
-    def record_call(self, key):
-        with self._lock:
-            self._entry(key).total_calls += 1
-
-    def record_typed_failure(self, key):
-        with self._lock:
-            self._entry(key).typed_failures += 1
-
-    def record_fallback_success(self, key):
-        with self._lock:
-            self._entry(key).fallback_successes += 1
-
-    def record_hard_failure(self, key):
-        with self._lock:
-            self._entry(key).hard_failures += 1
-
-    def entry(self, key: Tuple[str, str, int]) -> LedgerEntry:
-        with self._lock:
-            return self._entry(key)
-
-    def check_conservation(self) -> None:
-        """total == typed successes + fallback successes + hard failures, per stratum."""
-        with self._lock:
-            for key, e in self._entries.items():
-                if e.typed_failures < e.fallback_successes + e.hard_failures:
-                    raise AssertionError(f"ledger invariant violated for {key}: {e}")
-                if e.total_calls != e.typed_successes + e.fallback_successes + e.hard_failures:
-                    raise AssertionError(f"ledger conservation violated for {key}: {e}")
-
-    def to_dict(self) -> Dict:
-        with self._lock:
-            return {
-                "|".join(map(str, key)): asdict(e)
-                for key, e in sorted(self._entries.items())
-            }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ErrorLedger":
-        ledger = cls()
-        for raw_key, counts in data.items():
-            model, pipeline, k = raw_key.rsplit("|", 2)
-            entry = ledger._entry((model, pipeline, int(k)))
-            entry.total_calls = counts["total_calls"]
-            entry.typed_failures = counts["typed_failures"]
-            entry.fallback_successes = counts["fallback_successes"]
-            entry.hard_failures = counts["hard_failures"]
-        return ledger
 
 
 def _completions_url(endpoint: str) -> str:
@@ -209,10 +159,12 @@ class ChatClient:
             if resp.status_code != 200:
                 raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as exc:
-                raise TransportError(f"malformed completion response: {exc}") from exc
-        assert last_error is not None
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError):
+                content = None
+            if not isinstance(content, str):
+                raise TransportError(f"malformed completion response: {resp.text[:200]}")
+            return content
         raise last_error
 
 
@@ -363,31 +315,18 @@ def fallback_parse(
     return judgment
 
 
-def judge(
-    prompt: CompiledPrompt,
-    client: ChatClient,
-    ledger: ErrorLedger,
-    ledger_key: Tuple[str, str, int],
-) -> Judgment:
-    """Typed attempt, then fallback; exactly one ledger bucket per item."""
-    ledger.record_call(ledger_key)
+def judge(prompt: CompiledPrompt, client: ChatClient) -> Judgment:
+    """Typed attempt, then fallback; the judgment's parse path is the item's outcome."""
     first_raw: Optional[str] = None
     try:
         first_raw = client.complete(prompt)
-        judgment = parse_typed(first_raw, prompt.output_schema)
-        return judgment
+        return parse_typed(first_raw, prompt.output_schema)
     except (ParseError, TransportError) as exc:
         logger.debug("typed path failed (%s); trying fallback", exc)
-        ledger.record_typed_failure(ledger_key)
 
     try:
-        judgment = fallback_parse(prompt, client, prompt.output_schema, first_raw)
+        return fallback_parse(prompt, client, prompt.output_schema, first_raw)
     except TransportError:
-        judgment = Judgment(
+        return Judgment(
             score=None, label=None, feedback=None, parse_path=PARSE_FAILED, raw_text=first_raw
         )
-    if judgment.parse_path == PARSE_FAILED:
-        ledger.record_hard_failure(ledger_key)
-    else:
-        ledger.record_fallback_success(ledger_key)
-    return judgment

@@ -2,9 +2,9 @@
 and offline instruction/demo search.
 
 Every run over a split produces one judgment per record (input order
-preserved regardless of execution order) plus an error ledger, and can be
-serialized into a manifest that is sufficient to reproduce and re-evaluate
-the run.
+preserved regardless of execution order) and can be serialized into a
+manifest that is sufficient to reproduce and re-evaluate the run. The
+manifest's error ledger is tallied from the judgments' parse paths.
 """
 
 import json
@@ -27,8 +27,8 @@ from .errors import (
 )
 from .llmclient import (
     ChatClient,
-    ErrorLedger,
     Judgment,
+    LedgerEntry,
     ModelConfig,
     PARSE_FAILED,
     PARSE_TYPED,
@@ -145,7 +145,6 @@ def grade_item(
     signature: Optional[Signature] = None,
     template: Optional[PromptTemplate] = None,
     client: Optional[ChatClient] = None,
-    ledger: Optional[ErrorLedger] = None,
     fixed_demos: Optional[Sequence[Demo]] = None,
 ) -> Judgment:
     """Grade one record under the configured pipeline mode.
@@ -155,19 +154,14 @@ def grade_item(
     """
     cfg.validate()
     sig = signature or Signature()
-    ledger = ledger if ledger is not None else ErrorLedger()
-    key = (cfg.model_id, cfg.mode, cfg.k)
 
     if cfg.mode == MODE_VOTE:
         if index is None:
             raise ValueError("votegrader mode requires an index")
-        ledger.record_call(key)
         try:
             vote = vote_classify(_retrieve_neighbors(record, cfg, index))
         except RagradeError as exc:
             logger.warning("vote failed for %s: %s", record.id, exc)
-            ledger.record_typed_failure(key)
-            ledger.record_hard_failure(key)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
         return Judgment(
             score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED
@@ -189,7 +183,7 @@ def grade_item(
     template = template or compile_signature(sig, cfg.style)
     client = client or ChatClient(cfg.model)
     prompt = _prompt_for(record, template, demos)
-    return judge(prompt, client, ledger, key)
+    return judge(prompt, client)
 
 
 def run_split(
@@ -200,11 +194,10 @@ def run_split(
     signature: Optional[Signature] = None,
     program: Optional[OptimizedProgram] = None,
     demo_pool: Optional[Sequence[AnswerRecord]] = None,
-) -> Tuple[List[Judgment], ErrorLedger]:
+) -> List[Judgment]:
     """Grade a whole split view; output order equals input order."""
     cfg.validate()
     sig = signature or Signature()
-    ledger = ErrorLedger()
 
     fixed_demos: Optional[List[Demo]] = None
     if cfg.mode == MODE_OPTIMIZED:
@@ -222,8 +215,6 @@ def run_split(
     template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
     client = ChatClient(cfg.model) if cfg.model is not None else None
 
-    key = (cfg.model_id, cfg.mode, cfg.k)
-
     def one(record: AnswerRecord) -> Judgment:
         try:
             return grade_item(
@@ -233,25 +224,18 @@ def run_split(
                 signature=sig,
                 template=template,
                 client=client,
-                ledger=ledger,
                 fixed_demos=fixed_demos,
             )
         except (TransportError, BackendUnavailable) as exc:
             # judge() absorbs client errors per item; this guards the
             # retrieval path (e.g. embedding backend down mid-run)
             logger.warning("item %s failed: %s", record.id, exc)
-            ledger.record_call(key)
-            ledger.record_typed_failure(key)
-            ledger.record_hard_failure(key)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
 
     # the only bound on requests in flight, chat and embedding alike
     workers = cfg.model.concurrency if cfg.model else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        judgments = list(pool.map(one, records))
-
-    ledger.check_conservation()
-    return judgments, ledger
+        return list(pool.map(one, records))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +325,7 @@ def optimize_few_shot(
             demo_record_ids=[r.id for r in demo_records],
             dev_accuracy=0.0,
         )
-        judgments, _ = run_split(
+        judgments = run_split(
             dev, trial_cfg, signature=sig, program=program, demo_pool=list(train)
         )
 
@@ -388,10 +372,10 @@ def build_manifest(
     run_config: Dict,
     records: Sequence[AnswerRecord],
     judgments: Sequence[Judgment],
-    ledger: ErrorLedger,
     index_fingerprint: Optional[str] = None,
     created_at: Optional[str] = None,
 ) -> Dict:
+    ledger_key = f"{run_config['model_id']}|{run_config['mode']}|{run_config['k']}"
     items = [
         {
             "record_id": rec.id,
@@ -410,7 +394,7 @@ def build_manifest(
         "config": dict(run_config),
         "index_fingerprint": index_fingerprint,
         "items": items,
-        "ledger": ledger.to_dict(),
+        "ledger": {ledger_key: asdict(LedgerEntry.of(judgments))},
     }
 
 

@@ -19,7 +19,8 @@ class _Handler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.requests.append({"path": self.path, "body": body})
         status, payload = self.server.app(self.path, body)
-        raw = json.dumps(payload).encode("utf-8")
+        # bytes go out verbatim, so apps can send bodies that are not JSON
+        raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))

@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 from ragrade.cli import main
 
 from conftest import gold_by_answer
-from stub_servers import echo_gold_chat_app
+from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
 
 
 def test_ingest_fixture(corpus_path, tmp_path, capsys):
@@ -67,6 +68,114 @@ def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
     assert manifest["config"]["mode"] == "votegrader"
     assert manifest["config"]["k"] == 5
     assert manifest["index_fingerprint"]
+
+
+def test_index_defaults_to_train_split(corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    assert "indexed 8 records" in capsys.readouterr().out
+    # a config file's split names the grading split, not the index's
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"split": "test_ua"}), encoding="utf-8")
+    assert main(["index", "--config", str(config_path), "--out-dir", str(out_dir)]) == 0
+    assert "indexed 8 records" in capsys.readouterr().out
+
+
+def _grade(out_dir, manifest_path, *flags):
+    return main(
+        ["grade", *flags, "--out-dir", str(out_dir), "--out", str(manifest_path)]
+    )
+
+
+def _parse_paths(manifest):
+    return Counter(item["judgment"]["parse_path"] for item in manifest["items"])
+
+
+def test_manifest_ledger_is_tally_of_parse_paths(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    out_dir = tmp_path / "runs"
+    gold = gold_by_answer(fixture_corpus.records)
+    malform = {r.student_answer for r in fixture_corpus.records if r.id == "r09"}
+    echo = stub_server_factory(echo_gold_chat_app(gold, malform_answers=malform))
+    junk = stub_server_factory(fixed_chat_app("no structure whatsoever"))
+    embed_state = {"down": False}
+    mirror = mirror_embedding_app(32)
+
+    def embed_app(path, body):
+        return (503, {"error": "down"}) if embed_state["down"] else mirror(path, body)
+
+    embed = stub_server_factory(embed_app)
+    remote = ["--embed-backend", "remote", "--embed-endpoint", embed.url]
+
+    # the vote run's corpus has one empty test_ua answer, which cannot be embedded
+    rows = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+    for row in rows:
+        if row["id"] == "r10":
+            row["student_answer"] = ""
+    empty_corpus = tmp_path / "empty_answer.jsonl"
+    empty_corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--split", "train", "--out-dir", str(out_dir)]) == 0
+    remote_index = out_dir / "remote.rgix"
+    assert main(["index", "--split", "train", "--out-dir", str(out_dir),
+                 "--index-path", str(remote_index), *remote]) == 0
+    embed_state["down"] = True
+
+    model = ["--endpoint", echo.url, "--model", "stub-model"]
+    runs = {
+        "rag": (0, ["--mode", "rag", "--k", "3", *model]),
+        "junk": (2, ["--mode", "zero-shot", "--endpoint", junk.url]),
+        "embed_down": (2, ["--mode", "rag", "--k", "3", *model,
+                           "--index-path", str(remote_index), *remote]),
+        "vote": (0, ["--mode", "vote", "--k", "3", "--corpus", str(empty_corpus)]),
+    }
+    seen = {}
+    for name, (want_code, flags) in runs.items():
+        manifest_path = out_dir / f"{name}.json"
+        assert _grade(out_dir, manifest_path, "--split", "test_ua", *flags) == want_code
+        manifest = json.loads(manifest_path.read_text())
+        paths = _parse_paths(manifest)
+        config = manifest["config"]
+        key = f"{config['model_id']}|{config['mode']}|{config['k']}"
+        assert manifest["ledger"] == {
+            key: {
+                "total_calls": len(manifest["items"]),
+                "typed_failures": paths["fallback"] + paths["failed"],
+                "fallback_successes": paths["fallback"],
+                "hard_failures": paths["failed"],
+            }
+        }, name
+        seen[name] = paths
+
+    assert seen["rag"] == {"typed": 2, "fallback": 1}
+    assert seen["junk"] == {"failed": 3}
+    assert seen["embed_down"] == {"failed": 3}
+    assert seen["vote"] == {"typed": 2, "failed": 1}
+
+
+def test_grade_null_content_writes_manifest(corpus_path, tmp_path, stub_server_factory):
+    out_dir = tmp_path / "runs"
+    server = stub_server_factory(
+        lambda path, body: (200, {"choices": [{"message": {"content": None}}]})
+    )
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    manifest_path = out_dir / "m.json"
+    flags = ["--mode", "zero-shot", "--split", "test_ua", "--endpoint", server.url]
+    assert _grade(out_dir, manifest_path, *flags) == 2  # every item failed
+    manifest = json.loads(manifest_path.read_text())
+    assert _parse_paths(manifest) == {"failed": 3}
+
+
+def test_grade_max_retries_zero_exits_1(corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    flags = ["--mode", "zero-shot", "--endpoint", "http://127.0.0.1:9", "--max-retries", "0"]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "max_retries" in capsys.readouterr().err
 
 
 def test_grade_rag_without_index_exits_1(corpus_path, tmp_path, capsys):

@@ -184,6 +184,14 @@ def test_remote_backend_unreachable():
         embed_tokens("hello", cfg)
 
 
+@pytest.mark.parametrize("payload", [b"<html>busy</html>", ["not", "an", "object"]])
+def test_remote_backend_non_object_reply(stub_server_factory, payload):
+    server = stub_server_factory(lambda path, body: (200, payload))
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)
+    with pytest.raises(BackendUnavailable, match="not a JSON object"):
+        embed_tokens("hello", cfg)
+
+
 def test_remote_batch_order(stub_server_factory):
     server = stub_server_factory(mirror_embedding_app(dimension=8))
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)

@@ -12,7 +12,7 @@ from ragrade.errors import (
 )
 from ragrade.llmclient import (
     ChatClient,
-    ErrorLedger,
+    LedgerEntry,
     ModelConfig,
     judge,
     parse_relaxed,
@@ -204,7 +204,6 @@ def test_judge_fallback_recovers(stub_server_factory, fixture_corpus):
     app = echo_gold_chat_app(gold, malform_answers=set(gold))
     server = stub_server_factory(app)
     client = ChatClient(_cfg(server.url))
-    ledger = ErrorLedger()
     record = fixture_corpus.records[0]
     prompt = render_prompt(
         compile_signature(Signature(), "predict"),
@@ -214,11 +213,11 @@ def test_judge_fallback_recovers(stub_server_factory, fixture_corpus):
             "student_answer": record.student_answer,
         },
     )
-    judgment = judge(prompt, client, ledger, ("stub-model", "zero_shot", 0))
+    judgment = judge(prompt, client)
     assert judgment.parse_path == "fallback"
     assert judgment.label == record.gold_label
     assert judgment.raw_text is not None  # first raw kept for audit
-    entry = ledger.entry(("stub-model", "zero_shot", 0))
+    entry = LedgerEntry.of([judgment])
     assert entry.typed_failures == 1
     assert entry.fallback_successes == 1
     assert entry.hard_failures == 0
@@ -227,13 +226,30 @@ def test_judge_fallback_recovers(stub_server_factory, fixture_corpus):
 def test_judge_hard_failure_when_fallback_unparseable(stub_server_factory):
     server = stub_server_factory(fixed_chat_app("no structure whatsoever"))
     client = ChatClient(_cfg(server.url))
-    ledger = ErrorLedger()
-    judgment = judge(_prompt(), client, ledger, ("stub-model", "zero_shot", 0))
+    judgment = judge(_prompt(), client)
     assert judgment.parse_path == "failed"
     assert judgment.score is None and judgment.label is None
-    entry = ledger.entry(("stub-model", "zero_shot", 0))
+    entry = LedgerEntry.of([judgment])
     assert entry.hard_failures == 1
-    ledger.check_conservation()
+    assert entry.typed_failures == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": None},
+        {"choices": [{"message": "not an object"}]},
+    ],
+)
+def test_judge_malformed_completion_is_hard_failure(stub_server_factory, payload):
+    server = stub_server_factory(lambda path, body: (200, payload))
+    client = ChatClient(_cfg(server.url))
+    with pytest.raises(TransportError, match="malformed completion response"):
+        client.complete(_prompt())
+    judgment = judge(_prompt(), client)
+    assert judgment.parse_path == "failed"
+    assert len(server.requests) == 3  # complete, then judge's typed and relaxed asks
 
 
 def test_ledger_counts_injected_failure_rate(stub_server_factory, fixture_corpus):
@@ -242,10 +258,9 @@ def test_ledger_counts_injected_failure_rate(stub_server_factory, fixture_corpus
     gold = gold_by_answer(fixture_corpus.records)
     server = stub_server_factory(echo_gold_chat_app(gold, malform_every=10))
     client = ChatClient(_cfg(server.url))
-    ledger = ErrorLedger()
-    key = ("stub-model", "zero_shot", 0)
     template = compile_signature(Signature(), "predict")
     records = fixture_corpus.records
+    judgments = []
     for i in range(200):
         record = records[i % len(records)]
         prompt = render_prompt(
@@ -256,27 +271,14 @@ def test_ledger_counts_injected_failure_rate(stub_server_factory, fixture_corpus
                 "student_answer": record.student_answer,
             },
         )
-        judge(prompt, client, ledger, key)
+        judgments.append(judge(prompt, client))
 
-    entry = ledger.entry(key)
+    entry = LedgerEntry.of(judgments)
     assert entry.total_calls == 200
     assert entry.typed_failures == 20
     assert entry.typed_failure_rate == pytest.approx(0.10)
     assert entry.fallback_successes == 20  # relaxed responses always parse
     assert entry.hard_failures == 0
-    ledger.check_conservation()
-
-
-def test_ledger_round_trip():
-    ledger = ErrorLedger()
-    key = ("m", "rag", 3)
-    for _ in range(5):
-        ledger.record_call(key)
-    ledger.record_typed_failure(key)
-    ledger.record_fallback_success(key)
-    restored = ErrorLedger.from_dict(ledger.to_dict())
-    assert restored.to_dict() == ledger.to_dict()
-    restored.check_conservation()
 
 
 def test_temperature_validation():
@@ -284,3 +286,5 @@ def test_temperature_validation():
         ModelConfig(endpoint="http://x", model="m", temperature=-1.0)
     with pytest.raises(ValueError):
         ModelConfig(endpoint="http://x", model="m", concurrency=0)
+    with pytest.raises(ValueError):
+        ModelConfig(endpoint="http://x", model="m", max_retries=0)

@@ -6,7 +6,7 @@ import pytest
 from ragrade.dataset import split_view
 from ragrade.embedding import EmbedderConfig
 from ragrade.errors import BudgetExhaustedWithoutValidCandidate
-from ragrade.llmclient import ModelConfig
+from ragrade.llmclient import LedgerEntry, ModelConfig
 from ragrade.pipelines import (
     MODE_OPTIMIZED,
     MODE_RAG,
@@ -117,11 +117,11 @@ def test_run_split_preserves_order_under_concurrency(fixture_corpus, stub_server
         mode=MODE_ZERO_SHOT, k=0, model=_model_cfg(server.url, concurrency=4)
     )
     records = fixture_corpus.records  # all 14, any split
-    judgments, ledger = run_split(records, cfg)
+    judgments = run_split(records, cfg)
     assert len(judgments) == len(records)
     for record, judgment in zip(records, judgments):
         assert judgment.label == record.gold_label, "order or content drifted"
-    assert ledger.entry(("stub-model", MODE_ZERO_SHOT, 0)).total_calls == len(records)
+    assert LedgerEntry.of(judgments).total_calls == len(records)
 
 
 class _InFlight:
@@ -153,7 +153,7 @@ def test_worker_pool_is_the_only_chat_concurrency_bound(fixture_corpus, stub_ser
     gold = gold_by_answer(fixture_corpus.records)
     server = stub_server_factory(gauge.wrap(echo_gold_chat_app(gold)))
     cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg(server.url, concurrency=2))
-    judgments, _ = run_split(fixture_corpus.records[:8], cfg)
+    judgments = run_split(fixture_corpus.records[:8], cfg)
     assert [j.parse_path for j in judgments] == ["typed"] * 8
     assert gauge.peak == 2
 
@@ -170,7 +170,7 @@ def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_ser
     index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
     gauge.peak = 0
     cfg = PipelineConfig(mode=MODE_RAG, k=2, model=_model_cfg(chat.url, concurrency=2))
-    judgments, _ = run_split(fixture_corpus.records[:8], cfg, index)
+    judgments = run_split(fixture_corpus.records[:8], cfg, index)
     assert [j.parse_path for j in judgments] == ["typed"] * 8
     assert len(embed.requests) == 1 + 8  # the index batch, then one query per item
     assert gauge.peak == 2
@@ -183,11 +183,11 @@ def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_ser
     server = stub_server_factory(echo_gold_chat_app(gold))
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url))
     records = split_view(fixture_corpus, "test_ua")
-    judgments, ledger = run_split(records, cfg, train_index)
+    judgments = run_split(records, cfg, train_index)
     report = scoring_metrics(judgments, [(r.gold_label, r.gold_score) for r in records])
     assert report.accuracy == 1.0
     assert report.rmse == 0.0
-    assert ledger.entry(("stub-model", MODE_RAG, 3)).typed_failure_rate == 0.0
+    assert LedgerEntry.of(judgments).typed_failure_rate == 0.0
 
 
 def test_injected_failures_hit_exact_ledger_rate(fixture_corpus, train_index, stub_server_factory):
@@ -197,8 +197,8 @@ def test_injected_failures_hit_exact_ledger_rate(fixture_corpus, train_index, st
     malform = {records[0].student_answer}
     server = stub_server_factory(echo_gold_chat_app(gold, malform_answers=malform))
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url))
-    judgments, ledger = run_split(records, cfg, train_index)
-    entry = ledger.entry(("stub-model", MODE_RAG, 3))
+    judgments = run_split(records, cfg, train_index)
+    entry = LedgerEntry.of(judgments)
     assert entry.total_calls == 30
     assert entry.typed_failures == 10
     assert entry.fallback_successes == 10  # fallback recovers every one
@@ -269,13 +269,13 @@ def test_chain_of_thought_style_end_to_end(fixture_corpus, train_index, stub_ser
         mode=MODE_RAG, k=2, style="chain_of_thought", model=_model_cfg(server.url)
     )
     records = split_view(fixture_corpus, "test_ua")
-    judgments, ledger = run_split(records, cfg, train_index)
+    judgments = run_split(records, cfg, train_index)
     for record, judgment in zip(records, judgments):
         assert judgment.parse_path == "typed"
         assert judgment.label == record.gold_label
         # the reasoning field is requested and parsed but never surfaces
         assert "reasoning" not in (judgment.feedback or "")
-    assert ledger.entry(("stub-model", MODE_RAG, 2)).typed_failures == 0
+    assert LedgerEntry.of(judgments).typed_failures == 0
 
 
 def test_rag_empty_answer_falls_back_to_zero_demos(fixture_corpus, train_index, stub_server_factory):
@@ -314,7 +314,7 @@ def test_config_validation():
 def _run_and_manifest(fixture_corpus, train_index, server, seed=7):
     records = split_view(fixture_corpus, "test_ua")
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url), seed=seed)
-    judgments, ledger = run_split(records, cfg, train_index)
+    judgments = run_split(records, cfg, train_index)
     run_config = {
         "mode": cfg.mode,
         "k": cfg.k,
@@ -326,7 +326,6 @@ def _run_and_manifest(fixture_corpus, train_index, server, seed=7):
         run_config,
         records,
         judgments,
-        ledger,
         index_fingerprint=train_index.fingerprint,
         created_at="1970-01-01T00:00:00+00:00",
     )
@@ -426,7 +425,7 @@ def test_optimized_mode_grades_with_program(fixture_corpus, stub_server_factory)
         mode=MODE_OPTIMIZED, k=2, model=_model_cfg(server.url, concurrency=1)
     )
     records = split_view(fixture_corpus, "test_uq")
-    judgments, _ = run_split(records, cfg, program=program, demo_pool=train)
+    judgments = run_split(records, cfg, program=program, demo_pool=train)
     assert [j.label for j in judgments] == [r.gold_label for r in records]
     system_text = server.requests[0]["body"]["messages"][0]["content"]
     assert system_text.startswith("Grade the answer strictly.")
