@@ -215,9 +215,11 @@ def _cmd_grade(args) -> int:
     if mode == pipelines.MODE_OPTIMIZED:
         if not args.program:
             raise RagradeError("optimized mode needs --program from `ragrade optimize`")
-        program = pipelines.OptimizedProgram.from_dict(
-            json.loads(Path(args.program).read_text(encoding="utf-8"))
-        )
+        data = json.loads(Path(args.program).read_text(encoding="utf-8"))
+        try:
+            program = pipelines.OptimizedProgram(**data)
+        except TypeError as exc:
+            raise RagradeError(f"malformed program file {args.program}: {exc}") from exc
         demo_pool = dataset.split_view(corpus, "train")
         k = len(program.demo_record_ids)
 
@@ -283,25 +285,17 @@ def _cmd_evaluate(args) -> int:
     row = metrics.manifest_metrics(
         manifest, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
     )
-    report = metrics.export_manifest_report(row)
 
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = manifest_path.stem + ".report"
     (out_dir / f"{stem}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out_dir / f"{stem}.csv").write_text(metrics.report_to_csv([row]), encoding="utf-8")
 
-    line = (
-        f"{row.model} mode={row.mode} k={row.k} split={row.split} "
-        f"acc={row.acc:.3f} f1={row.f1:.3f} rmse={row.rmse:.3f} "
-        f"n={row.n} excluded={row.excluded}"
-    )
-    if row.bleu is not None:
-        line += f" bleu={row.bleu:.2f} rouge2={row.rouge2:.3f} embedsim={row.embedsim:.3f}"
-    print(line)
+    print(metrics.report_line(row))
     print(f"reports -> {out_dir / stem}.json, {out_dir / stem}.csv")
     return 0
 

@@ -174,8 +174,11 @@ class RemoteEmbeddingClient:
             raise BackendUnavailable("embedding service response is not a JSON object")
         embeddings = data.get("embeddings")
         token_lists = data.get("tokens")
-        if embeddings is None or token_lists is None:
-            raise BackendUnavailable("embedding service response missing fields")
+        for part in (embeddings, token_lists):
+            if not (isinstance(part, list) and all(isinstance(x, list) for x in part)):
+                raise BackendUnavailable(
+                    "embedding service response needs 'embeddings' and 'tokens' as lists of lists"
+                )
         if len(embeddings) != len(texts) or len(token_lists) != len(texts):
             raise BackendUnavailable("embedding service returned wrong batch size")
 

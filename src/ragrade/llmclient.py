@@ -264,7 +264,7 @@ def _relaxed_field(raw: str, name: str, take_rest: bool = False) -> Optional[str
     return value.strip()
 
 
-def parse_relaxed(raw: str, schema) -> Judgment:
+def parse_relaxed(raw: str) -> Judgment:
     """Recover score/label/feedback from labelled plain-text lines."""
     score_text = _relaxed_field(raw, "score")
     label_text = _relaxed_field(raw, "label")
@@ -292,7 +292,7 @@ def parse_relaxed(raw: str, schema) -> Judgment:
 
 
 def fallback_parse(
-    prompt: CompiledPrompt, client: ChatClient, schema, first_raw: Optional[str]
+    prompt: CompiledPrompt, client: ChatClient, first_raw: Optional[str]
 ) -> Judgment:
     """Second request with the relaxed prompt after a typed-parse failure.
 
@@ -300,7 +300,7 @@ def fallback_parse(
     """
     relaxed_raw = client.complete(prompt, relaxed=True)
     try:
-        judgment = parse_relaxed(relaxed_raw, schema)
+        judgment = parse_relaxed(relaxed_raw)
     except FallbackParseFailed:
         return Judgment(
             score=None,
@@ -325,7 +325,7 @@ def judge(prompt: CompiledPrompt, client: ChatClient) -> Judgment:
         logger.debug("typed path failed (%s); trying fallback", exc)
 
     try:
-        return fallback_parse(prompt, client, prompt.output_schema, first_raw)
+        return fallback_parse(prompt, client, first_raw)
     except TransportError:
         return Judgment(
             score=None, label=None, feedback=None, parse_path=PARSE_FAILED, raw_text=first_raw

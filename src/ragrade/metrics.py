@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +23,10 @@ from .errors import (
     LengthMismatch,
     SchemaMismatch,
 )
+from .llmclient import Judgment
 
 BLEU_SIGNATURE = "bleu-4|tok:punct-split-lower|smooth:exp|bp:closest-ratio"
+MACRO_F1_CONVENTION = "labels present in golds or predictions"
 
 
 @dataclass
@@ -40,7 +42,7 @@ class ScoreReport:
 class TextReport:
     bleu: float  # 0..100
     rouge2_f1: float
-    embed_sim_f1: float
+    embedsim_f1: float
     rouge2_precision: float = 0.0
     rouge2_recall: float = 0.0
 
@@ -60,7 +62,7 @@ def text_metrics_report(
         rouge2_f1=sum(s.f1 for s in rouge_scores) / n,
         rouge2_precision=sum(s.precision for s in rouge_scores) / n,
         rouge2_recall=sum(s.recall for s in rouge_scores) / n,
-        embed_sim_f1=sum(sims) / n,
+        embedsim_f1=sum(sims) / n,
     )
 
 
@@ -192,32 +194,20 @@ def embed_sim_f1(candidate: str, reference: str, cfg: EmbedderConfig) -> float:
 # Report tables over run manifests
 # ---------------------------------------------------------------------------
 
-_CSV_FIELDS = (
-    "model",
-    "mode",
-    "k",
-    "split",
-    "acc",
-    "f1",
-    "rmse",
-    "bleu",
-    "rouge2",
-    "embedsim",
-    "n",
-    "excluded",
+_IDENTITY = ("model", "mode", "k", "split")
+
+# report column, its JSON key (a ScoreReport or TextReport field), text-table
+# format, and whether a larger value is better (None: a count, never ranked)
+_COLUMNS = (
+    ("acc", "accuracy", "%.3f", True),
+    ("f1", "macro_f1", "%.3f", True),
+    ("rmse", "rmse", "%.3f", False),
+    ("bleu", "bleu", "%.2f", True),
+    ("rouge2", "rouge2_f1", "%.3f", True),
+    ("embedsim", "embedsim_f1", "%.3f", True),
+    ("n", "n_evaluated", "%d", None),
+    ("excluded", "n_excluded", "%d", None),
 )
-
-# metric column -> (text-table format, whether a larger value is better)
-_METRIC_COLUMNS = {
-    "acc": ("%.3f", True),
-    "f1": ("%.3f", True),
-    "rmse": ("%.3f", False),
-    "bleu": ("%.2f", True),
-    "rouge2": ("%.3f", True),
-    "embedsim": ("%.3f", True),
-}
-
-_JudgmentView = namedtuple("_JudgmentView", ["label", "score"])
 
 
 @dataclass
@@ -226,16 +216,16 @@ class ReportRow:
     mode: str
     k: int
     split: str
-    acc: float
-    f1: float
-    rmse: float
-    n: int
-    excluded: int
-    bleu: Optional[float] = None
-    rouge2: Optional[float] = None
-    embedsim: Optional[float] = None
-    rouge2_precision: Optional[float] = None
-    rouge2_recall: Optional[float] = None
+    scores: ScoreReport
+    text: Optional[TextReport] = None
+
+    def to_dict(self) -> Dict:
+        """Evaluate's JSON: every metric under its field name, plus conventions."""
+        payload = {name: getattr(self, name) for name in _IDENTITY}
+        payload.update(asdict(self.scores), macro_f1_convention=MACRO_F1_CONVENTION)
+        if self.text is not None:
+            payload.update(asdict(self.text), bleu_signature=BLEU_SIGNATURE)
+        return payload
 
 
 def manifest_metrics(
@@ -254,34 +244,21 @@ def manifest_metrics(
     if not evaluable:
         raise EmptyEvaluationSet("manifest has no evaluable items")
 
-    judgments = [
-        _JudgmentView(it["judgment"]["label"], float(it["judgment"]["score"]))
-        for it in evaluable
-    ]
+    judgments = [Judgment(**it["judgment"]) for it in evaluable]
     golds = [(it["gold_label"], float(it["gold_score"])) for it in evaluable]
-    score_report = scoring_metrics(judgments, golds, n_excluded=excluded)
-
-    row = ReportRow(
+    text = None
+    if text_metrics:
+        cands = [j.feedback or "" for j in judgments]
+        refs = [it["gold_feedback"] or "" for it in evaluable]
+        text = text_metrics_report(cands, refs, embed_cfg)
+    return ReportRow(
         model=config.get("model_id", "-"),
         mode=config["mode"],
         k=int(config.get("k", 0)),
         split=config.get("split", "-"),
-        acc=score_report.accuracy,
-        f1=score_report.macro_f1,
-        rmse=score_report.rmse,
-        n=score_report.n_evaluated,
-        excluded=score_report.n_excluded,
+        scores=scoring_metrics(judgments, golds, n_excluded=excluded),
+        text=text,
     )
-    if text_metrics:
-        cands = [it["judgment"]["feedback"] or "" for it in evaluable]
-        refs = [it["gold_feedback"] or "" for it in evaluable]
-        text = text_metrics_report(cands, refs, embed_cfg)
-        row.bleu = text.bleu
-        row.rouge2 = text.rouge2_f1
-        row.rouge2_precision = text.rouge2_precision
-        row.rouge2_recall = text.rouge2_recall
-        row.embedsim = text.embed_sim_f1
-    return row
 
 
 def build_report(
@@ -298,13 +275,25 @@ def build_report(
 
 
 def report_to_csv(rows: Sequence[ReportRow]) -> str:
+    keys = _IDENTITY + tuple(key for _, key, _, _ in _COLUMNS)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(_CSV_FIELDS), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_IDENTITY + tuple(column for column, _, _, _ in _COLUMNS))
     for row in rows:
+        values = row.to_dict()
         # csv writes None as "" and a float as its repr
-        writer.writerow({name: getattr(row, name) for name in _CSV_FIELDS})
+        writer.writerow([values.get(key) for key in keys])
     return buf.getvalue()
+
+
+def report_line(row: ReportRow) -> str:
+    """One-line summary: identity, the scoring columns, then any text columns."""
+    parts = [row.model, f"mode={row.mode}", f"k={row.k}", f"split={row.split}"]
+    for report in (row.scores, row.text):
+        if report is not None:
+            values = asdict(report)
+            parts += [f"{c}={fmt % values[key]}" for c, key, fmt, _ in _COLUMNS if key in values]
+    return " ".join(parts)
 
 
 def _mark(value: Optional[float], fmt: str, best: bool, second: bool) -> str:
@@ -320,35 +309,35 @@ def _mark(value: Optional[float], fmt: str, best: bool, second: bool) -> str:
 
 def report_to_text(rows: Sequence[ReportRow]) -> str:
     """Aligned table grouped by split; best value per column starred, second underlined."""
-    metrics = ["acc", "f1", "rmse"]
-    if any(r.bleu is not None for r in rows):
-        metrics += ["bleu", "rouge2", "embedsim"]
+    values = [row.to_dict() for row in rows]
+    columns = [c for c in _COLUMNS if any(c[1] in v for v in values)]
 
     splits = sorted({r.split for r in rows})
-    # rank values per (split, metric) to mark best / second best
+    # rank values per (split, column) to mark best / second best
     marks: Dict[Tuple[str, str, int], Tuple[bool, bool]] = {}
     for split in splits:
-        for metric in metrics:
+        for _, key, _, higher in columns:
+            if higher is None:
+                continue
             scored = [
-                (i, getattr(r, metric))
-                for i, r in enumerate(rows)
-                if r.split == split and getattr(r, metric) is not None
+                (i, v[key])
+                for i, v in enumerate(values)
+                if v["split"] == split and v.get(key) is not None
             ]
-            scored.sort(key=lambda p: p[1], reverse=_METRIC_COLUMNS[metric][1])
+            scored.sort(key=lambda p: p[1], reverse=higher)
             for pos, (i, _) in enumerate(scored):
-                marks[(split, metric, i)] = (pos == 0, pos == 1)
+                marks[(split, key, i)] = (pos == 0, pos == 1)
 
-    header = ["model", "mode", "k", "split"] + metrics + ["n", "excluded"]
+    header = list(_IDENTITY) + [column for column, _, _, _ in columns]
     table = [header]
     for split in splits:
-        for i, row in enumerate(rows):
-            if row.split != split:
+        for i, v in enumerate(values):
+            if v["split"] != split:
                 continue
-            cells = [row.model, row.mode, str(row.k), row.split]
-            for metric in metrics:
-                best, second = marks.get((split, metric, i), (False, False))
-                cells.append(_mark(getattr(row, metric), _METRIC_COLUMNS[metric][0], best, second))
-            cells += [str(row.n), str(row.excluded)]
+            cells = [str(v[name]) for name in _IDENTITY]
+            for _, key, fmt, _ in columns:
+                best, second = marks.get((split, key, i), (False, False))
+                cells.append(_mark(v.get(key), fmt, best, second))
             table.append(cells)
 
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
@@ -369,31 +358,3 @@ def write_report_files(rows: Sequence[ReportRow], out_dir, stem: str) -> Tuple[s
         report_to_text(rows) + f"\nbleu signature: {BLEU_SIGNATURE}\n", encoding="utf-8"
     )
     return str(csv_path), str(txt_path)
-
-
-def export_manifest_report(row: ReportRow) -> Dict:
-    """JSON-friendly dict of one report row, with the pinned BLEU signature."""
-    payload = {
-        "model": row.model,
-        "mode": row.mode,
-        "k": row.k,
-        "split": row.split,
-        "accuracy": row.acc,
-        "macro_f1": row.f1,
-        "rmse": row.rmse,
-        "n_evaluated": row.n,
-        "n_excluded": row.excluded,
-        "macro_f1_convention": "labels present in golds or predictions",
-    }
-    if row.bleu is not None:
-        payload.update(
-            {
-                "bleu": row.bleu,
-                "bleu_signature": BLEU_SIGNATURE,
-                "rouge2_f1": row.rouge2,
-                "rouge2_precision": row.rouge2_precision,
-                "rouge2_recall": row.rouge2_recall,
-                "embedsim_f1": row.embedsim,
-            }
-        )
-    return payload

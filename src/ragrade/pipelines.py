@@ -11,7 +11,7 @@ import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -20,8 +20,10 @@ from .dataset import AnswerRecord
 from .errors import (
     BackendUnavailable,
     BudgetExhaustedWithoutValidCandidate,
+    DimensionMismatch,
     EmptyMatrix,
     GoldLeakage,
+    InvalidEmbedding,
     RagradeError,
     TransportError,
 )
@@ -35,7 +37,6 @@ from .llmclient import (
     judge,
 )
 from .promptkit import (
-    CompiledPrompt,
     Demo,
     PromptTemplate,
     STYLE_PREDICT,
@@ -90,17 +91,13 @@ class OptimizedProgram:
     dev_accuracy: float
     trace: List[Dict] = field(default_factory=list)
 
+    def __post_init__(self):
+        # programs are read back from JSON files, so OptimizedProgram(**data) checks types
+        if not isinstance(self.instruction, str) or not isinstance(self.demo_record_ids, list):
+            raise TypeError("instruction must be a string and demo_record_ids a list")
+
     def to_dict(self) -> Dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "OptimizedProgram":
-        return cls(
-            instruction=data["instruction"],
-            demo_record_ids=list(data["demo_record_ids"]),
-            dev_accuracy=float(data["dev_accuracy"]),
-            trace=list(data.get("trace", [])),
-        )
 
 
 def _retrieve_neighbors(
@@ -124,25 +121,11 @@ def _build_demos(
     return demos
 
 
-def _prompt_for(
-    record: AnswerRecord,
-    template: PromptTemplate,
-    demos: Sequence[Demo],
-) -> CompiledPrompt:
-    inputs = {
-        "question": record.question,
-        "reference_answer": record.reference_answer,
-        "student_answer": record.student_answer,
-    }
-    return render_prompt(template, inputs, demos)
-
-
 def grade_item(
     record: AnswerRecord,
     cfg: PipelineConfig,
     index: Optional[MaxSimIndex] = None,
     *,
-    signature: Optional[Signature] = None,
     template: Optional[PromptTemplate] = None,
     client: Optional[ChatClient] = None,
     fixed_demos: Optional[Sequence[Demo]] = None,
@@ -150,10 +133,10 @@ def grade_item(
     """Grade one record under the configured pipeline mode.
 
     The record's gold fields are never placed in the live item; demos carry
-    only other records' gold outputs.
+    only other records' gold outputs. Demos and prompt follow the template's
+    signature (the default signature when no template is given).
     """
     cfg.validate()
-    sig = signature or Signature()
 
     if cfg.mode == MODE_VOTE:
         if index is None:
@@ -167,11 +150,12 @@ def grade_item(
             score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED
         )
 
+    template = template or compile_signature(Signature(), cfg.style)
     if cfg.mode == MODE_RAG:
         if index is None:
             raise ValueError("rag mode requires an index")
         try:
-            demos = _build_demos(record, cfg, index, sig)
+            demos = _build_demos(record, cfg, index, template.signature)
         except EmptyMatrix:
             # no-response answers cannot be embedded; grade them zero-shot style
             demos = []
@@ -180,10 +164,12 @@ def grade_item(
     else:
         demos = []
 
-    template = template or compile_signature(sig, cfg.style)
-    client = client or ChatClient(cfg.model)
-    prompt = _prompt_for(record, template, demos)
-    return judge(prompt, client)
+    inputs = {
+        "question": record.question,
+        "reference_answer": record.reference_answer,
+        "student_answer": record.student_answer,
+    }
+    return judge(render_prompt(template, inputs, demos), client or ChatClient(cfg.model))
 
 
 def run_split(
@@ -203,13 +189,11 @@ def run_split(
     if cfg.mode == MODE_OPTIMIZED:
         if program is None or demo_pool is None:
             raise ValueError("optimized mode requires a program and its demo pool")
-        sig = Signature(
-            task_description=program.instruction,
-            scoring_criteria=sig.scoring_criteria,
-            input_fields=sig.input_fields,
-            output_fields=sig.output_fields,
-        )
+        sig = replace(sig, task_description=program.instruction)
         by_id = {r.id: r for r in demo_pool}
+        missing = [rid for rid in program.demo_record_ids if rid not in by_id]
+        if missing:
+            raise RagradeError(f"program demo ids not in the train pool: {missing}")
         fixed_demos = [demo_from_record(by_id[rid], sig) for rid in program.demo_record_ids]
 
     template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
@@ -221,14 +205,13 @@ def run_split(
                 record,
                 cfg,
                 index,
-                signature=sig,
                 template=template,
                 client=client,
                 fixed_demos=fixed_demos,
             )
-        except (TransportError, BackendUnavailable) as exc:
+        except (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding) as exc:
             # judge() absorbs client errors per item; this guards the
-            # retrieval path (e.g. embedding backend down mid-run)
+            # retrieval path (embedding backend down or replying garbage mid-run)
             logger.warning("item %s failed: %s", record.id, exc)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
 

@@ -170,6 +170,56 @@ def test_grade_null_content_writes_manifest(corpus_path, tmp_path, stub_server_f
     assert _parse_paths(manifest) == {"failed": 3}
 
 
+@pytest.mark.parametrize("reply", ["wrong_shape", "zero_norm", "ragged"])
+def test_grade_rag_malformed_embedding_reply_fails_items(
+    reply, corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    out_dir = tmp_path / "runs"
+    state = {"bad": False}
+    mirror = mirror_embedding_app(32)
+
+    def embed_app(path, body):
+        if not state["bad"]:
+            return mirror(path, body)
+        n = len(body["texts"])
+        return 200, {
+            "wrong_shape": {"embeddings": 5, "tokens": 5},
+            "zero_norm": {"embeddings": [[[0.0] * 32]] * n, "tokens": [["x"]] * n},
+            "ragged": {"embeddings": [[[1.0, 0.0], [1.0]]] * n, "tokens": [["x", "y"]] * n},
+        }[reply]
+
+    embed = stub_server_factory(embed_app)
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    remote = ["--embed-backend", "remote", "--embed-endpoint", embed.url]
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir), *remote]) == 0
+    state["bad"] = True
+    manifest_path = out_dir / "m.json"
+    flags = ["--mode", "rag", "--k", "3", "--split", "test_ua", "--endpoint", chat.url, *remote]
+    assert _grade(out_dir, manifest_path, *flags) == 2  # every item failed
+    assert _parse_paths(json.loads(manifest_path.read_text())) == {"failed": 3}
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ({"instruction": "Grade.", "demo_record_ids": ["nope"], "dev_accuracy": 1.0}, "'nope'"),
+        ({"instruction": "Grade.", "dev_accuracy": 1.0}, "malformed program file"),
+        ({"instruction": "Grade.", "demo_record_ids": "r01", "dev_accuracy": 1.0}, "malformed"),
+        ({"instruction": 5, "demo_record_ids": [], "dev_accuracy": 1.0}, "malformed"),
+    ],
+)
+def test_grade_bad_program_exits_1(program, message, corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    program_path = tmp_path / "program.json"
+    program_path.write_text(json.dumps(program), encoding="utf-8")
+    flags = ["--mode", "optimized", "--program", str(program_path), "--split", "test_ua",
+             "--endpoint", "http://127.0.0.1:9"]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_grade_max_retries_zero_exits_1(corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0

@@ -182,7 +182,7 @@ def test_parse_typed_cot_requires_reasoning():
 
 def test_parse_relaxed_happy_path():
     raw = "Score: 0.5\nLabel: partially correct\nFeedback: decent work\non two lines"
-    judgment = parse_relaxed(raw, SCHEMA)
+    judgment = parse_relaxed(raw)
     assert judgment.score == 0.5
     assert judgment.label == "partially_correct"
     assert judgment.feedback == "decent work\non two lines"
@@ -193,7 +193,7 @@ def test_parse_relaxed_no_score_fails():
     from ragrade.errors import FallbackParseFailed
 
     with pytest.raises(FallbackParseFailed):
-        parse_relaxed("Label: correct\nFeedback: nice", SCHEMA)
+        parse_relaxed("Label: correct\nFeedback: nice")
 
 
 def test_judge_fallback_recovers(stub_server_factory, fixture_corpus):

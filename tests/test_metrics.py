@@ -241,9 +241,9 @@ def _manifest(model="m1", mode="zero_shot", k=0, split="test_ua", items=None):
 def test_manifest_metrics_single_row():
     row = manifest_metrics(_manifest())
     assert row.model == "m1"
-    assert row.n == 2
-    assert row.excluded == 0
-    assert row.acc == pytest.approx(0.5)
+    assert row.scores.n_evaluated == 2
+    assert row.scores.n_excluded == 0
+    assert row.scores.accuracy == pytest.approx(0.5)
 
 
 def test_manifest_metrics_excludes_failed():
@@ -259,8 +259,8 @@ def test_manifest_metrics_excludes_failed():
         }
     )
     row = manifest_metrics(_manifest(items=items))
-    assert row.n == 2
-    assert row.excluded == 1
+    assert row.scores.n_evaluated == 2
+    assert row.scores.n_excluded == 1
 
 
 def test_build_report_marks_best_and_second():
@@ -276,12 +276,12 @@ def test_report_csv_round_trip(tmp_path):
     parsed = list(csv.DictReader(io.StringIO(report_to_csv(rows))))
     assert len(parsed) == 1
     # floats are written as their repr, so they read back exactly
-    assert parsed[0]["acc"] == repr(rows[0].acc)
-    assert parsed[0]["rmse"] == repr(rows[0].rmse)
-    assert parsed[0]["bleu"] == repr(rows[0].bleu)
-    assert parsed[0]["embedsim"] == repr(rows[0].embedsim)
-    assert float(parsed[0]["embedsim"]) == rows[0].embedsim
-    assert parsed[0]["n"] == str(rows[0].n)
+    assert parsed[0]["acc"] == repr(rows[0].scores.accuracy)
+    assert parsed[0]["rmse"] == repr(rows[0].scores.rmse)
+    assert parsed[0]["bleu"] == repr(rows[0].text.bleu)
+    assert parsed[0]["embedsim"] == repr(rows[0].text.embedsim_f1)
+    assert float(parsed[0]["embedsim"]) == rows[0].text.embedsim_f1
+    assert parsed[0]["n"] == str(rows[0].scores.n_evaluated)
     # without text metrics those columns are empty
     plain = list(csv.DictReader(io.StringIO(report_to_csv(build_report([_manifest()])))))
     assert (plain[0]["bleu"], plain[0]["rouge2"], plain[0]["embedsim"]) == ("", "", "")
