@@ -10,18 +10,16 @@ import threading
 import unicodedata
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding
 
-_MASK64 = (1 << 64) - 1
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
 ROLE_QUERY = "query"
 ROLE_DOCUMENT = "document"
+# texts per embedding-service request
+_REQUEST_TEXTS = 32
 
 
 @dataclass(frozen=True)
@@ -60,35 +58,56 @@ class TokenEmbeddingMatrix:
 def tokenize(text: str) -> List[str]:
     """Lowercase, split on whitespace, and break punctuation into its own tokens."""
     tokens: List[str] = []
-    current: List[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if current:
-                tokens.append("".join(current))
-                current = []
-        elif unicodedata.category(ch).startswith("P"):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
+    # split() breaks exactly where isspace() holds, and no alphanumeric
+    # character is punctuation, so an alphanumeric chunk is one token
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+            continue
+        start = 0
+        for i, ch in enumerate(chunk):
+            if unicodedata.category(ch).startswith("P"):
+                if start < i:
+                    tokens.append(chunk[start:i])
+                tokens.append(ch)
+                start = i + 1
+        if start < len(chunk):
+            tokens.append(chunk[start:])
     return tokens
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _hash_rows(tokens: Sequence[str], d: int) -> np.ndarray:
+    """(len(tokens), d) unit rows: each token's FNV-1a 64-bit hash seeds a
+    splitmix64 stream whose draws map into (-1, 1) by their top 53 bits."""
+    encoded = [t.encode("utf-8") for t in tokens]
+    lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    # longest first, so the tokens still hashing at byte j are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    flat = np.frombuffer(b"".join([encoded[i] for i in order]), dtype=np.uint8)
+    starts = np.zeros(len(tokens), dtype=np.int64)
+    np.cumsum(lengths[order][:-1], out=starts[1:])
+    longer_than = len(tokens) - np.cumsum(np.bincount(lengths))
+    h = np.full(len(tokens), _FNV_OFFSET, dtype=np.uint64)
+    for j, live in enumerate(longer_than[:-1].tolist()):  # uint64 arithmetic wraps
+        h[:live] = (h[:live] ^ flat[starts[:live] + j]) * _FNV_PRIME
+    seeds = np.empty_like(h)
+    seeds[order] = h
+
+    # splitmix64: draw i (from 1) mixes the state seed + i * gamma
+    z = seeds[:, None] + np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    values = ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53) * 2.0 - 1.0
+    # no draw is 0, so no norm is; a per-row dot is the sum np.linalg.norm takes
+    return values / np.sqrt([row.dot(row) for row in values]).reshape(-1, 1)
 
 
 _det_cache: "dict[tuple[str, int], np.ndarray]" = {}
@@ -96,37 +115,21 @@ _det_cache_lock = threading.Lock()
 
 
 def deterministic_embed(token: str, d: int) -> np.ndarray:
-    """Pure hash-derived unit vector for a token.
+    """Pure hash-derived unit vector for a token, memoized per (token, d).
 
-    The token's FNV-1a 64-bit hash seeds a splitmix64 stream; each draw maps
-    uniformly into (-1, 1) via its top 53 bits, and the vector is then
-    L2-normalized. Identical (token, d) always yields identical output.
+    Identical (token, d) always yields identical output, equal to the token's
+    row in any ``embed_texts`` call on the deterministic backend.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     key = (token, d)
     with _det_cache_lock:
         cached = _det_cache.get(key)
-    if cached is not None:
-        return cached.copy()
-
-    # splitmix64: draw i (from 1) mixes the state seed + i * gamma, so all d
-    # draws are one uint64 expression; numpy's uint64 arithmetic wraps mod 2^64
-    seed = np.uint64(_fnv1a64(token.encode("utf-8")))
-    z = seed + np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z ^= z >> np.uint64(31)
-    values = ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53) * 2.0 - 1.0
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:  # unreachable for real tokens; keeps the contract total
-        values[0] = 1.0
-        norm = 1.0
-    values /= norm
-
-    with _det_cache_lock:
-        _det_cache[key] = values
-    return values.copy()
+    if cached is None:
+        cached = _hash_rows([token], d)[0]
+        with _det_cache_lock:
+            _det_cache[key] = cached
+    return cached.copy()
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -155,9 +158,17 @@ class RemoteEmbeddingClient:
         self._session = requests.Session()
 
     def embed(self, texts: Sequence[str], role: str) -> List[TokenEmbeddingMatrix]:
+        """One request per ``_REQUEST_TEXTS`` texts, in order; none for no texts."""
+        texts = list(texts)
+        out: List[TokenEmbeddingMatrix] = []
+        for start in range(0, len(texts), _REQUEST_TEXTS):
+            out.extend(self._request(texts[start : start + _REQUEST_TEXTS], role))
+        return out
+
+    def _request(self, texts: List[str], role: str) -> List[TokenEmbeddingMatrix]:
         import requests
 
-        payload = {"texts": list(texts), "role": role}
+        payload = {"texts": texts, "role": role}
         try:
             resp = self._session.post(self.cfg.endpoint, json=payload, timeout=60)
         except requests.RequestException as exc:
@@ -223,22 +234,12 @@ def embed_texts(
 ) -> List[TokenEmbeddingMatrix]:
     """Embed a batch of texts into token matrices (one per text)."""
     if cfg.backend == "deterministic_test":
-        d = cfg.dimension
-        out = []
-        for text in texts:
-            tokens = tokenize(text)
-            if tokens:
-                with _det_cache_lock:
-                    rows = [_det_cache.get((t, d)) for t in tokens]
-                # np.stack copies, so the cached rows are stacked as they are
-                vectors = np.stack([
-                    deterministic_embed(t, d) if row is None else row
-                    for t, row in zip(tokens, rows)
-                ])
-            else:
-                vectors = np.zeros((0, d), dtype=np.float64)
-            out.append(TokenEmbeddingMatrix(tokens, vectors))
-        return out
+        token_lists = [tokenize(text) for text in texts]
+        ids: Dict[str, int] = {}
+        rows = [[ids.setdefault(t, len(ids)) for t in tokens] for tokens in token_lists]
+        # each distinct token of the call is hashed once
+        table = _hash_rows(list(ids), cfg.dimension)
+        return [TokenEmbeddingMatrix(t, table[r]) for t, r in zip(token_lists, rows)]
     return _remote_client(cfg).embed(texts, role)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import EmbedderConfig, embed_tokens, tokenize
+from .embedding import EmbedderConfig, embed_texts, tokenize
 from .errors import (
     AllEmptyReferences,
     EmptyEvaluationSet,
@@ -178,8 +178,7 @@ def rouge2(candidate: str, reference: str) -> Rouge2:
 
 def embed_sim_f1(candidate: str, reference: str, cfg: EmbedderConfig) -> float:
     """Greedy token-level cosine F1 over the embedder; empty text scores 0."""
-    cand = embed_tokens(candidate, cfg)
-    ref = embed_tokens(reference, cfg)
+    cand, ref = embed_texts([candidate, reference], cfg)
     if cand.n_tokens == 0 or ref.n_tokens == 0:
         return 0.0
     sims = cand.vectors @ ref.vectors.T

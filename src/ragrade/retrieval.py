@@ -41,7 +41,6 @@ from .errors import DimensionMismatch, EmptyIndex, EmptyMatrix, FingerprintMisma
 
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 2
-_EMBED_BATCH = 32
 # document tokens per float32 matmul in top_k; sizes the one (chunk tokens x
 # query tokens) similarity buffer a scan holds
 _SCAN_CHUNK_TOKENS = 4096
@@ -122,15 +121,13 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
 
     record_ids: List[str] = []
     matrices: List[np.ndarray] = []
-    for start in range(0, len(indexable), _EMBED_BATCH):
-        batch = indexable[start : start + _EMBED_BATCH]
-        embedded = embed_texts([r.student_answer for r in batch], cfg, role=ROLE_DOCUMENT)
-        for rec, matrix in zip(batch, embedded):
-            if matrix.n_tokens == 0:
-                skipped += 1
-                continue
-            record_ids.append(rec.id)
-            matrices.append(matrix.vectors)
+    embedded = embed_texts([r.student_answer for r in indexable], cfg, role=ROLE_DOCUMENT)
+    for rec, matrix in zip(indexable, embedded):
+        if matrix.n_tokens == 0:
+            skipped += 1
+            continue
+        record_ids.append(rec.id)
+        matrices.append(matrix.vectors)
 
     if not matrices:
         raise EmptyIndex("no record produced any tokens")

@@ -1,7 +1,10 @@
 import random
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragrade.embedding import (
     EmbedderConfig,
@@ -11,7 +14,7 @@ from ragrade.embedding import (
     embed_tokens,
     normalize_rows,
     tokenize,
-    _fnv1a64,
+    _hash_rows,
 )
 from ragrade.errors import BackendUnavailable, DimensionMismatch
 
@@ -35,15 +38,71 @@ def test_tokenize_whitespace_runs():
     assert tokenize("a \t b\n\nc") == ["a", "b", "c"]
 
 
-def test_fnv1a64_known_vectors():
-    assert _fnv1a64(b"") == 0xCBF29CE484222325
-    assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+def _char_loop_tokenize(text):
+    """Reference: the original one-character-at-a-time tokenizer."""
+    tokens, current = [], []
+    for ch in text.lower():
+        if ch.isspace():
+            if current:
+                tokens.append("".join(current))
+                current = []
+        elif unicodedata.category(ch).startswith("P"):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
 
 
-def _scalar_splitmix_embed(token, d):
+# letters and digits, ASCII or not; punctuation of every P* category; symbols
+# and combining marks; every whitespace code point; and "İ", whose lowercase
+# is two characters
+_TOKENIZER_CHARS = (
+    "aZ09éÉ٣²ßΣ"
+    "_¿、«»-–()[]{}.,!?'\"@#%&*/\\"
+    "$+<=>^`|~©€\u0301\u0308"
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+    "İ"
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(_TOKENIZER_CHARS), st.characters()), max_size=40))
+def test_tokenize_equals_character_loop(text):
+    assert tokenize(text) == _char_loop_tokenize(text)
+
+
+def test_tokenize_exactness_facts_hold_for_every_code_point():
+    # tokenize keeps an alphanumeric whitespace-split chunk whole; that equals
+    # the character loop because str.split() breaks exactly where isspace()
+    # holds and no alphanumeric character is punctuation
+    split_at = [cp for cp in range(sys.maxunicode + 1) if len(f"a{chr(cp)}a".split()) != 1]
+    assert split_at == [cp for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+    assert not [
+        cp for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+    ]
+
+
+def _scalar_fnv1a64(data):
+    """Reference: FNV-1a 64-bit, one byte at a time in Python integers."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def _scalar_splitmix_unit(seed, d):
     """Reference: one scalar splitmix64 step per draw, in Python integers."""
     mask = (1 << 64) - 1
-    state = _fnv1a64(token.encode("utf-8"))
+    state = seed
     values = []
     for _ in range(d):
         state = (state + 0x9E3779B97F4A7C15) & mask
@@ -54,6 +113,27 @@ def _scalar_splitmix_embed(token, d):
         values.append(((z >> 11) + 0.5) / float(1 << 53) * 2.0 - 1.0)
     vector = np.array(values)
     return vector / float(np.linalg.norm(vector))
+
+
+def _scalar_splitmix_embed(token, d):
+    return _scalar_splitmix_unit(_scalar_fnv1a64(token.encode("utf-8")), d)
+
+
+def test_fnv1a64_known_vectors():
+    # published FNV-1a 64-bit values; the batch hash seeds each row with them
+    for token, seed in (("", 0xCBF29CE484222325), ("a", 0xAF63DC4C8601EC8C)):
+        assert _scalar_fnv1a64(token.encode("utf-8")) == seed
+        assert _hash_rows([token], 32)[0].tobytes() == _scalar_splitmix_unit(seed, 32).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 32, 64])
+def test_hash_rows_bit_identical_to_scalar_reference(d):
+    # 1-byte tokens, multi-byte tokens of 40 bytes and more, and duplicates
+    tokens = ["a", "é" * 20, "z", "€" * 14, "x" * 45, "a", "٣²" * 11, "é" * 20, "", "."]
+    table = _hash_rows(tokens, d)
+    assert table.shape == (len(tokens), d) and table.dtype == np.float64
+    for row, token in zip(table, tokens):
+        assert row.tobytes() == _scalar_splitmix_embed(token, d).tobytes()
 
 
 def test_deterministic_embed_matches_scalar_splitmix_reference():
@@ -108,6 +188,26 @@ def test_embedded_rows_are_copies_of_the_cache():
     again = embed_texts(["cache copy probe", "probe"], cfg)
     assert [m.vectors.tobytes() for m in again] == [v.tobytes() for v in snapshot]
     assert again[1].vectors[0].tobytes() == _scalar_splitmix_embed("probe", 16).tobytes()
+
+
+def test_embed_texts_batch_equals_one_text_at_a_time():
+    cfg = EmbedderConfig(dimension=16)
+    texts = ["the cat sat.", "", "cat, dog; cat!", " \t\u3000 ", "Ünïcode €5 İ", "the end"]
+    batch = embed_texts(texts, cfg)
+    assert [m.vectors.shape for m in batch][1::2] == [(0, 16), (0, 16), (2, 16)]
+    for text, matrix in zip(texts, batch):
+        alone = embed_texts([text], cfg)[0]
+        assert matrix.tokens == alone.tokens
+        assert matrix.vectors.shape == alone.vectors.shape
+        assert matrix.vectors.dtype == alone.vectors.dtype == np.float64
+        assert matrix.vectors.tobytes() == alone.vectors.tobytes()
+
+
+def test_embed_texts_no_texts(stub_server_factory):
+    server = stub_server_factory(mirror_embedding_app(dimension=8))
+    assert embed_texts([], EmbedderConfig(dimension=8)) == []
+    assert embed_texts([], EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)) == []
+    assert server.requests == []
 
 
 def test_embed_tokens_single_token_shape_and_norm():

@@ -192,12 +192,12 @@ def test_embed_sim_matches_double_loop_oracle():
 
 
 def test_embed_sim_remote_sends_document_role(stub_server_factory):
-    # embed_sim_f1 passes no role, so both texts go out under the default
+    # embed_sim_f1 passes no role, so the pair goes out in one request under the default
     server = stub_server_factory(mirror_embedding_app(16))
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=16)
     local = embed_sim_f1("one two three", "two three four", EmbedderConfig(dimension=16))
     assert embed_sim_f1("one two three", "two three four", cfg) == pytest.approx(local, abs=1e-9)
-    assert [r["body"]["role"] for r in server.requests] == ["document", "document"]
+    assert [r["body"]["role"] for r in server.requests] == ["document"]
 
 
 def _manifest(model="m1", mode="zero_shot", k=0, split="test_ua", items=None):

@@ -308,6 +308,16 @@ def test_remote_and_local_backends_rank_identically(stub_server_factory, tmp_pat
         ]
 
 
+def test_build_index_remote_sends_requests_of_at_most_32_texts(stub_server_factory):
+    server = stub_server_factory(mirror_embedding_app(dimension=16))
+    records = [_record(f"r{i:02d}", f"answer number {i}") for i in range(70)]
+    build_index(records, EmbedderConfig(backend="remote", endpoint=server.url, dimension=16))
+    bodies = [r["body"] for r in server.requests]
+    assert [len(b["texts"]) for b in bodies] == [32, 32, 6]
+    assert [b["role"] for b in bodies] == ["document"] * 3
+    assert [t for b in bodies for t in b["texts"]] == [r.student_answer for r in records]
+
+
 def _small_vocab_records(rng, n, words):
     return [
         _record(f"r{i:04d}", " ".join(rng.choice(words) for _ in range(rng.randint(2, 8))),
