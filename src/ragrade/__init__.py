@@ -7,7 +7,7 @@ from .embedding import EmbedderConfig, TokenEmbeddingMatrix, deterministic_embed
 from .llmclient import ChatClient, Judgment, LedgerEntry, ModelConfig
 from .pipelines import OptimizedProgram, PipelineConfig, grade_item, optimize_few_shot, run_split
 from .promptkit import CompiledPrompt, Demo, Signature, compile_signature, render_prompt
-from .retrieval import MaxSimIndex, RetrievedExample, build_index, load_index, maxsim_score, save_index, top_k
+from .retrieval import MaxSimIndex, RetrievedExample, build_index, load_index, maxsim_score, save_index, top_k, top_k_batch
 from .votegrader import VoteResult, vote_classify
 
 __all__ = [
@@ -42,5 +42,6 @@ __all__ = [
     "split_view",
     "tokenize",
     "top_k",
+    "top_k_batch",
     "vote_classify",
 ]

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import EmbedderConfig, embed_texts, tokenize
+from .embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_texts, tokenize
 from .errors import (
     AllEmptyReferences,
     EmptyEvaluationSet,
@@ -55,7 +55,10 @@ def text_metrics_report(
     """Corpus BLEU plus mean per-pair ROUGE-2 and embedding-similarity F1."""
     cfg = cfg or EmbedderConfig()
     rouge_scores = [rouge2(c, r) for c, r in zip(candidates, references)]
-    sims = [embed_sim_f1(c, r, cfg) for c, r in zip(candidates, references)]
+    # one embedding call for every text: rows do not depend on the batch
+    embedded = embed_texts([*candidates, *references], cfg)
+    split = len(candidates)
+    sims = [_greedy_f1(c, r) for c, r in zip(embedded[:split], embedded[split:])]
     n = len(rouge_scores)
     return TextReport(
         bleu=bleu(candidates, references),
@@ -178,7 +181,10 @@ def rouge2(candidate: str, reference: str) -> Rouge2:
 
 def embed_sim_f1(candidate: str, reference: str, cfg: EmbedderConfig) -> float:
     """Greedy token-level cosine F1 over the embedder; empty text scores 0."""
-    cand, ref = embed_texts([candidate, reference], cfg)
+    return _greedy_f1(*embed_texts([candidate, reference], cfg))
+
+
+def _greedy_f1(cand: TokenEmbeddingMatrix, ref: TokenEmbeddingMatrix) -> float:
     if cand.n_tokens == 0 or ref.n_tokens == 0:
         return 0.0
     sims = cand.vectors @ ref.vectors.T

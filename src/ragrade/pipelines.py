@@ -45,7 +45,7 @@ from .promptkit import (
     demo_from_record,
     render_prompt,
 )
-from .retrieval import MaxSimIndex, RetrievedExample, top_k
+from .retrieval import MaxSimIndex, RetrievedExample, query_group_size, top_k, top_k_batch
 from .votegrader import vote_classify
 
 logger = logging.getLogger(__name__)
@@ -100,20 +100,51 @@ class OptimizedProgram:
         return asdict(self)
 
 
-def _retrieve_neighbors(
-    record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex
-) -> List[RetrievedExample]:
+def _exclusions(record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex) -> Set[str]:
     exclude: Set[str] = {record.id}
     if cfg.exclude_same_question:
         rows = index.question_rows.get(record.question_id, ())
         exclude.update(index.record_ids[row] for row in rows)
-    return top_k(index, record.student_answer, cfg.k, exclude=exclude)
+    return exclude
+
+
+def _retrieve_neighbors(
+    record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex
+) -> List[RetrievedExample]:
+    return top_k(index, record.student_answer, cfg.k, exclude=_exclusions(record, cfg, index))
+
+
+def _batch_neighbors(
+    records: Sequence[AnswerRecord], cfg: PipelineConfig, index: MaxSimIndex
+) -> List[Optional[List[RetrievedExample]]]:
+    """Every record's neighbours, one ``top_k_batch`` per query group. A
+    group whose retrieval fails gets ``None``: its items retrieve for themselves."""
+    out: List[Optional[List[RetrievedExample]]] = []
+    step = query_group_size(index)
+    for first in range(0, len(records), step):
+        group = records[first : first + step]
+        try:
+            out += top_k_batch(
+                index,
+                [r.student_answer for r in group],
+                cfg.k,
+                [_exclusions(r, cfg, index) for r in group],
+            )
+        except (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding) as exc:
+            logger.warning("batch retrieval failed (%s); its items retrieve one by one", exc)
+            out += [None] * len(group)
+    return out
 
 
 def _build_demos(
-    record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex, sig: Signature
+    record: AnswerRecord,
+    cfg: PipelineConfig,
+    index: MaxSimIndex,
+    sig: Signature,
+    neighbors: Optional[List[RetrievedExample]],
 ) -> List[Demo]:
-    neighbors = _retrieve_neighbors(record, cfg, index)
+    if neighbors is None:
+        neighbors = _retrieve_neighbors(record, cfg, index)
     demos = [demo_from_record(n.record, sig) for n in neighbors]
     for demo in demos:
         if demo.source_record_id == record.id:
@@ -129,12 +160,14 @@ def grade_item(
     template: Optional[PromptTemplate] = None,
     client: Optional[ChatClient] = None,
     fixed_demos: Optional[Sequence[Demo]] = None,
+    neighbors: Optional[List[RetrievedExample]] = None,
 ) -> Judgment:
     """Grade one record under the configured pipeline mode.
 
     The record's gold fields are never placed in the live item; demos carry
     only other records' gold outputs. Demos and prompt follow the template's
-    signature (the default signature when no template is given).
+    signature (the default signature when no template is given). rag and
+    vote use ``neighbors`` when given, else retrieve them from ``index``.
     """
     cfg.validate()
 
@@ -142,7 +175,9 @@ def grade_item(
         if index is None:
             raise ValueError("votegrader mode requires an index")
         try:
-            vote = vote_classify(_retrieve_neighbors(record, cfg, index))
+            if neighbors is None:
+                neighbors = _retrieve_neighbors(record, cfg, index)
+            vote = vote_classify(neighbors)
         except RagradeError as exc:
             logger.warning("vote failed for %s: %s", record.id, exc)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
@@ -155,7 +190,7 @@ def grade_item(
         if index is None:
             raise ValueError("rag mode requires an index")
         try:
-            demos = _build_demos(record, cfg, index, template.signature)
+            demos = _build_demos(record, cfg, index, template.signature, neighbors)
         except EmptyMatrix:
             # no-response answers cannot be embedded; grade them zero-shot style
             demos = []
@@ -199,7 +234,13 @@ def run_split(
     template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
     client = ChatClient(cfg.model) if cfg.model is not None else None
 
-    def one(record: AnswerRecord) -> Judgment:
+    # retrieval for the whole split, before the pool; items without
+    # neighbours (no or an empty index, a failed group) retrieve on their worker
+    neighbors: List[Optional[List[RetrievedExample]]] = [None] * len(records)
+    if cfg.mode in (MODE_RAG, MODE_VOTE) and index is not None and len(index):
+        neighbors = _batch_neighbors(records, cfg, index)
+
+    def one(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
         try:
             return grade_item(
                 record,
@@ -208,6 +249,7 @@ def run_split(
                 template=template,
                 client=client,
                 fixed_demos=fixed_demos,
+                neighbors=hits,
             )
         except (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding) as exc:
             # judge() absorbs client errors per item; this guards the
@@ -218,7 +260,7 @@ def run_split(
     # the only bound on requests in flight, chat and embedding alike
     workers = cfg.model.concurrency if cfg.model else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))
+        return list(pool.map(one, records, neighbors))
 
 
 # ---------------------------------------------------------------------------

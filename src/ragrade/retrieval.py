@@ -8,15 +8,18 @@ ascending record id breaks ties.
 Every document's token rows live in one C-contiguous float32 matrix, with an
 offsets array marking where each document starts. Documents are stored in
 ascending token count, stable with respect to input order, so the documents
-of one length form a contiguous run. ``top_k`` scans each run in chunks: one
-float32 matmul, a zero-copy (documents, length, query tokens) view, and a max
-over token positions by in-place pairwise halving. It then re-scores in
-float64 every document whose float32 score is within a proven error bound of
-the k-th best, so the ranking equals the exact one over the stored rows. The
-index persists to a single binary file (format v2) and refuses to load under
-a different embedder fingerprint unless forced. A v2 file written in another
-document order, as earlier versions wrote it, is put into length order on
-load, with no re-indexing.
+of one length form a contiguous run. ``top_k_batch`` embeds a group of
+queries in one call and scans each run once for all of them, in chunks: one
+float32 matmul against the group's distinct query rows, a zero-copy
+(documents, length, rows) view, and a max over token positions by in-place
+pairwise halving; each query then sums its rows' maxima in float64. Per
+query, it re-scores in float64 every document whose float32 score is within
+a proven error bound of the k-th best, so the ranking equals the exact one
+over the stored rows. ``top_k`` is its one-query case. The index persists to
+a single binary file (format v2) and refuses to load under a different
+embedder fingerprint unless forced. A v2 file written in another document
+order, as earlier versions wrote it, is put into length order on load, with
+no re-indexing.
 """
 
 import json
@@ -35,15 +38,17 @@ from .embedding import (
     TokenEmbeddingMatrix,
     config_fingerprint,
     embed_texts,
-    embed_tokens,
 )
 from .errors import DimensionMismatch, EmptyIndex, EmptyMatrix, FingerprintMismatch
 
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 2
-# document tokens per float32 matmul in top_k; sizes the one (chunk tokens x
-# query tokens) similarity buffer a scan holds
+# most document tokens per float32 matmul of a scan
 _SCAN_CHUNK_TOKENS = 4096
+# the scan's one (chunk tokens x distinct query rows) float32 similarity buffer
+_SCAN_BUFFER_BYTES = 1 << 20
+# one query group's (queries x documents) float64 score block
+_SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(eq=False)
@@ -149,53 +154,57 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     )
 
 
-def _scan_scores(index: MaxSimIndex, query: np.ndarray) -> np.ndarray:
-    """float32 MaxSim of ``query`` against every document, summed in float64."""
-    scores = np.empty(len(index), dtype=np.float64)
+def query_group_size(index: MaxSimIndex) -> int:
+    """Queries per ``top_k_batch`` group: their float64 score block
+    (documents x queries) fits ``_SCORE_BLOCK_BYTES``."""
+    return max(1, _SCORE_BLOCK_BYTES // (8 * len(index)))
+
+
+def _scan_scores(index: MaxSimIndex, queries: Sequence[np.ndarray]) -> np.ndarray:
+    """float32 MaxSim of each query (float32 rows, at least one) against every
+    document, summed in float64: shape (queries, documents).
+
+    Equal rows give equal column maxima, so the scan multiplies only the
+    distinct rows of all queries; a query's score gathers its columns back.
+    """
+    distinct, inverse = np.unique(np.concatenate(queries), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    starts = np.cumsum([0] + [len(q) for q in queries[:-1]])
+    scores = np.empty((len(queries), len(index)), dtype=np.float64)
     offsets = index.offsets
     lengths = np.diff(offsets)
     # documents come in ascending token count: one run per distinct length
     bounds = [*np.flatnonzero(np.diff(lengths, prepend=0)).tolist(), len(index)]
-    buffer = np.empty((max(_SCAN_CHUNK_TOKENS, lengths.max()), len(query)), np.float32)
+    chunk = max(1, min(_SCAN_CHUNK_TOKENS, _SCAN_BUFFER_BYTES // (4 * len(distinct))))
+    buffer = np.empty((max(chunk, lengths.max()), len(distinct)), np.float32)
     for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
         length = int(lengths[run_start])
-        step = max(1, _SCAN_CHUNK_TOKENS // length)
+        step = max(1, chunk // length)
         for start in range(run_start, run_stop, step):
             stop = min(start + step, run_stop)
             lo, hi = offsets[start], offsets[stop]
-            sims = np.matmul(index.vectors[lo:hi], query.T, out=buffer[: hi - lo])
-            sims = sims.reshape(stop - start, length, len(query))
+            sims = np.matmul(index.vectors[lo:hi], distinct.T, out=buffer[: hi - lo])
+            sims = sims.reshape(stop - start, length, len(distinct))
             rows = length
             while rows > 1:  # fold the last half of the rows onto the first
                 half = rows // 2
                 np.maximum(sims[:, :half], sims[:, rows - half : rows], out=sims[:, :half])
                 rows -= half
-            scores[start:stop] = sims[:, 0].sum(axis=1, dtype=np.float64)
+            np.add.reduceat(
+                sims[:, 0][:, inverse], starts, axis=1, dtype=np.float64,
+                out=scores.T[start:stop],
+            )
     return scores
 
 
-def top_k(
+def _select(
     index: MaxSimIndex,
-    query_text: str,
+    scores: np.ndarray,
+    query: TokenEmbeddingMatrix,
     k: int,
-    exclude: Optional[Set[str]] = None,
+    exclude: Optional[Set[str]],
 ) -> List[RetrievedExample]:
-    """Exact top-k documents by MaxSim, leaving out the record ids in ``exclude``.
-
-    Scores equal to 1e-9 tie; ascending record id breaks ties. ``relevance``
-    is the float64 MaxSim over the stored rows.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not len(index):
-        raise EmptyIndex("index has no entries")
-    query = embed_tokens(query_text, index.config, role=ROLE_QUERY)
-    if query.n_tokens == 0:
-        raise EmptyMatrix("query produced no tokens")
-    if query.dim != index.dim:
-        raise DimensionMismatch(f"query dim {query.dim} != doc dim {index.dim}")
-
-    scores = _scan_scores(index, query.vectors.astype(np.float32))
+    """The exact top k of one query from its scanned scores (modified in place)."""
     if exclude:
         scores[[index.row_of[rid] for rid in exclude if rid in index.row_of]] = -np.inf
     kept = np.flatnonzero(scores > -np.inf)
@@ -219,6 +228,69 @@ def top_k(
         RetrievedExample(record=index.payload[rid], relevance=score, rank=rank)
         for rank, (_, rid, score) in enumerate(exact[:k], start=1)
     ]
+
+
+def _retrieve(
+    index: MaxSimIndex,
+    query_texts: Sequence[str],
+    k: int,
+    excludes: Optional[Sequence[Optional[Set[str]]]],
+) -> List[Optional[List[RetrievedExample]]]:
+    """``top_k`` of every query, ``None`` for a query with no tokens; one
+    embedding call and one scan per group of ``query_group_size`` queries."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not len(index):
+        raise EmptyIndex("index has no entries")
+    excludes = excludes or [None] * len(query_texts)
+    if len(excludes) != len(query_texts):
+        raise ValueError("one exclusion set per query")
+    out: List[Optional[List[RetrievedExample]]] = []
+    step = query_group_size(index)
+    for first in range(0, len(query_texts), step):
+        queries = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
+        live = [j for j, query in enumerate(queries) if query.n_tokens]
+        for j in live:
+            if queries[j].dim != index.dim:
+                raise DimensionMismatch(f"query dim {queries[j].dim} != doc dim {index.dim}")
+        rows = [queries[j].vectors.astype(np.float32) for j in live]
+        scores = _scan_scores(index, rows) if live else None
+        group: List[Optional[List[RetrievedExample]]] = [None] * len(queries)
+        for row, j in enumerate(live):
+            group[j] = _select(index, scores[row], queries[j], k, excludes[first + j])
+        out += group
+    return out
+
+
+def top_k_batch(
+    index: MaxSimIndex,
+    query_texts: Sequence[str],
+    k: int,
+    excludes: Optional[Sequence[Optional[Set[str]]]] = None,
+) -> List[List[RetrievedExample]]:
+    """``top_k`` of each query text, leaving out the ids in its exclusion set.
+
+    Results equal per-query ``top_k``'s bit for bit; a query with no tokens
+    gets ``[]``. Memory does not grow with the number of queries.
+    """
+    return [hits or [] for hits in _retrieve(index, query_texts, k, excludes)]
+
+
+def top_k(
+    index: MaxSimIndex,
+    query_text: str,
+    k: int,
+    exclude: Optional[Set[str]] = None,
+) -> List[RetrievedExample]:
+    """Exact top-k documents by MaxSim, leaving out the record ids in ``exclude``.
+
+    Scores equal to 1e-9 tie; ascending record id breaks ties. ``relevance``
+    is the float64 MaxSim over the stored rows.
+    """
+    (hits,) = _retrieve(index, [query_text], k, [exclude])
+    if hits is None:
+        raise EmptyMatrix("query produced no tokens")
+    return hits
 
 
 def save_index(index: MaxSimIndex, path) -> None:
@@ -319,8 +391,11 @@ def load_index(
     for row_no, row in enumerate(rows, start=1):
         record, _ = parse_row(row, row_no)
         payload[record.id] = record
+    missing = [rid for rid in record_ids if rid not in payload]
+    if missing:
+        raise ValueError(f"corrupt index file: no payload record for ids {missing[:5]}")
 
-    return MaxSimIndex(
+    index = MaxSimIndex(
         dim=dim,
         fingerprint=header["fingerprint"],
         config=stored_cfg,
@@ -330,3 +405,6 @@ def load_index(
         payload=payload,
         skipped_empty=int(header["skipped_empty"]),
     )
+    if len(index.row_of) != len(index):
+        raise ValueError("corrupt index file: a record id is listed twice")
+    return index

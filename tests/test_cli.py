@@ -70,6 +70,26 @@ def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
     assert manifest["index_fingerprint"]
 
 
+@pytest.mark.parametrize("corruption", ["payload_missing", "id_twice"])
+def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
+    from ragrade.retrieval import load_index, save_index
+
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    index = load_index(out_dir / "index.rgix")
+    if corruption == "payload_missing":
+        index.payload.pop(index.record_ids[1])
+    else:
+        index.record_ids[1] = index.record_ids[0]
+    save_index(index, out_dir / "index.rgix")
+    capsys.readouterr()
+    flags = ["--mode", "vote", "--k", "3", "--split", "test_ua"]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "corrupt index file" in capsys.readouterr().err
+    assert not (out_dir / "m.json").exists()
+
+
 def test_index_defaults_to_train_split(corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0

@@ -22,6 +22,7 @@ from ragrade.metrics import (
     report_to_text,
     rouge2,
     scoring_metrics,
+    text_metrics_report,
 )
 
 from stub_servers import mirror_embedding_app
@@ -198,6 +199,27 @@ def test_embed_sim_remote_sends_document_role(stub_server_factory):
     local = embed_sim_f1("one two three", "two three four", EmbedderConfig(dimension=16))
     assert embed_sim_f1("one two three", "two three four", cfg) == pytest.approx(local, abs=1e-9)
     assert [r["body"]["role"] for r in server.requests] == ["document"]
+
+
+def test_text_metrics_embedsim_is_mean_of_per_pair_embed_sim(stub_server_factory):
+    # one embedding call for the whole report gives each pair the rows it
+    # gets alone; repeated tokens and empty texts included
+    pairs = [
+        ("routers forward packets", "a router forwards packets"),
+        ("", "anything at all"),
+        ("packets packets packets", "routers forward packets"),
+        ("same words here", "same words here"),
+        ("tail text", ""),
+    ]
+    candidates, references = [c for c, _ in pairs], [r for _, r in pairs]
+    server = stub_server_factory(mirror_embedding_app(16))
+    for cfg in (EmbedderConfig(dimension=16),
+                EmbedderConfig(backend="remote", endpoint=server.url, dimension=16)):
+        per_pair = [embed_sim_f1(c, r, cfg) for c, r in pairs]
+        report = text_metrics_report(candidates, references, cfg)
+        assert report.embedsim_f1 == sum(per_pair) / len(pairs)
+    # the per-pair calls, then one request for all ten texts
+    assert [len(r["body"]["texts"]) for r in server.requests] == [2] * 5 + [10]
 
 
 def _manifest(model="m1", mode="zero_shot", k=0, split="test_ua", items=None):

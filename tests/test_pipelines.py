@@ -159,7 +159,8 @@ def test_worker_pool_is_the_only_chat_concurrency_bound(fixture_corpus, stub_ser
 
 
 def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_server_factory):
-    # rag embeds each query on the pool worker that then calls the model
+    # rag embeds the split's queries in one request before the pool starts,
+    # then the workers call the model
     from stub_servers import mirror_embedding_app
 
     gauge = _InFlight()
@@ -172,8 +173,40 @@ def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_ser
     cfg = PipelineConfig(mode=MODE_RAG, k=2, model=_model_cfg(chat.url, concurrency=2))
     judgments = run_split(fixture_corpus.records[:8], cfg, index)
     assert [j.parse_path for j in judgments] == ["typed"] * 8
-    assert len(embed.requests) == 1 + 8  # the index batch, then one query per item
+    assert len(embed.requests) == 1 + 1  # the index batch, then the queries' batch
     assert gauge.peak == 2
+
+
+def test_rag_failed_batch_retrieval_falls_back_per_item(fixture_corpus, stub_server_factory):
+    # the embedding service refuses the split's multi-text query request but
+    # answers single texts: each item retrieves for itself, with the same demos
+    from stub_servers import mirror_embedding_app
+
+    mirror = mirror_embedding_app(32)
+    state = {"refuse_batches": True}
+
+    def embed_app(path, body):
+        if state["refuse_batches"] and body["role"] == "query" and len(body["texts"]) > 1:
+            return 503, {"error": "batch refused"}
+        return mirror(path, body)
+
+    embed = stub_server_factory(embed_app)
+    embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
+    index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
+    records = split_view(fixture_corpus, "test_ua")
+    gold = gold_by_answer(fixture_corpus.records)
+    prompts = []
+    for refuse in (True, False):
+        state["refuse_batches"] = refuse
+        chat = stub_server_factory(echo_gold_chat_app(gold))
+        cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(chat.url, concurrency=1))
+        judgments = run_split(records, cfg, index)
+        assert [j.parse_path for j in judgments] == ["typed"] * len(records)
+        prompts.append([r["body"]["messages"] for r in chat.requests])
+    sizes = [len(r["body"]["texts"]) for r in embed.requests if r["body"]["role"] == "query"]
+    # refused batch, one request per item, then the healthy run's one batch
+    assert sizes == [3, 1, 1, 1, 3]
+    assert prompts[0] == prompts[1]
 
 
 def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_server_factory):

@@ -24,8 +24,10 @@ from ragrade.retrieval import (
     build_index,
     load_index,
     maxsim_score,
+    query_group_size,
     save_index,
     top_k,
+    top_k_batch,
 )
 
 from stub_servers import mirror_embedding_app
@@ -364,17 +366,18 @@ def test_top_k_equals_exact_rational_order():
         ]
         index = build_index(records, cfg)
         docs = _stored_docs(index)
-        for _ in range(10):
-            query_text = " ".join(pyrng.choice(words) for _ in range(3))
+        k = min(10, size)
+        query_texts = [" ".join(pyrng.choice(words) for _ in range(3)) for _ in range(10)]
+        batch = top_k_batch(index, query_texts, k)
+        for query_text, batched in zip(query_texts, batch):
             query = embed_tokens(query_text, cfg, role="query").vectors
             exact = _exact_order(
                 [(_fraction_maxsim(query, doc.vectors), rid) for rid, doc in docs]
             )
-            k = min(10, size)
-            got = top_k(index, query_text, k)
-            assert [r.record.id for r in got] == [rid for _, rid in exact[:k]]
-            for result, (score, _) in zip(got, exact):
-                assert abs(result.relevance - float(score)) <= 1e-12
+            for got in (top_k(index, query_text, k), batched):
+                assert [r.record.id for r in got] == [rid for _, rid in exact[:k]]
+                for result, (score, _) in zip(got, exact):
+                    assert abs(result.relevance - float(score)) <= 1e-12
 
 
 _PROPERTY_WORDS = [f"v{i}" for i in range(12)]
@@ -404,8 +407,13 @@ def test_top_k_equals_float64_ranking_for_any_query_length(words, k):
     index = _property_index()
     query_text = " ".join(words)
     brute = _brute_force(index, embed_tokens(query_text, index.config, role="query"))
+    expected = [(rid, s) for s, rid in brute[:k]]
     got = top_k(index, query_text, k)
-    assert [(r.record.id, r.relevance) for r in got] == [(rid, s) for s, rid in brute[:k]]
+    assert [(r.record.id, r.relevance) for r in got] == expected
+    # a repeated query repeats every row: the batch scans them once
+    batch = top_k_batch(index, [query_text, query_text], k)
+    for hits in batch:
+        assert [(r.record.id, r.relevance) for r in hits] == expected
 
 
 def test_load_rejects_truncated_file(tmp_path):
@@ -496,7 +504,7 @@ def test_scan_scores_equal_per_document_reference(lengths, n_query, seed):
         f"d{i:03d}": np.max(doc @ query.T, axis=0).sum(dtype=np.float64)
         for i, doc in enumerate(docs)
     }
-    got = _scan_scores(index, query)
+    got = _scan_scores(index, [query])[0]
     assert [float(s) for s in got] == [float(expected[rid]) for rid in index.record_ids]
 
 
@@ -517,7 +525,7 @@ def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
         f"d{i:03d}": np.max(doc.astype(np.float32).astype(np.float64) @ query.T, axis=0).sum()
         for i, doc in enumerate(docs)
     }
-    got = _scan_scores(index, query.astype(np.float32))
+    got = _scan_scores(index, [query.astype(np.float32)])[0]
     bound = n_query * dim * 2.0**-23
     for rid, score in zip(index.record_ids, got):
         assert abs(score - exact[rid]) <= bound
@@ -590,3 +598,121 @@ def test_top_k_peak_memory_stays_under_1_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20, f"top_k peaked at {peak / 2**20:.2f} MiB"
+
+
+def _hits(results):
+    return [(r.record.id, r.relevance, r.rank) for r in results]
+
+
+@functools.lru_cache(maxsize=1)
+def _mix_index():
+    # 300 answers over 12 words and 7 questions, 15 with no tokens (skipped)
+    rng = random.Random(808)
+    records = _small_vocab_records(rng, 300, _PROPERTY_WORDS)
+    for i in range(0, 300, 20):
+        records[i] = _record(records[i].id, "  ", qid=records[i].question_id)
+    return build_index(records, EmbedderConfig(dimension=32)), records
+
+
+_query_text = st.one_of(
+    st.lists(st.sampled_from(_PROPERTY_WORDS), min_size=1, max_size=30).map(" ".join),
+    st.sampled_from(["", "   ", "v1 v2 v3", "v1 v2 v3", "v3 v2 v1"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(_query_text, st.integers(min_value=0, max_value=299), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+    k=st.integers(min_value=1, max_value=8),
+    same_question=st.booleans(),
+)
+def test_top_k_batch_equals_per_query_top_k(queries, k, same_question):
+    # duplicate texts, tokens shared across queries, no-token queries, and
+    # per-query exclusions: the live record, plus with same_question every
+    # answer to its question (the exclusion run_split builds)
+    index, records = _mix_index()
+    texts, excludes = [], []
+    for text, live, exclude in queries:
+        record = records[live]
+        excluded = {record.id} if exclude else None
+        if exclude and same_question:
+            excluded |= {index.record_ids[row] for row in index.question_rows[record.question_id]}
+        texts.append(text)
+        excludes.append(excluded)
+    batch = top_k_batch(index, texts, k, excludes)
+    assert len(batch) == len(texts)
+    for text, excluded, hits in zip(texts, excludes, batch):
+        if not text.split():
+            with pytest.raises(EmptyMatrix):
+                top_k(index, text, k, excluded)
+            assert hits == []
+        else:
+            assert _hits(hits) == _hits(top_k(index, text, k, excluded))
+
+
+def test_top_k_batch_splits_into_query_groups(monkeypatch):
+    index, records = _mix_index()
+    live = [r for r in records[1:60:3] if r.student_answer.strip()]
+    texts = [r.student_answer for r in live]
+    excludes = [{r.id} for r in live]
+    whole = [_hits(h) for h in top_k_batch(index, texts, 4, excludes)]
+    assert whole == [_hits(top_k(index, t, 4, e)) for t, e in zip(texts, excludes)]
+    monkeypatch.setattr("ragrade.retrieval._SCORE_BLOCK_BYTES", 8 * len(index) * 3)
+    assert query_group_size(index) == 3
+    assert [_hits(h) for h in top_k_batch(index, texts, 4, excludes)] == whole
+
+
+def test_top_k_batch_argument_errors():
+    index, _ = _mix_index()
+    assert top_k_batch(index, [], 3) == []
+    with pytest.raises(ValueError, match="k must be"):
+        top_k_batch(index, ["v1"], 0)
+    with pytest.raises(ValueError, match="one exclusion set per query"):
+        top_k_batch(index, ["v1", "v2"], 1, [None])
+
+
+def test_top_k_batch_peak_memory_stays_within_its_budgets():
+    # vote-5k's shape: 40 queries of 12-28 tokens over 5,000 answers of 12-28
+    # tokens. The scan holds one 1 MiB similarity buffer and one 1.6 MB score
+    # block; the queries' rows and a chunk's gathered maxima add under 1 MiB.
+    # Materialising (documents x query rows) would take 16 MB or more.
+    rng = random.Random(5000)
+    vocab = [f"t{i}" for i in range(400)]
+    records = [
+        _record(f"r{i:04d}", " ".join(rng.choice(vocab) for _ in range(rng.randint(12, 28))))
+        for i in range(5000)
+    ]
+    index = build_index(records, EmbedderConfig(dimension=32))
+    queries = [" ".join(rng.choice(vocab) for _ in range(rng.randint(12, 28))) for _ in range(40)]
+    excludes = [{f"r{i:04d}"} for i in range(40)]
+    assert query_group_size(index) >= 40  # one group: the whole block is live at once
+    top_k_batch(index, queries, 5, excludes)
+    tracemalloc.start()
+    try:
+        top_k_batch(index, queries, 5, excludes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20, f"top_k_batch peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_load_rejects_record_id_without_payload(tmp_path):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
+    index = build_index(records, EmbedderConfig(dimension=16))
+    index.payload.pop("r2")
+    save_index(index, tmp_path / "index.rgix")
+    with pytest.raises(ValueError, match="corrupt index file: no payload record.*r2"):
+        load_index(tmp_path / "index.rgix")
+
+
+def test_load_rejects_duplicated_record_id(tmp_path):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
+    index = build_index(records, EmbedderConfig(dimension=16))
+    index.record_ids[3] = index.record_ids[0]
+    save_index(index, tmp_path / "index.rgix")
+    with pytest.raises(ValueError, match="corrupt index file: a record id is listed twice"):
+        load_index(tmp_path / "index.rgix")
