@@ -75,6 +75,8 @@ class RunConfig:
         if config_path:
             with open(config_path, encoding="utf-8") as fh:
                 self.file_cfg = json.load(fh)
+            if not isinstance(self.file_cfg, dict):
+                raise RagradeError(f"config file {config_path} must hold a JSON object")
         self.args = args
 
     def get(self, key: str, default=None):
@@ -201,7 +203,7 @@ def _cmd_grade(args) -> int:
                 "not exist; build one with `ragrade index --split train`"
             )
         index = retrieval.load_index(
-            index_path, _embedder_config(cfg), force=bool(args.force)
+            index_path, corpus.records, _embedder_config(cfg), force=bool(args.force)
         )
 
     model_cfg = _model_config(cfg)

@@ -239,26 +239,32 @@ def manifest_metrics(
     embed_cfg: Optional[EmbedderConfig] = None,
 ) -> ReportRow:
     """Recompute the metric row for one run manifest."""
+    if not isinstance(manifest, dict):
+        raise SchemaMismatch("manifest is not a JSON object")
     items = manifest.get("items")
     config = manifest.get("config")
     if items is None or config is None:
         raise SchemaMismatch("manifest missing items/config sections")
 
-    evaluable = [it for it in items if it["judgment"]["parse_path"] != "failed"]
+    try:
+        evaluable = [it for it in items if it["judgment"]["parse_path"] != "failed"]
+        judgments = [Judgment(**it["judgment"]) for it in evaluable]
+        golds = [(it["gold_label"], float(it["gold_score"])) for it in evaluable]
+        refs = [it["gold_feedback"] or "" for it in evaluable] if text_metrics else None
+        mode = config["mode"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed manifest item or config: {exc!r}") from exc
     excluded = len(items) - len(evaluable)
     if not evaluable:
         raise EmptyEvaluationSet("manifest has no evaluable items")
 
-    judgments = [Judgment(**it["judgment"]) for it in evaluable]
-    golds = [(it["gold_label"], float(it["gold_score"])) for it in evaluable]
     text = None
     if text_metrics:
         cands = [j.feedback or "" for j in judgments]
-        refs = [it["gold_feedback"] or "" for it in evaluable]
         text = text_metrics_report(cands, refs, embed_cfg)
     return ReportRow(
         model=config.get("model_id", "-"),
-        mode=config["mode"],
+        mode=mode,
         k=int(config.get("k", 0)),
         split=config.get("split", "-"),
         scores=scoring_metrics(judgments, golds, n_excluded=excluded),
@@ -273,8 +279,9 @@ def build_report(
 ) -> List[ReportRow]:
     if not manifests:
         raise SchemaMismatch("need at least one manifest")
-    versions = {m.get("manifest_version") for m in manifests}
-    if len(versions) != 1:
+    # a manifest that is not an object is left to manifest_metrics to reject
+    versions = {m.get("manifest_version") for m in manifests if isinstance(m, dict)}
+    if len(versions) > 1:
         raise SchemaMismatch(f"mixed manifest versions: {sorted(map(str, versions))}")
     return [manifest_metrics(m, text_metrics, embed_cfg) for m in manifests]
 

@@ -57,6 +57,8 @@ MODE_RAG = "rag"
 MODE_VOTE = "votegrader"
 MODE_OPTIMIZED = "optimized"
 _MODES = (MODE_ZERO_SHOT, MODE_RAG, MODE_VOTE, MODE_OPTIMIZED)
+# what retrieval raises when the embedding backend is down or replies garbage
+_RETRIEVAL_FAILURES = (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding)
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _batch_neighbors(
                 cfg.k,
                 [_exclusions(r, cfg, index) for r in group],
             )
-        except (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding) as exc:
+        except _RETRIEVAL_FAILURES as exc:
             logger.warning("batch retrieval failed (%s); its items retrieve one by one", exc)
             out += [None] * len(group)
     return out
@@ -251,9 +253,8 @@ def run_split(
                 fixed_demos=fixed_demos,
                 neighbors=hits,
             )
-        except (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding) as exc:
-            # judge() absorbs client errors per item; this guards the
-            # retrieval path (embedding backend down or replying garbage mid-run)
+        except _RETRIEVAL_FAILURES as exc:
+            # judge() absorbs client errors per item; this guards the retrieval path
             logger.warning("item %s failed: %s", record.id, exc)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
 

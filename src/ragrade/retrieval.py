@@ -16,10 +16,11 @@ pairwise halving; each query then sums its rows' maxima in float64. Per
 query, it re-scores in float64 every document whose float32 score is within
 a proven error bound of the k-th best, so the ranking equals the exact one
 over the stored rows. ``top_k`` is its one-query case. The index persists to
-a single binary file (format v2) and refuses to load under a different
-embedder fingerprint unless forced. A v2 file written in another document
-order, as earlier versions wrote it, is put into length order on load, with
-no re-indexing.
+a single binary file (format v3) of record ids and token rows, not records:
+loading takes the records from the caller's corpus. It refuses to load under
+a different embedder fingerprint unless forced. A v2 file loads without its
+record payload being read; one written in another document order is put into
+length order on load, with no re-indexing.
 """
 
 import json
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .dataset import AnswerRecord, parse_row
+from .dataset import AnswerRecord
 from .embedding import (
     EmbedderConfig,
     ROLE_DOCUMENT,
@@ -42,7 +43,7 @@ from .embedding import (
 from .errors import DimensionMismatch, EmptyIndex, EmptyMatrix, FingerprintMismatch
 
 _MAGIC = b"RGIX"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # most document tokens per float32 matmul of a scan
 _SCAN_CHUNK_TOKENS = 4096
 # the scan's one (chunk tokens x distinct query rows) float32 similarity buffer
@@ -124,14 +125,14 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     if not indexable:
         raise EmptyIndex(f"all {len(records)} records had empty student answers")
 
-    record_ids: List[str] = []
+    indexed: List[AnswerRecord] = []
     matrices: List[np.ndarray] = []
     embedded = embed_texts([r.student_answer for r in indexable], cfg, role=ROLE_DOCUMENT)
     for rec, matrix in zip(indexable, embedded):
         if matrix.n_tokens == 0:
             skipped += 1
             continue
-        record_ids.append(rec.id)
+        indexed.append(rec)
         matrices.append(matrix.vectors)
 
     if not matrices:
@@ -146,10 +147,10 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
         dim=dims.pop(),
         fingerprint=config_fingerprint(cfg),
         config=cfg,
-        record_ids=record_ids,
+        record_ids=[r.id for r in indexed],
         offsets=offsets,
         vectors=np.concatenate(matrices, dtype=np.float32),
-        payload={r.id: r for r in records if r.student_answer.strip()},
+        payload={r.id: r for r in indexed},
         skipped_empty=skipped,
     )
 
@@ -294,8 +295,9 @@ def top_k(
 
 
 def save_index(index: MaxSimIndex, path) -> None:
-    """Format v2: magic, version, JSON header (carrying ``record_ids``), the
-    ``<i8`` offsets block, one ``<f4`` vectors block, then the JSON payload."""
+    """Format v3: magic, version, JSON header (carrying ``record_ids``), the
+    ``<i8`` offsets block and one ``<f4`` vectors block. Records are not
+    stored; ``load_index`` takes them from the corpus."""
     header = {
         "dim": index.dim,
         "fingerprint": index.fingerprint,
@@ -308,18 +310,12 @@ def save_index(index: MaxSimIndex, path) -> None:
         },
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload_rows = [rec.to_row("train") for rec in index.payload.values()]
-    payload_raw = json.dumps(
-        {"records": payload_rows}, sort_keys=True, ensure_ascii=False
-    ).encode("utf-8")
 
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header_raw)))
         fh.write(header_raw)
         fh.write(np.ascontiguousarray(index.offsets, dtype="<i8").data)
         fh.write(np.ascontiguousarray(index.vectors, dtype="<f4").data)
-        fh.write(struct.pack("<Q", len(payload_raw)))
-        fh.write(payload_raw)
 
 
 def _read_bytes(fh, n: int) -> bytes:
@@ -340,10 +336,21 @@ def _read_array(fh, dtype: str, count: int) -> np.ndarray:
     return out
 
 
+def _field(fields, key: str, kind):
+    """``fields[key]``, which must be present and a ``kind``; else the file is corrupt."""
+    if isinstance(fields, dict) and key in fields:
+        value = fields[key]
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+    raise ValueError(f"corrupt index file: header field {key!r} is missing or mistyped")
+
+
 def load_index(
-    path, cfg: Optional[EmbedderConfig] = None, force: bool = False
+    path, records: Sequence[AnswerRecord], cfg: Optional[EmbedderConfig] = None,
+    force: bool = False,
 ) -> MaxSimIndex:
-    """Load a persisted index; refuses fingerprint mismatches against ``cfg`` unless forced."""
+    """Load a persisted index, each stored id's record taken from ``records``
+    (the corpus); refuses fingerprint mismatches against ``cfg`` unless forced."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not an index file")
@@ -352,21 +359,28 @@ def load_index(
             raise ValueError(
                 "index format v1 is no longer supported; re-index with `ragrade index`"
             )
-        if version != _FORMAT_VERSION:
+        # v2 is v3 followed by a record payload, which is never read
+        if version not in (2, _FORMAT_VERSION):
             raise ValueError(f"unsupported index format version {version}")
         (header_len,) = struct.unpack("<I", _read_bytes(fh, 4))
         header = json.loads(_read_bytes(fh, header_len).decode("utf-8"))
 
+        stored = _field(header, "config", dict)
         stored_cfg = EmbedderConfig(
-            backend=header["config"]["backend"],
-            endpoint=header["config"]["endpoint"],
-            dimension=header["config"]["dimension"],
+            backend=_field(stored, "backend", str),
+            endpoint=_field(stored, "endpoint", (str, type(None))),
+            dimension=_field(stored, "dimension", int),
         )
-        dim = int(header["dim"])
-        if cfg is not None and config_fingerprint(cfg) != header["fingerprint"]:
+        dim = _field(header, "dim", int)
+        fingerprint = _field(header, "fingerprint", str)
+        record_ids = _field(header, "record_ids", list)
+        skipped_empty = _field(header, "skipped_empty", int)
+        if not all(isinstance(rid, str) for rid in record_ids):
+            raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
+        if cfg is not None and config_fingerprint(cfg) != fingerprint:
             if not force:
                 raise FingerprintMismatch(
-                    f"index built with fingerprint {header['fingerprint']}, "
+                    f"index built with fingerprint {fingerprint}, "
                     f"current config is {config_fingerprint(cfg)} (use force to override)"
                 )
             # a forced load can point at a moved backend, but the stored vectors
@@ -378,32 +392,25 @@ def load_index(
                 )
             stored_cfg = cfg
 
-        record_ids = header["record_ids"]
         offsets = _read_array(fh, "<i8", len(record_ids) + 1)
         if offsets[0] != 0 or np.any(np.diff(offsets) < 1):
             raise ValueError("corrupt index file: offsets must rise from 0")
         vectors = _read_array(fh, "<f4", int(offsets[-1]) * dim).reshape(-1, dim)
-        (payload_len,) = struct.unpack("<Q", _read_bytes(fh, 8))
-        payload_raw = _read_bytes(fh, payload_len)
 
-    payload: Dict[str, AnswerRecord] = {}
-    rows = json.loads(payload_raw.decode("utf-8"))["records"]
-    for row_no, row in enumerate(rows, start=1):
-        record, _ = parse_row(row, row_no)
-        payload[record.id] = record
-    missing = [rid for rid in record_ids if rid not in payload]
+    by_id = {rec.id: rec for rec in records}
+    missing = [rid for rid in record_ids if rid not in by_id]
     if missing:
-        raise ValueError(f"corrupt index file: no payload record for ids {missing[:5]}")
+        raise ValueError(f"index ids {missing[:5]} not in the corpus; rebuild with `ragrade index`")
 
     index = MaxSimIndex(
         dim=dim,
-        fingerprint=header["fingerprint"],
+        fingerprint=fingerprint,
         config=stored_cfg,
         record_ids=record_ids,
         offsets=offsets,
         vectors=vectors,
-        payload=payload,
-        skipped_empty=int(header["skipped_empty"]),
+        payload={rid: by_id[rid] for rid in record_ids},
+        skipped_empty=skipped_empty,
     )
     if len(index.row_of) != len(index):
         raise ValueError("corrupt index file: a record id is listed twice")

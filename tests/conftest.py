@@ -1,4 +1,5 @@
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -90,6 +91,16 @@ def gold_by_answer(records):
         for r in records
         if r.student_answer
     }
+
+
+def rewrite_index_header(path, edit):
+    """Apply ``edit`` to the JSON header of the index file at ``path``, in place."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len :])
 
 
 @pytest.fixture

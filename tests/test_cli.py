@@ -5,7 +5,7 @@ import pytest
 
 from ragrade.cli import main
 
-from conftest import gold_by_answer
+from conftest import gold_by_answer, rewrite_index_header
 from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
 
 
@@ -70,23 +70,32 @@ def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
     assert manifest["index_fingerprint"]
 
 
-@pytest.mark.parametrize("corruption", ["payload_missing", "id_twice"])
-def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
-    from ragrade.retrieval import load_index, save_index
+_INDEX_CORRUPTIONS = {
+    "id_not_in_corpus": "not in the corpus; rebuild with `ragrade index`",
+    "id_twice": "corrupt index file: a record id is listed twice",
+    "config_missing": "corrupt index file: header field 'config' is missing",
+}
 
+
+@pytest.mark.parametrize("corruption", sorted(_INDEX_CORRUPTIONS))
+def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     assert main(["index", "--out-dir", str(out_dir)]) == 0
-    index = load_index(out_dir / "index.rgix")
-    if corruption == "payload_missing":
-        index.payload.pop(index.record_ids[1])
-    else:
-        index.record_ids[1] = index.record_ids[0]
-    save_index(index, out_dir / "index.rgix")
+
+    def corrupt(header):
+        if corruption == "id_not_in_corpus":
+            header["record_ids"][1] = "not-in-corpus"
+        elif corruption == "id_twice":
+            header["record_ids"][1] = header["record_ids"][0]
+        else:
+            del header["config"]
+
+    rewrite_index_header(out_dir / "index.rgix", corrupt)
     capsys.readouterr()
     flags = ["--mode", "vote", "--k", "3", "--split", "test_ua"]
     assert _grade(out_dir, out_dir / "m.json", *flags) == 1
-    assert "corrupt index file" in capsys.readouterr().err
+    assert _INDEX_CORRUPTIONS[corruption] in capsys.readouterr().err
     assert not (out_dir / "m.json").exists()
 
 
@@ -101,6 +110,16 @@ def test_index_defaults_to_train_split(corpus_path, tmp_path, capsys):
     config_path.write_text(json.dumps({"split": "test_ua"}), encoding="utf-8")
     assert main(["index", "--config", str(config_path), "--out-dir", str(out_dir)]) == 0
     assert "indexed 8 records" in capsys.readouterr().out
+
+
+def test_config_file_that_is_not_an_object_exits_1(corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(["split"]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["index", "--config", str(config_path), "--out-dir", str(out_dir)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def _grade(out_dir, manifest_path, *flags):
@@ -492,3 +511,22 @@ def test_usage_errors_exit_1(capsys):
 
 def test_unknown_manifest_exits_1(tmp_path):
     assert main(["evaluate", str(tmp_path / "missing.json")]) == 1
+
+
+_MALFORMED_MANIFESTS = {
+    "not_an_object": [{"config": {"mode": "rag"}, "items": []}],
+    "item_without_judgment": {
+        "manifest_version": 1,
+        "config": {"mode": "rag"},
+        "items": [{"id": "a1", "gold_label": "correct", "gold_score": 1.0}],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("malformed", sorted(_MALFORMED_MANIFESTS))
+def test_malformed_manifest_exits_1(command, malformed, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_MALFORMED_MANIFESTS[malformed]), encoding="utf-8")
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "manifest" in capsys.readouterr().err

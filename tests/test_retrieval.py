@@ -30,6 +30,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
+from conftest import rewrite_index_header
 from stub_servers import mirror_embedding_app
 
 
@@ -248,7 +249,7 @@ def test_save_load_round_trip(tmp_path):
     index = build_index(records, cfg)
     path = tmp_path / "index.rgix"
     save_index(index, path)
-    loaded = load_index(path, cfg)
+    loaded = load_index(path, records, cfg)
 
     assert loaded.dim == index.dim
     assert loaded.fingerprint == index.fingerprint
@@ -275,17 +276,17 @@ def test_load_rejects_fingerprint_mismatch(tmp_path):
     # same geometry, different backend identity: refuse unless forced
     moved_cfg = EmbedderConfig(backend="remote", endpoint="http://new-host", dimension=32)
     with pytest.raises(FingerprintMismatch):
-        load_index(path, moved_cfg)
-    forced = load_index(path, moved_cfg, force=True)
+        load_index(path, records, moved_cfg)
+    forced = load_index(path, records, moved_cfg, force=True)
     assert len(forced) == 1
     assert forced.config.endpoint == "http://new-host"
 
     # a different dimension can never be forced; the stored vectors pin it
     narrow_cfg = EmbedderConfig(dimension=16)
     with pytest.raises(FingerprintMismatch):
-        load_index(path, narrow_cfg)
+        load_index(path, records, narrow_cfg)
     with pytest.raises(DimensionMismatch):
-        load_index(path, narrow_cfg, force=True)
+        load_index(path, records, narrow_cfg, force=True)
 
 
 def test_load_without_config_trusts_header(tmp_path):
@@ -293,7 +294,7 @@ def test_load_without_config_trusts_header(tmp_path):
     index = build_index(records, EmbedderConfig(dimension=32))
     path = tmp_path / "index.rgix"
     save_index(index, path)
-    loaded = load_index(path)
+    loaded = load_index(path, records)
     assert loaded.config.dimension == 32
 
 
@@ -336,9 +337,10 @@ def test_built_and_reloaded_indexes_rank_identically(tmp_path):
     # between built and reloaded rows would reorder neighbours
     rng = random.Random(2024)
     cfg = EmbedderConfig(dimension=32)
-    built = build_index(_small_vocab_records(rng, 3000, _VOCAB40), cfg)
+    records = _small_vocab_records(rng, 3000, _VOCAB40)
+    built = build_index(records, cfg)
     save_index(built, tmp_path / "index.rgix")
-    loaded = load_index(tmp_path / "index.rgix", cfg)
+    loaded = load_index(tmp_path / "index.rgix", records, cfg)
     differ = 0
     for _ in range(300):
         query = " ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 6)))
@@ -425,14 +427,11 @@ def test_load_rejects_truncated_file(tmp_path):
     (header_len,) = struct.unpack("<I", data[8:12])
     offsets_at = 12 + header_len
     vectors_at = offsets_at + index.offsets.nbytes
-    payload_len_at = vectors_at + index.vectors.nbytes
-    # a cut inside each block: header length, header, offsets, vectors,
-    # payload length, payload
-    for cut in (10, offsets_at - 5, offsets_at + 20, vectors_at + 100,
-                payload_len_at + 4, len(data) - 1):
+    # a cut inside each block: header length, header, offsets, vectors
+    for cut in (10, offsets_at - 5, offsets_at + 20, vectors_at + 100, len(data) - 1):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
-            load_index(path)
+            load_index(path, records)
 
 
 def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
@@ -440,7 +439,7 @@ def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
     header = b'{"dim": 16}'
     path.write_bytes(b"RGIX" + struct.pack("<II", 1, len(header)) + header)
     with pytest.raises(ValueError, match="re-index"):
-        load_index(path)
+        load_index(path, [])
 
 
 def _is_length_ordered(index):
@@ -460,7 +459,7 @@ def test_built_and_loaded_indexes_store_documents_in_length_order(tmp_path):
         assert np.array_equal(doc.vectors, expected)
     assert index.row_of == {rid: row for row, rid in enumerate(index.record_ids)}
     save_index(index, tmp_path / "index.rgix")
-    loaded = load_index(tmp_path / "index.rgix", cfg)
+    loaded = load_index(tmp_path / "index.rgix", records, cfg)
     assert loaded.record_ids == index.record_ids
     assert _is_length_ordered(loaded)
 
@@ -566,9 +565,10 @@ def test_corpus_ordered_v2_file_loads_in_length_order_and_ranks_identically(tmp_
     assert corpus_order != sorted(corpus_order)
     _write_v2_in_corpus_order(built, corpus_order, tmp_path / "index.rgix")
 
-    loaded = load_index(tmp_path / "index.rgix", cfg)
+    loaded = load_index(tmp_path / "index.rgix", records, cfg)
     assert _is_length_ordered(loaded)
     assert loaded.record_ids == built.record_ids
+    assert loaded.payload == built.payload
     assert np.array_equal(loaded.offsets, built.offsets)
     assert loaded.vectors.tobytes() == built.vectors.tobytes()
     for _ in range(100):
@@ -700,13 +700,11 @@ def test_top_k_batch_peak_memory_stays_within_its_budgets():
     assert peak <= 4.5 * 2**20, f"top_k_batch peaked at {peak / 2**20:.2f} MiB"
 
 
-def test_load_rejects_record_id_without_payload(tmp_path):
+def test_load_rejects_record_id_not_among_records(tmp_path):
     records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
-    index = build_index(records, EmbedderConfig(dimension=16))
-    index.payload.pop("r2")
-    save_index(index, tmp_path / "index.rgix")
-    with pytest.raises(ValueError, match="corrupt index file: no payload record.*r2"):
-        load_index(tmp_path / "index.rgix")
+    save_index(build_index(records, EmbedderConfig(dimension=16)), tmp_path / "index.rgix")
+    with pytest.raises(ValueError, match=r"\['r2'\] not in the corpus; rebuild with `ragrade index`"):
+        load_index(tmp_path / "index.rgix", records[:2] + records[3:])
 
 
 def test_load_rejects_duplicated_record_id(tmp_path):
@@ -715,4 +713,35 @@ def test_load_rejects_duplicated_record_id(tmp_path):
     index.record_ids[3] = index.record_ids[0]
     save_index(index, tmp_path / "index.rgix")
     with pytest.raises(ValueError, match="corrupt index file: a record id is listed twice"):
-        load_index(tmp_path / "index.rgix")
+        load_index(tmp_path / "index.rgix", records)
+
+
+def test_saved_file_holds_no_record_payload(tmp_path):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(6)]
+    index = build_index(records, EmbedderConfig(dimension=16))
+    path = tmp_path / "index.rgix"
+    save_index(index, path)
+    data = path.read_bytes()
+    assert data[:8] == b"RGIX" + struct.pack("<I", 3)
+    (header_len,) = struct.unpack("<I", data[8:12])
+    assert len(data) == 12 + header_len + index.offsets.nbytes + index.vectors.nbytes
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("config", lambda h: h.pop("config")),
+    ("config", lambda h: h.update(config=["deterministic_test"])),
+    ("backend", lambda h: h["config"].pop("backend")),
+    ("dim", lambda h: h.update(dim="16")),
+    ("fingerprint", lambda h: h.pop("fingerprint")),
+    ("record_ids", lambda h: h.update(record_ids="r0")),
+    ("record_ids", lambda h: h["record_ids"].__setitem__(0, ["r0"])),
+    ("skipped_empty", lambda h: h.update(skipped_empty=None)),
+], ids=["config_missing", "config_list", "backend_missing", "dim_string", "fingerprint_missing",
+        "record_ids_string", "record_id_list", "skipped_empty_null"])
+def test_load_rejects_missing_or_mistyped_header_field(tmp_path, field, corrupt):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
+    path = tmp_path / "index.rgix"
+    save_index(build_index(records, EmbedderConfig(dimension=16)), path)
+    rewrite_index_header(path, corrupt)
+    with pytest.raises(ValueError, match=f"corrupt index file: header field '{field}'"):
+        load_index(path, records)
