@@ -6,12 +6,22 @@ relaxed plain-text prompt ("Score:", "Label:", "Feedback:" lines) and the
 response is recovered by line-anchored matching. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
+
+A request that times out, fails in transport, or gets a 5xx or a 429 is sent
+again, up to ``max_retries`` attempts in all, after ``retry_backoff * 2**n``
+seconds (no jitter). A 429 or 503 whose ``Retry-After`` gives a delay in
+seconds longer than that waits the header's delay instead, capped at
+``timeout``; the HTTP-date form is ignored. The wait applies to the item whose
+request got the reply, not to the whole client: other items keep sending.
+While it waits, the item gives up its work slot (``WorkSlots``), so a waiting
+item never idles the bound on items working at once.
 """
 
 import json
 import logging
 import os
 import re
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -58,6 +68,8 @@ class ModelConfig:
             raise ValueError("concurrency must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
 
 
 @dataclass
@@ -97,6 +109,63 @@ class LedgerEntry:
         return self.typed_failures / self.total_calls if self.total_calls else 0.0
 
 
+class WorkSlots:
+    """At most ``n`` items working at once; ``with slots:`` holds one slot.
+
+    A retry wait inside the block gives the slot up. Coming back, the item
+    takes the next free slot ahead of items that have not started, so its
+    wait is its backoff, not the rest of the split.
+    """
+
+    def __init__(self, n: int):
+        self._cond = threading.Condition()
+        self._free = n
+        self._returning = 0
+
+    def take(self, returning: bool = False) -> None:
+        with self._cond:
+            self._returning += returning
+            while not self._free or (self._returning and not returning):
+                self._cond.wait()
+            self._returning -= returning
+            self._free -= 1
+
+    def give(self) -> None:
+        with self._cond:
+            self._free += 1
+            self._cond.notify_all()
+
+    def __enter__(self):
+        self.take()
+        _held.slots = self
+
+    def __exit__(self, *exc):
+        _held.slots = None
+        self.give()
+
+
+_held = threading.local()  # .slots: the WorkSlots this thread's item holds a slot of
+_DELAY_SECONDS = re.compile(r"[0-9]+")
+
+
+def retry_wait(cfg: ModelConfig, attempt: int, retry_after: Optional[str] = None) -> None:
+    """Sleep before retry ``attempt`` (1 for the first), holding no work slot.
+
+    ``retry_after`` is the failed reply's ``Retry-After`` header, if any.
+    """
+    delay = cfg.retry_backoff * 2 ** (attempt - 1)
+    if retry_after is not None and _DELAY_SECONDS.fullmatch(retry_after.strip()):
+        delay = max(delay, min(float(retry_after), cfg.timeout))
+    slots = getattr(_held, "slots", None)
+    if slots is not None:
+        slots.give()
+    try:
+        time.sleep(delay)
+    finally:
+        if slots is not None:
+            slots.take(returning=True)
+
+
 def _completions_url(endpoint: str) -> str:
     endpoint = endpoint.rstrip("/")
     if endpoint.endswith("/chat/completions"):
@@ -105,7 +174,11 @@ def _completions_url(endpoint: str) -> str:
 
 
 class ChatClient:
-    """Thread-safe client; the caller's worker pool bounds requests in flight."""
+    """Thread-safe client, shared by every item of a run.
+
+    It sends only from the calling thread, so the caller's work slots bound
+    requests in flight; an item waiting out a retry holds no slot.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -114,7 +187,8 @@ class ChatClient:
         self._session = requests.Session()
 
     def complete(self, prompt: CompiledPrompt, relaxed: bool = False) -> str:
-        """One chat completion; retries transport/5xx/429 with exponential backoff."""
+        """One chat completion; retries transport/5xx/429 with exponential backoff
+        or a longer ``Retry-After``, giving up the item's slot while it waits."""
         system = prompt.relaxed_system_text if relaxed else prompt.system_text
         user = prompt.relaxed_user_text if relaxed else prompt.user_text
         return self.complete_messages(
@@ -137,9 +211,11 @@ class ChatClient:
 
         url = _completions_url(self.cfg.endpoint)
         last_error: Optional[Exception] = None
+        retry_after: Optional[str] = None
         for attempt in range(self.cfg.max_retries):
             if attempt:
-                time.sleep(self.cfg.retry_backoff * (2 ** (attempt - 1)))
+                retry_wait(self.cfg, attempt, retry_after)
+            retry_after = None
             try:
                 resp = self._session.post(
                     url, json=body, headers=headers, timeout=self.cfg.timeout
@@ -150,6 +226,8 @@ class ChatClient:
             except requests.RequestException as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
+            if resp.status_code in (429, 503):
+                retry_after = resp.headers.get("Retry-After")
             if resp.status_code == 429:
                 last_error = RateLimited("rate limited by endpoint")
                 continue

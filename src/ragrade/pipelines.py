@@ -34,6 +34,7 @@ from .llmclient import (
     ModelConfig,
     PARSE_FAILED,
     PARSE_TYPED,
+    WorkSlots,
     judge,
 )
 from .promptkit import (
@@ -217,8 +218,12 @@ def run_split(
     signature: Optional[Signature] = None,
     program: Optional[OptimizedProgram] = None,
     demo_pool: Optional[Sequence[AnswerRecord]] = None,
+    client: Optional[ChatClient] = None,
 ) -> List[Judgment]:
-    """Grade a whole split view; output order equals input order."""
+    """Grade a whole split view; output order equals input order.
+
+    ``client``, when given, sends every chat request; else the run builds one.
+    """
     cfg.validate()
     sig = signature or Signature()
 
@@ -234,7 +239,8 @@ def run_split(
         fixed_demos = [demo_from_record(by_id[rid], sig) for rid in program.demo_record_ids]
 
     template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
-    client = ChatClient(cfg.model) if cfg.model is not None else None
+    if client is None and cfg.model is not None:
+        client = ChatClient(cfg.model)
 
     # retrieval for the whole split, before the pool; items without
     # neighbours (no or an empty index, a failed group) retrieve on their worker
@@ -242,25 +248,30 @@ def run_split(
     if cfg.mode in (MODE_RAG, MODE_VOTE) and index is not None and len(index):
         neighbors = _batch_neighbors(records, cfg, index)
 
+    # the only bound on requests in flight, chat and embedding alike: an item
+    # holds a slot while it works and gives it up while it waits out a retry,
+    # so twice as many threads keep the slots busy during backoffs
+    concurrency = cfg.model.concurrency if cfg.model else 1
+    slots = WorkSlots(concurrency)
+
     def one(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
         try:
-            return grade_item(
-                record,
-                cfg,
-                index,
-                template=template,
-                client=client,
-                fixed_demos=fixed_demos,
-                neighbors=hits,
-            )
+            with slots:
+                return grade_item(
+                    record,
+                    cfg,
+                    index,
+                    template=template,
+                    client=client,
+                    fixed_demos=fixed_demos,
+                    neighbors=hits,
+                )
         except _RETRIEVAL_FAILURES as exc:
             # judge() absorbs client errors per item; this guards the retrieval path
             logger.warning("item %s failed: %s", record.id, exc)
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
 
-    # the only bound on requests in flight, chat and embedding alike
-    workers = cfg.model.concurrency if cfg.model else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
         return list(pool.map(one, records, neighbors))
 
 
@@ -319,13 +330,13 @@ def optimize_few_shot(
         raise ValueError("train pool must be non-empty")
     cfg.validate()
 
+    client = ChatClient(cfg.model)  # one session for every trial
     candidates = [sig.task_description]
     if instructions:
         candidates += [i for i in instructions if i.strip()]
     elif cfg.proposal_model is not None:
-        candidates += propose_instructions(
-            sig.task_description, ChatClient(cfg.proposal_model)
-        )
+        proposer = client if cfg.proposal_model == cfg.model else ChatClient(cfg.proposal_model)
+        candidates += propose_instructions(sig.task_description, proposer)
 
     rng = random.Random(cfg.seed)
     dev_golds = [r.gold_label for r in dev]
@@ -352,7 +363,7 @@ def optimize_few_shot(
             dev_accuracy=0.0,
         )
         judgments = run_split(
-            dev, trial_cfg, signature=sig, program=program, demo_pool=list(train)
+            dev, trial_cfg, signature=sig, program=program, demo_pool=list(train), client=client
         )
 
         scored = [

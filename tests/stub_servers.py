@@ -18,10 +18,12 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         with self.server.lock:
             self.server.requests.append({"path": self.path, "body": body})
-        status, payload = self.server.app(self.path, body)
+        status, payload, *extra = self.server.app(self.path, body)
         # bytes go out verbatim, so apps can send bodies that are not JSON
         raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
@@ -32,7 +34,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """Runs ``app(path, body) -> (status, payload)`` on a background thread."""
+    """Runs ``app(path, body) -> (status, payload[, headers])`` on a background thread."""
 
     def __init__(self, app):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
@@ -110,18 +112,33 @@ def fixed_chat_app(text: str):
     return app
 
 
-def fail_n_then_app(n: int, text: str, status: int = 500):
-    """First ``n`` requests fail with ``status``; later ones return ``text``."""
+def fail_n_then_app(n: int, text: str, status: int = 500, headers=None):
+    """First ``n`` requests fail with ``status`` (and ``headers``); later ones return ``text``."""
     state = {"count": 0, "lock": threading.Lock()}
 
     def app(path, body):
         with state["lock"]:
             state["count"] += 1
             if state["count"] <= n:
-                return status, {"error": "injected failure"}
+                return status, {"error": "injected failure"}, headers or {}
         return 200, _chat_payload(text)
 
     return app
+
+
+def rate_limit_once_app(answers, app):
+    """The first request for each live answer in ``answers`` gets a 429; the rest go to ``app``."""
+    lock = threading.Lock()
+    limited = set()
+
+    def wrapped(path, body):
+        answer = _find_live_answer(_message_text(body, "user"), answers)
+        with lock:
+            first = answer is not None and answer not in limited
+            limited.add(answer)
+        return (429, {"error": "rate limited"}) if first else app(path, body)
+
+    return wrapped
 
 
 def always_status_app(status: int):

@@ -1,6 +1,12 @@
 import json
+import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
+
+from ragrade import llmclient
 
 from ragrade.errors import (
     MissingOutputField,
@@ -82,6 +88,71 @@ def test_rate_limited(stub_server_factory):
     client = ChatClient(_cfg(server.url, max_retries=2))
     with pytest.raises(RateLimited):
         client.complete(_prompt())
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, backoff, expected",
+    [
+        (429, "2", 0.0, 2.0),  # the header's delay is longer than the backoff
+        (503, "2", 0.0, 2.0),
+        (429, "0", 0.25, 0.25),  # the backoff is longer
+        (429, "30", 0.0, 5.0),  # capped at the timeout
+        (500, "2", 0.25, 0.25),  # honoured on 429 and 503 only
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25, 0.25),  # date form ignored
+        (429, "-3", 0.25, 0.25),
+    ],
+)
+def test_retry_wait_honours_retry_after(
+    stub_server_factory, monkeypatch, status, retry_after, backoff, expected
+):
+    waits = []
+    monkeypatch.setattr(llmclient, "time", SimpleNamespace(sleep=waits.append))
+    app = fail_n_then_app(1, "recovered", status, headers={"Retry-After": retry_after})
+    server = stub_server_factory(app)
+    client = ChatClient(_cfg(server.url, max_retries=2, retry_backoff=backoff, timeout=5.0))
+    assert client.complete(_prompt()) == "recovered"
+    assert waits == [expected]
+    assert len(server.requests) == 2
+
+
+def test_work_slots_bound_holds_under_contention():
+    slots = llmclient.WorkSlots(3)
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0, "done": 0}
+
+    def busy(delta):
+        with lock:
+            state["now"] += delta
+            state["peak"] = max(state["peak"], state["now"])
+
+    def worker(seed):
+        for i in range(300):
+            slots.take()
+            busy(1)
+            time.sleep(0.0001)
+            if (i + seed) % 7 == 0:  # a retry wait: give the slot up, come back first
+                busy(-1)
+                slots.give()
+                slots.take(returning=True)
+                busy(1)
+            busy(-1)
+            slots.give()
+        with lock:
+            state["done"] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert state["done"] == 8 and state["now"] == 0
+    assert state["peak"] <= 3
 
 
 def test_unreachable_endpoint_raises_transport_error():
@@ -288,3 +359,6 @@ def test_temperature_validation():
         ModelConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ValueError):
         ModelConfig(endpoint="http://x", model="m", max_retries=0)
+    with pytest.raises(ValueError, match="retry_backoff"):
+        ModelConfig(endpoint="http://x", model="m", retry_backoff=-0.5)
+    assert ModelConfig(endpoint="http://x", model="m", retry_backoff=0.0).retry_backoff == 0.0

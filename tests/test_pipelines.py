@@ -30,6 +30,7 @@ from stub_servers import (
     echo_gold_chat_app,
     fixed_chat_app,
     instruction_sensitive_chat_app,
+    rate_limit_once_app,
 )
 
 
@@ -174,6 +175,53 @@ def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_ser
     judgments = run_split(fixture_corpus.records[:8], cfg, index)
     assert [j.parse_path for j in judgments] == ["typed"] * 8
     assert len(embed.requests) == 1 + 1  # the index batch, then the queries' batch
+    assert gauge.peak == 2
+
+
+def _graded_ids(requests, records):
+    """The record each zero-shot chat request grades, in arrival order."""
+    users = [m["content"] for r in requests for m in r["body"]["messages"] if m["role"] == "user"]
+    return [next(rec.id for rec in records if rec.student_answer in user) for user in users]
+
+
+def test_item_waiting_out_a_retry_frees_its_slot(fixture_corpus, stub_server_factory):
+    gauge = _InFlight(delay=0.02)
+    records = fixture_corpus.records[:3]
+    gold = gold_by_answer(fixture_corpus.records)
+    app = rate_limit_once_app({records[0].student_answer}, echo_gold_chat_app(gold))
+    server = stub_server_factory(gauge.wrap(app))
+    model = _model_cfg(server.url, concurrency=1, retry_backoff=0.5)
+    judgments = run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
+    assert [j.parse_path for j in judgments] == ["typed"] * 3
+    order = _graded_ids(server.requests, records)
+    # r01's 429 reply comes first or second; r02 and r03 go out while r01 waits
+    assert sorted(order) == ["r01", "r01", "r02", "r03"] and order[-1] == "r01"
+    assert gauge.peak == 1
+
+
+def test_item_back_from_a_retry_goes_ahead_of_unstarted_items(fixture_corpus, stub_server_factory):
+    records = fixture_corpus.records  # 14 items, 20 ms each, one at a time
+    gold = gold_by_answer(records)
+    app = rate_limit_once_app({records[0].student_answer}, echo_gold_chat_app(gold))
+    server = stub_server_factory(_InFlight(delay=0.02).wrap(app))
+    model = _model_cfg(server.url, concurrency=1, retry_backoff=0.1)
+    run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
+    order = _graded_ids(server.requests, records)
+    first, retry = [i for i, rid in enumerate(order) if rid == "r01"]
+    # others go out during the 0.1 s wait, and the 13 take at least 0.26 s
+    assert first + 1 < retry < len(order) - 1
+
+
+def test_several_waiting_items_keep_the_bound(fixture_corpus, stub_server_factory):
+    gauge = _InFlight()
+    records = fixture_corpus.records[:8]
+    gold = gold_by_answer(fixture_corpus.records)
+    limited = {r.student_answer for r in records[:3]}
+    server = stub_server_factory(gauge.wrap(rate_limit_once_app(limited, echo_gold_chat_app(gold))))
+    model = _model_cfg(server.url, concurrency=2, retry_backoff=0.2)
+    judgments = run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
+    assert [j.parse_path for j in judgments] == ["typed"] * 8
+    assert len(server.requests) == 8 + 3
     assert gauge.peak == 2
 
 
@@ -434,6 +482,33 @@ def test_optimizer_never_selects_dev_records(fixture_corpus, stub_server_factory
     program = optimize_few_shot(train, dev, Signature(), budget=8, k_max=4, cfg=cfg)
     for entry in program.trace:
         assert not (set(entry["demo_record_ids"]) & dev_ids)
+
+
+@pytest.mark.parametrize("proposal_model, clients", [("stub-model", 1), ("other-model", 2)])
+def test_optimize_shares_one_client(
+    fixture_corpus, stub_server_factory, monkeypatch, proposal_model, clients
+):
+    from ragrade import pipelines
+
+    created = []
+
+    class CountingClient(pipelines.ChatClient):
+        def __init__(self, cfg):
+            created.append(cfg.model)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(pipelines, "ChatClient", CountingClient)
+    gold = gold_by_answer(fixture_corpus.records)
+    server = stub_server_factory(echo_gold_chat_app(gold))
+    cfg = PipelineConfig(
+        mode=MODE_OPTIMIZED,
+        model=_model_cfg(server.url),
+        proposal_model=_model_cfg(server.url, model=proposal_model),
+        seed=2,
+    )
+    train = split_view(fixture_corpus, "train")
+    optimize_few_shot(train, split_view(fixture_corpus, "test_ua"), Signature(), budget=3, k_max=2, cfg=cfg)
+    assert len(created) == clients
 
 
 def test_optimize_all_candidates_fail(fixture_corpus, stub_server_factory):
