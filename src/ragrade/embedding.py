@@ -6,6 +6,7 @@ embedder meant for tests and offline runs. Rows are always re-normalized to
 unit length, whatever the backend returned.
 """
 
+import base64
 import threading
 import unicodedata
 from dataclasses import dataclass
@@ -110,31 +111,22 @@ def _hash_rows(tokens: Sequence[str], d: int) -> np.ndarray:
     return values / np.sqrt([row.dot(row) for row in values]).reshape(-1, 1)
 
 
-_det_cache: "dict[tuple[str, int], np.ndarray]" = {}
-_det_cache_lock = threading.Lock()
-
-
 def deterministic_embed(token: str, d: int) -> np.ndarray:
-    """Pure hash-derived unit vector for a token, memoized per (token, d).
+    """Pure hash-derived unit vector for a token.
 
     Identical (token, d) always yields identical output, equal to the token's
     row in any ``embed_texts`` call on the deterministic backend.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    key = (token, d)
-    with _det_cache_lock:
-        cached = _det_cache.get(key)
-    if cached is None:
-        cached = _hash_rows([token], d)[0]
-        with _det_cache_lock:
-            _det_cache[key] = cached
-    return cached.copy()
+    return _hash_rows([token], d)[0]
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize each row; idempotent within 1e-9 on already-unit rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise InvalidEmbedding("non-finite embedding value")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     if matrix.shape[0] and float(norms.min()) == 0.0:
         raise InvalidEmbedding("zero-norm embedding row")
@@ -144,9 +136,11 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 class RemoteEmbeddingClient:
     """HTTP client for the embedding service; callers bound the requests in flight.
 
-    Wire format: POST {"texts": [...], "role": "query"|"document"} ->
-    {"embeddings": [[[f, ...], ...], ...], "tokens": [[...], ...]}, one token
-    matrix per input text. The returned token list is authoritative.
+    Wire format: POST {"texts": [...], "role": "query"|"document",
+    "encoding_format": "base64"} -> {"embeddings": [...], "tokens": [[...], ...]},
+    one token matrix per input text. The returned token list is authoritative.
+    An embedding is a string (see ``_token_rows``) or, from a server that
+    ignores ``encoding_format``, a list of rows of numbers.
     """
 
     def __init__(self, cfg: EmbedderConfig):
@@ -168,7 +162,7 @@ class RemoteEmbeddingClient:
     def _request(self, texts: List[str], role: str) -> List[TokenEmbeddingMatrix]:
         import requests
 
-        payload = {"texts": texts, "role": role}
+        payload = {"texts": texts, "role": role, "encoding_format": "base64"}
         try:
             resp = self._session.post(self.cfg.endpoint, json=payload, timeout=60)
         except requests.RequestException as exc:
@@ -185,35 +179,54 @@ class RemoteEmbeddingClient:
             raise BackendUnavailable("embedding service response is not a JSON object")
         embeddings = data.get("embeddings")
         token_lists = data.get("tokens")
-        for part in (embeddings, token_lists):
-            if not (isinstance(part, list) and all(isinstance(x, list) for x in part)):
-                raise BackendUnavailable(
-                    "embedding service response needs 'embeddings' and 'tokens' as lists of lists"
-                )
+        if not (
+            isinstance(embeddings, list)
+            and isinstance(token_lists, list)
+            and all(isinstance(x, list) for x in token_lists)
+        ):
+            raise BackendUnavailable(
+                "embedding service response needs 'embeddings' as a list"
+                " and 'tokens' as a list of lists"
+            )
         if len(embeddings) != len(texts) or len(token_lists) != len(texts):
             raise BackendUnavailable("embedding service returned wrong batch size")
+        return [
+            TokenEmbeddingMatrix(list(tokens), _token_rows(rows, len(tokens), self.cfg.dimension))
+            for rows, tokens in zip(embeddings, token_lists)
+        ]
 
-        out: List[TokenEmbeddingMatrix] = []
-        expected_dim: Optional[int] = None
-        for rows, tokens in zip(embeddings, token_lists):
-            if len(rows) != len(tokens):
-                raise DimensionMismatch("token/vector count mismatch")
-            try:
-                matrix = np.asarray(rows, dtype=np.float64)
-            except ValueError as exc:
-                raise DimensionMismatch(f"ragged embedding rows: {exc}") from exc
-            if matrix.size == 0:
-                matrix = matrix.reshape(0, expected_dim or self.cfg.dimension)
-            if matrix.ndim != 2:
-                raise DimensionMismatch("ragged embedding rows")
-            if expected_dim is None and matrix.shape[0]:
-                expected_dim = int(matrix.shape[1])
-            if matrix.shape[0] and matrix.shape[1] != expected_dim:
-                raise DimensionMismatch(
-                    f"inconsistent dimensions {matrix.shape[1]} vs {expected_dim}"
-                )
-            out.append(TokenEmbeddingMatrix(list(tokens), normalize_rows(matrix)))
-        return out
+
+def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
+    """One reply embedding as an (n_tokens, dimension) matrix of unit rows.
+
+    A string holds the rows base64-encoded as little-endian float64, row-major,
+    ``dimension`` values per row; a list holds them as JSON numbers. Either
+    way the shape must be exactly (n_tokens, dimension).
+    """
+    if isinstance(rows, str):
+        try:
+            raw = base64.b64decode(rows, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise BackendUnavailable(f"embedding is not valid base64: {exc}") from exc
+        if len(raw) != n_tokens * dimension * 8:
+            raise DimensionMismatch(
+                f"{len(raw)} embedding bytes for {n_tokens} tokens of dimension {dimension}"
+            )
+        matrix = np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)
+    elif isinstance(rows, list):
+        try:
+            matrix = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatch(f"embedding rows are not a matrix of numbers: {exc}") from exc
+        if not rows:
+            matrix = matrix.reshape(0, dimension)
+        if matrix.shape != (n_tokens, dimension):
+            raise DimensionMismatch(
+                f"embedding of shape {matrix.shape} for {n_tokens} tokens of dimension {dimension}"
+            )
+    else:
+        raise BackendUnavailable("an embedding must be a base64 string or a list of rows")
+    return normalize_rows(matrix)
 
 
 _remote_clients: "dict[EmbedderConfig, RemoteEmbeddingClient]" = {}

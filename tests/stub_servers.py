@@ -5,11 +5,12 @@ request body it sees, so tests can assert on wire traffic (attempt counts,
 prompt contents, leakage scans).
 """
 
+import base64
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ragrade.embedding import deterministic_embed, tokenize
+from ragrade.embedding import EmbedderConfig, embed_texts
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -64,19 +65,24 @@ class StubServer:
 
 
 def mirror_embedding_app(dimension: int = 32):
-    """Serves the deterministic embedder over the wire protocol."""
+    """Serves the deterministic embedder over the wire protocol.
+
+    Each request is embedded in one ``embed_texts`` call. Its matrices go out
+    as base64 of little-endian float64 when the request asks for
+    ``"encoding_format": "base64"``, and as lists of numbers otherwise.
+    """
+    cfg = EmbedderConfig(dimension=dimension)
 
     def app(path, body):
-        texts = body.get("texts", [])
-        embeddings = []
-        token_lists = []
-        for text in texts:
-            tokens = tokenize(text)
-            token_lists.append(tokens)
-            embeddings.append(
-                [deterministic_embed(t, dimension).tolist() for t in tokens]
-            )
-        return 200, {"embeddings": embeddings, "tokens": token_lists}
+        matrices = embed_texts(body.get("texts", []), cfg)
+        if body.get("encoding_format") == "base64":
+            embeddings = [
+                base64.b64encode(m.vectors.astype("<f8").tobytes()).decode("ascii")
+                for m in matrices
+            ]
+        else:
+            embeddings = [m.vectors.tolist() for m in matrices]
+        return 200, {"embeddings": embeddings, "tokens": [m.tokens for m in matrices]}
 
     return app
 

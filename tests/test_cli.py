@@ -209,6 +209,44 @@ def test_grade_null_content_writes_manifest(corpus_path, tmp_path, stub_server_f
     assert _parse_paths(manifest) == {"failed": 3}
 
 
+def test_rag_outputs_identical_over_list_and_base64_embeddings(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    # one embedding server; in "list" mode it drops the client's encoding_format
+    mirror = mirror_embedding_app(32)
+    state = {"format": None, "replies": set()}
+
+    def embed_app(path, body):
+        if state["format"] == "list":
+            body = {k: v for k, v in body.items() if k != "encoding_format"}
+        status, payload = mirror(path, body)
+        state["replies"].update(type(e).__name__ for e in payload["embeddings"])
+        return status, payload
+
+    embed = stub_server_factory(embed_app)
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    remote = ["--embed-backend", "remote", "--embed-endpoint", embed.url]
+    outputs = {}
+    for fmt in ("list", "base64"):
+        state["format"], state["replies"] = fmt, set()
+        out_dir = tmp_path / fmt
+        manifest_path = out_dir / "m.json"
+        assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+        assert main(["index", "--split", "train", "--out-dir", str(out_dir), *remote]) == 0
+        flags = ["--mode", "rag", "--k", "3", "--split", "test_ua", "--endpoint", chat.url, *remote]
+        assert _grade(out_dir, manifest_path, *flags) == 0
+        assert main(["evaluate", str(manifest_path), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        manifest["created_at"] = "masked"
+        outputs[fmt] = (
+            (out_dir / "index.rgix").read_bytes(),
+            json.dumps(manifest),
+            (out_dir / "m.report.json").read_bytes(),
+        )
+        assert state["replies"] == {"list" if fmt == "list" else "str"}
+    assert outputs["list"] == outputs["base64"]
+
+
 @pytest.mark.parametrize("reply", ["wrong_shape", "zero_norm", "ragged"])
 def test_grade_rag_malformed_embedding_reply_fails_items(
     reply, corpus_path, fixture_corpus, tmp_path, stub_server_factory

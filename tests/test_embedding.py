@@ -1,3 +1,5 @@
+import base64
+import json
 import random
 import sys
 import unicodedata
@@ -15,8 +17,9 @@ from ragrade.embedding import (
     normalize_rows,
     tokenize,
     _hash_rows,
+    _token_rows,
 )
-from ragrade.errors import BackendUnavailable, DimensionMismatch
+from ragrade.errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding
 
 from stub_servers import fixed_embedding_app, mirror_embedding_app
 
@@ -236,6 +239,12 @@ def test_normalization_idempotent():
     assert float(np.max(np.abs(again - matrix))) <= 1e-9
 
 
+def test_normalize_rows_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidEmbedding, match="non-finite"):
+            normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
 def test_dimension_minimum():
     with pytest.raises(ValueError):
         EmbedderConfig(dimension=1)
@@ -298,6 +307,7 @@ def test_remote_batch_order(stub_server_factory):
     matrices = embed_texts(["alpha beta", "gamma"], cfg, role="document")
     assert [m.tokens for m in matrices] == [["alpha", "beta"], ["gamma"]]
     assert server.requests[0]["body"]["role"] == "document"
+    assert server.requests[0]["body"]["encoding_format"] == "base64"
 
 
 def test_remote_client_per_config_not_per_endpoint(stub_server_factory):
@@ -308,3 +318,66 @@ def test_remote_client_per_config_not_per_endpoint(stub_server_factory):
     wide = EmbedderConfig(backend="remote", endpoint=server.url, dimension=32)
     assert embed_tokens("hello", narrow).vectors.shape == (1, 16)
     assert embed_tokens("", wide).vectors.shape == (0, 32)
+
+
+def _base64_rows(matrix):
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), max_size=6),
+        )
+    )
+)
+def test_base64_and_list_embeddings_decode_bit_identically(case):
+    d, rows = case
+    as_list = json.loads(json.dumps(rows))  # the list path's JSON round trip
+    as_base64 = _base64_rows(np.array(rows, dtype=np.float64).reshape(len(rows), d))
+    decoded = []
+    for entry in (as_list, as_base64):
+        try:
+            matrix = _token_rows(entry, len(rows), d)
+            assert matrix.shape == (len(rows), d) and matrix.dtype == np.float64
+            decoded.append(matrix.tobytes())
+        except InvalidEmbedding:  # a row of zeros, or one whose squares underflow
+            decoded.append(InvalidEmbedding)
+    assert decoded[0] == decoded[1]
+
+
+_ONE_TOKEN_ROW = _base64_rows([[3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "embedding, error",
+    [
+        (_base64_rows([[3.0, 4.0, 0.0]]), DimensionMismatch),  # 24 bytes, not 16
+        (_base64_rows([[3.0, 4.0], [1.0, 0.0]]), DimensionMismatch),  # two rows, one token
+        (_ONE_TOKEN_ROW[:-4], DimensionMismatch),  # whole base64 quanta cut off
+        (_ONE_TOKEN_ROW[:-1], BackendUnavailable),  # padding cut off
+        ("*" + _ONE_TOKEN_ROW[1:], BackendUnavailable),  # not a base64 character
+        (_ONE_TOKEN_ROW[:4] + "\n" + _ONE_TOKEN_ROW[4:], BackendUnavailable),
+        ("\u00e9" * 4, BackendUnavailable),  # not ASCII
+        ([[3.0, 4.0, 0.0]], DimensionMismatch),  # list rows wider than the config
+        ([[3.0]], DimensionMismatch),
+        ([[3.0, {"x": 1}]], DimensionMismatch),
+        ([[3.0, 10 ** 400]], DimensionMismatch),
+        ([], DimensionMismatch),
+        (5, BackendUnavailable),
+        (None, BackendUnavailable),
+        ({"rows": [[3.0, 4.0]]}, BackendUnavailable),
+        ([[3.0, float("nan")]], InvalidEmbedding),
+        (_base64_rows([[3.0, float("inf")]]), InvalidEmbedding),
+    ],
+)
+def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, embedding, error):
+    server = stub_server_factory(
+        lambda path, body: (200, {"embeddings": [embedding], "tokens": [["hello"]]})
+    )
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=2)
+    with pytest.raises(error):
+        embed_tokens("hello", cfg)
+
