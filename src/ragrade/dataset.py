@@ -10,6 +10,7 @@ into ``train`` / ``test_ua`` (new answers to known questions) / ``test_uq``
 import csv
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List
@@ -95,6 +96,7 @@ class Corpus:
         """Check structural invariants; raises on violation."""
         seen_ids = set()
         question_to_qid: Dict[str, str] = {}
+        split_qids: Dict[str, set] = defaultdict(set)
         for rec in self.records:
             if rec.id in seen_ids:
                 raise CorpusError(f"duplicate record id {rec.id!r}")
@@ -109,10 +111,9 @@ class Corpus:
             question_to_qid[rec.question] = rec.question_id
             if rec.id not in self.split_assignment:
                 raise CorpusError(f"record {rec.id!r} has no split assignment")
+            split_qids[self.split_assignment[rec.id]].add(rec.question_id)
 
-        train_qids = {r.question_id for r in self._in_split("train")}
-        ua_qids = {r.question_id for r in self._in_split("test_ua")}
-        uq_qids = {r.question_id for r in self._in_split("test_uq")}
+        train_qids, ua_qids, uq_qids = (split_qids[split] for split in SPLITS)
 
         leaked = uq_qids & train_qids
         if leaked:
@@ -122,9 +123,6 @@ class Corpus:
             raise SplitViolation(
                 sorted(orphaned)[0], "in test_ua but has no train records"
             )
-
-    def _in_split(self, split: str) -> List[AnswerRecord]:
-        return [r for r in self.records if self.split_assignment[r.id] == split]
 
 
 def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":

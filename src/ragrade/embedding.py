@@ -15,12 +15,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding
+from .errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding, TransportError
+from .llmclient import post_json
 
 ROLE_QUERY = "query"
 ROLE_DOCUMENT = "document"
 # texts per embedding-service request
 _REQUEST_TEXTS = 32
+# ModelConfig's default request policy; not in the config or its fingerprint
+_ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,26 @@ def deterministic_embed(token: str, d: int) -> np.ndarray:
     return _hash_rows([token], d)[0]
 
 
+# below this norm a row's squares can be subnormal and lose bits
+_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize each row; idempotent within 1e-9 on already-unit rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.isfinite(matrix).all():
         raise InvalidEmbedding("non-finite embedding value")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if matrix.shape[0] and float(norms.min()) == 0.0:
-        raise InvalidEmbedding("zero-norm embedding row")
+    with np.errstate(over="ignore"):  # such rows are rescaled below
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if len(norms) and (float(norms.min()) < _TINY_NORM or float(norms.max()) == np.inf):
+        # squares that underflow or overflow: rescale those rows (only) by their
+        # largest magnitude, so the other rows stay bit for bit
+        odd = (norms < _TINY_NORM) | np.isinf(norms)
+        peak = np.where(odd, np.abs(matrix).max(axis=1, keepdims=True, initial=0.0), 1.0)
+        if not peak.all():
+            raise InvalidEmbedding("zero-norm embedding row")
+        matrix = matrix / peak
+        norms = np.where(odd, np.linalg.norm(matrix, axis=1, keepdims=True), norms)
     return matrix / norms
 
 
@@ -140,7 +155,9 @@ class RemoteEmbeddingClient:
     "encoding_format": "base64"} -> {"embeddings": [...], "tokens": [[...], ...]},
     one token matrix per input text. The returned token list is authoritative.
     An embedding is a string (see ``_token_rows``) or, from a server that
-    ignores ``encoding_format``, a list of rows of numbers.
+    ignores ``encoding_format``, a list of rows of numbers. Requests retry as
+    chat ones do (``llmclient.post_json``), with 3 attempts, 0.5 s backoff and
+    a 60 s timeout; one that still fails raises ``BackendUnavailable``.
     """
 
     def __init__(self, cfg: EmbedderConfig):
@@ -160,23 +177,14 @@ class RemoteEmbeddingClient:
         return out
 
     def _request(self, texts: List[str], role: str) -> List[TokenEmbeddingMatrix]:
-        import requests
-
         payload = {"texts": texts, "role": role, "encoding_format": "base64"}
         try:
-            resp = self._session.post(self.cfg.endpoint, json=payload, timeout=60)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"embedding service: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendUnavailable(
-                f"embedding service returned HTTP {resp.status_code}"
+            data = post_json(
+                self._session, self.cfg.endpoint, payload,
+                attempts=_ATTEMPTS, backoff=_BACKOFF, timeout=_TIMEOUT,
             )
-        try:
-            data = resp.json()
-        except ValueError:
-            data = None
-        if not isinstance(data, dict):
-            raise BackendUnavailable("embedding service response is not a JSON object")
+        except TransportError as exc:
+            raise BackendUnavailable(f"embedding service: {exc}") from exc
         embeddings = data.get("embeddings")
         token_lists = data.get("tokens")
         if not (

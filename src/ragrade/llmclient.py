@@ -7,8 +7,10 @@ response is recovered by line-anchored matching. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
-A request that times out, fails in transport, or gets a 5xx or a 429 is sent
-again, up to ``max_retries`` attempts in all, after ``retry_backoff * 2**n``
+Every HTTP request ragrade sends, chat or embedding, goes through
+``post_json`` and its one retry policy. A request that times out, fails in
+transport, or gets a 5xx or a 429 is sent again, up to ``max_retries``
+attempts in all (always 3 for embedding), after ``retry_backoff * 2**n``
 seconds (no jitter). A 429 or 503 whose ``Retry-After`` gives a delay in
 seconds longer than that waits the header's delay instead, capped at
 ``timeout``; the HTTP-date form is ignored. The wait applies to the item whose
@@ -148,22 +150,56 @@ _held = threading.local()  # .slots: the WorkSlots this thread's item holds a sl
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
-def retry_wait(cfg: ModelConfig, attempt: int, retry_after: Optional[str] = None) -> None:
-    """Sleep before retry ``attempt`` (1 for the first), holding no work slot.
+def post_json(
+    session, url: str, body, *, attempts: int, backoff: float, timeout: float, headers=None
+) -> Dict:
+    """POST ``body`` as JSON and return the reply's JSON object, retrying as
+    the module docstring says. Any other non-200 status, or a body that is not
+    a JSON object, raises ``TransportError`` at once."""
+    import requests
 
-    ``retry_after`` is the failed reply's ``Retry-After`` header, if any.
-    """
-    delay = cfg.retry_backoff * 2 ** (attempt - 1)
-    if retry_after is not None and _DELAY_SECONDS.fullmatch(retry_after.strip()):
-        delay = max(delay, min(float(retry_after), cfg.timeout))
-    slots = getattr(_held, "slots", None)
-    if slots is not None:
-        slots.give()
-    try:
-        time.sleep(delay)
-    finally:
-        if slots is not None:
-            slots.take(returning=True)
+    last_error: Optional[Exception] = None
+    retry_after: Optional[str] = None
+    for attempt in range(attempts):
+        if attempt:
+            delay = backoff * 2 ** (attempt - 1)
+            if retry_after is not None and _DELAY_SECONDS.fullmatch(retry_after.strip()):
+                delay = max(delay, min(float(retry_after), timeout))
+            slots = getattr(_held, "slots", None)
+            if slots is not None:
+                slots.give()
+            try:
+                time.sleep(delay)
+            finally:
+                if slots is not None:
+                    slots.take(returning=True)
+        retry_after = None
+        try:
+            resp = session.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.Timeout as exc:
+            last_error = Timeout(f"request timed out: {exc}")
+            continue
+        except requests.RequestException as exc:
+            last_error = TransportError(f"request failed: {exc}")
+            continue
+        if resp.status_code in (429, 503):
+            retry_after = resp.headers.get("Retry-After")
+        if resp.status_code == 429:
+            last_error = RateLimited("rate limited by endpoint")
+            continue
+        if resp.status_code >= 500:
+            last_error = TransportError(f"server error HTTP {resp.status_code}")
+            continue
+        if resp.status_code != 200:
+            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        try:
+            reply = resp.json()
+        except (ValueError, RecursionError):
+            reply = None
+        if not isinstance(reply, dict):
+            raise TransportError(f"reply is not a JSON object: {resp.text[:200]}")
+        return reply
+    raise last_error
 
 
 def _completions_url(endpoint: str) -> str:
@@ -187,8 +223,7 @@ class ChatClient:
         self._session = requests.Session()
 
     def complete(self, prompt: CompiledPrompt, relaxed: bool = False) -> str:
-        """One chat completion; retries transport/5xx/429 with exponential backoff
-        or a longer ``Retry-After``, giving up the item's slot while it waits."""
+        """One chat completion, sent through ``post_json``."""
         system = prompt.relaxed_system_text if relaxed else prompt.system_text
         user = prompt.relaxed_user_text if relaxed else prompt.user_text
         return self.complete_messages(
@@ -196,8 +231,6 @@ class ChatClient:
         )
 
     def complete_messages(self, messages) -> str:
-        import requests
-
         body = {
             "model": self.cfg.model,
             "messages": messages,
@@ -208,42 +241,18 @@ class ChatClient:
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-
-        url = _completions_url(self.cfg.endpoint)
-        last_error: Optional[Exception] = None
-        retry_after: Optional[str] = None
-        for attempt in range(self.cfg.max_retries):
-            if attempt:
-                retry_wait(self.cfg, attempt, retry_after)
-            retry_after = None
-            try:
-                resp = self._session.post(
-                    url, json=body, headers=headers, timeout=self.cfg.timeout
-                )
-            except requests.Timeout as exc:
-                last_error = Timeout(f"request timed out: {exc}")
-                continue
-            except requests.RequestException as exc:
-                last_error = TransportError(f"request failed: {exc}")
-                continue
-            if resp.status_code in (429, 503):
-                retry_after = resp.headers.get("Retry-After")
-            if resp.status_code == 429:
-                last_error = RateLimited("rate limited by endpoint")
-                continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"server error HTTP {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            try:
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError):
-                content = None
-            if not isinstance(content, str):
-                raise TransportError(f"malformed completion response: {resp.text[:200]}")
-            return content
-        raise last_error
+        cfg = self.cfg
+        reply = post_json(
+            self._session, _completions_url(cfg.endpoint), body, attempts=cfg.max_retries,
+            backoff=cfg.retry_backoff, timeout=cfg.timeout, headers=headers,
+        )
+        try:
+            content = reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise TransportError(f"malformed completion response: {str(reply)[:200]}")
+        return content
 
 
 def _first_json_object(raw: str) -> Dict:
@@ -252,7 +261,7 @@ def _first_json_object(raw: str) -> Dict:
     while idx != -1:
         try:
             obj, _ = decoder.raw_decode(raw, idx)
-        except ValueError:
+        except (ValueError, RecursionError):  # undecodable, or nested too deep
             idx = raw.find("{", idx + 1)
             continue
         if isinstance(obj, dict):
@@ -265,7 +274,10 @@ def _coerce_score(value) -> float:
     if isinstance(value, bool):
         raise TypeMismatch(f"score has wrong type {type(value).__name__}")
     if isinstance(value, (int, float)):
-        score = float(value)
+        try:
+            score = float(value)
+        except OverflowError:  # an int too large for a float
+            raise ScoreValueOutOfRange(value)
     elif isinstance(value, str):
         try:
             score = float(value.strip())

@@ -111,17 +111,11 @@ def _exclusions(record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex) -
     return exclude
 
 
-def _retrieve_neighbors(
-    record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex
-) -> List[RetrievedExample]:
-    return top_k(index, record.student_answer, cfg.k, exclude=_exclusions(record, cfg, index))
-
-
 def _batch_neighbors(
     records: Sequence[AnswerRecord], cfg: PipelineConfig, index: MaxSimIndex
 ) -> List[Optional[List[RetrievedExample]]]:
-    """Every record's neighbours, one ``top_k_batch`` per query group. A
-    group whose retrieval fails gets ``None``: its items retrieve for themselves."""
+    """Every record's neighbours, one ``top_k_batch`` per query group; ``None``
+    for each record of a group whose retrieval fails after its retries."""
     out: List[Optional[List[RetrievedExample]]] = []
     step = query_group_size(index)
     for first in range(0, len(records), step):
@@ -134,25 +128,9 @@ def _batch_neighbors(
                 [_exclusions(r, cfg, index) for r in group],
             )
         except _RETRIEVAL_FAILURES as exc:
-            logger.warning("batch retrieval failed (%s); its items retrieve one by one", exc)
+            logger.warning("batch retrieval failed (%s); its %d items fail", exc, len(group))
             out += [None] * len(group)
     return out
-
-
-def _build_demos(
-    record: AnswerRecord,
-    cfg: PipelineConfig,
-    index: MaxSimIndex,
-    sig: Signature,
-    neighbors: Optional[List[RetrievedExample]],
-) -> List[Demo]:
-    if neighbors is None:
-        neighbors = _retrieve_neighbors(record, cfg, index)
-    demos = [demo_from_record(n.record, sig) for n in neighbors]
-    for demo in demos:
-        if demo.source_record_id == record.id:
-            raise GoldLeakage(f"live record {record.id} selected as its own demo")
-    return demos
 
 
 def grade_item(
@@ -173,13 +151,19 @@ def grade_item(
     vote use ``neighbors`` when given, else retrieve them from ``index``.
     """
     cfg.validate()
+    if cfg.mode in (MODE_RAG, MODE_VOTE):
+        if index is None:
+            raise ValueError(f"{cfg.mode} mode requires an index")
+        if neighbors is None:
+            try:
+                neighbors = top_k(
+                    index, record.student_answer, cfg.k, exclude=_exclusions(record, cfg, index)
+                )
+            except EmptyMatrix:
+                neighbors = []
 
     if cfg.mode == MODE_VOTE:
-        if index is None:
-            raise ValueError("votegrader mode requires an index")
         try:
-            if neighbors is None:
-                neighbors = _retrieve_neighbors(record, cfg, index)
             vote = vote_classify(neighbors)
         except RagradeError as exc:
             logger.warning("vote failed for %s: %s", record.id, exc)
@@ -190,13 +174,10 @@ def grade_item(
 
     template = template or compile_signature(Signature(), cfg.style)
     if cfg.mode == MODE_RAG:
-        if index is None:
-            raise ValueError("rag mode requires an index")
-        try:
-            demos = _build_demos(record, cfg, index, template.signature, neighbors)
-        except EmptyMatrix:
-            # no-response answers cannot be embedded; grade them zero-shot style
-            demos = []
+        # an answer without tokens has no neighbours: it is graded zero-shot style
+        demos = [demo_from_record(n.record, template.signature) for n in neighbors]
+        if any(demo.source_record_id == record.id for demo in demos):
+            raise GoldLeakage(f"live record {record.id} selected as its own demo")
     elif cfg.mode == MODE_OPTIMIZED:
         demos = list(fixed_demos or [])
     else:
@@ -242,34 +223,32 @@ def run_split(
     if client is None and cfg.model is not None:
         client = ChatClient(cfg.model)
 
-    # retrieval for the whole split, before the pool; items without
-    # neighbours (no or an empty index, a failed group) retrieve on their worker
-    neighbors: List[Optional[List[RetrievedExample]]] = [None] * len(records)
-    if cfg.mode in (MODE_RAG, MODE_VOTE) and index is not None and len(index):
-        neighbors = _batch_neighbors(records, cfg, index)
+    # retrieval for the whole split, before the pool; the items of a group
+    # whose retrieval fails are failed judgments, with no request of their own
+    retrieves = cfg.mode in (MODE_RAG, MODE_VOTE)
+    if retrieves and index is None:
+        raise ValueError(f"{cfg.mode} mode requires an index")
+    neighbors = _batch_neighbors(records, cfg, index) if retrieves else [None] * len(records)
 
-    # the only bound on requests in flight, chat and embedding alike: an item
-    # holds a slot while it works and gives it up while it waits out a retry,
-    # so twice as many threads keep the slots busy during backoffs
+    # the only bound on chat requests in flight: an item holds a slot while
+    # it works and gives it up while it waits out a retry, so twice as many
+    # threads keep the slots busy during backoffs
     concurrency = cfg.model.concurrency if cfg.model else 1
     slots = WorkSlots(concurrency)
 
     def one(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
-        try:
-            with slots:
-                return grade_item(
-                    record,
-                    cfg,
-                    index,
-                    template=template,
-                    client=client,
-                    fixed_demos=fixed_demos,
-                    neighbors=hits,
-                )
-        except _RETRIEVAL_FAILURES as exc:
-            # judge() absorbs client errors per item; this guards the retrieval path
-            logger.warning("item %s failed: %s", record.id, exc)
+        if retrieves and hits is None:
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
+        with slots:
+            return grade_item(
+                record,
+                cfg,
+                index,
+                template=template,
+                client=client,
+                fixed_demos=fixed_demos,
+                neighbors=hits,
+            )
 
     with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
         return list(pool.map(one, records, neighbors))

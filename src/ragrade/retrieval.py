@@ -158,7 +158,7 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
 def query_group_size(index: MaxSimIndex) -> int:
     """Queries per ``top_k_batch`` group: their float64 score block
     (documents x queries) fits ``_SCORE_BLOCK_BYTES``."""
-    return max(1, _SCORE_BLOCK_BYTES // (8 * len(index)))
+    return max(1, _SCORE_BLOCK_BYTES // (8 * max(1, len(index))))
 
 
 def _scan_scores(index: MaxSimIndex, queries: Sequence[np.ndarray]) -> np.ndarray:

@@ -118,18 +118,18 @@ def fixed_chat_app(text: str):
     return app
 
 
-def fail_n_then_app(n: int, text: str, status: int = 500, headers=None):
-    """First ``n`` requests fail with ``status`` (and ``headers``); later ones return ``text``."""
+def fail_n_then(n: int, app, status: int = 500, headers=None):
+    """First ``n`` requests fail with ``status`` (and ``headers``); later ones go to ``app``."""
     state = {"count": 0, "lock": threading.Lock()}
 
-    def app(path, body):
+    def wrapped(path, body):
         with state["lock"]:
             state["count"] += 1
             if state["count"] <= n:
                 return status, {"error": "injected failure"}, headers or {}
-        return 200, _chat_payload(text)
+        return app(path, body)
 
-    return app
+    return wrapped
 
 
 def rate_limit_once_app(answers, app):

@@ -196,6 +196,43 @@ def test_manifest_ledger_is_tally_of_parse_paths(
     assert seen["vote"] == {"typed": 2, "failed": 1}
 
 
+def test_embedding_503_then_200_is_retried_by_index_and_grade(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, monkeypatch
+):
+    # each embedding request is refused once with a 503, then answered
+    monkeypatch.setattr("ragrade.embedding._BACKOFF", 0.0)
+    mirror = mirror_embedding_app(32)
+    state = {"flaky": False, "sends": 0}
+
+    def embed_app(path, body):
+        state["sends"] += 1
+        if state["flaky"] and state["sends"] % 2:
+            return 503, {"error": "busy"}
+        return mirror(path, body)
+
+    embed = stub_server_factory(embed_app)
+    remote = ["--embed-backend", "remote", "--embed-endpoint", embed.url]
+    gold = gold_by_answer(fixture_corpus.records)
+    runs = {}
+    for flaky in (False, True):
+        state["flaky"], state["sends"] = flaky, 0
+        out_dir = tmp_path / f"flaky_{flaky}"
+        chat = stub_server_factory(echo_gold_chat_app(gold))
+        assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+        assert main(["index", "--split", "train", "--out-dir", str(out_dir), *remote]) == 0
+        flags = ["--mode", "rag", "--k", "3", "--split", "test_ua", "--endpoint", chat.url,
+                 "--concurrency", "1", *remote]
+        assert _grade(out_dir, out_dir / "m.json", *flags) == 0
+        assert _parse_paths(json.loads((out_dir / "m.json").read_text())) == {"typed": 3}
+        runs[flaky] = (
+            (out_dir / "index.rgix").read_bytes(),
+            [r["body"]["messages"] for r in chat.requests],
+            state["sends"],
+        )
+    assert runs[True][:2] == runs[False][:2]
+    assert (runs[False][2], runs[True][2]) == (2, 4)  # index and queries: one retry each
+
+
 def test_grade_null_content_writes_manifest(corpus_path, tmp_path, stub_server_factory):
     out_dir = tmp_path / "runs"
     server = stub_server_factory(

@@ -245,6 +245,27 @@ def test_normalize_rows_rejects_non_finite_values():
             normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+def test_normalize_rows_survives_overflowing_and_underflowing_squares(scale):
+    # the squares of these rows overflow to inf, underflow to 0, or go subnormal
+    out = normalize_rows(np.array([[scale, scale], [3.0, -4.0], [-scale, 0.0], [scale, 0.3 * scale]]))
+    expected = [[2**-0.5, 2**-0.5], [0.6, -0.8], [-1.0, 0.0], np.array([1.0, 0.3]) / 1.09**0.5]
+    assert np.allclose(out, expected, rtol=0, atol=1e-15)
+
+
+def test_normalize_rows_keeps_ordinary_rows_bit_for_bit():
+    matrix = np.random.default_rng(7).normal(size=(64, 32)) * np.logspace(-100, 100, 64)[:, None]
+    expected = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    assert normalize_rows(matrix).tobytes() == expected.tobytes()
+    mixed = np.vstack([matrix, [[1e200] * 32]])  # one odd row leaves the others alone
+    assert normalize_rows(mixed)[:64].tobytes() == expected.tobytes()
+
+
+def test_normalize_rows_rejects_zero_rows():
+    with pytest.raises(InvalidEmbedding, match="zero-norm"):
+        normalize_rows(np.array([[3.0, 4.0], [0.0, -0.0]]))
+
+
 def test_dimension_minimum():
     with pytest.raises(ValueError):
         EmbedderConfig(dimension=1)

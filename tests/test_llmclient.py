@@ -5,12 +5,15 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ragrade import llmclient
+from ragrade import embedding, llmclient
 
 from ragrade.errors import (
+    FallbackParseFailed,
     MissingOutputField,
     NoJsonFound,
+    ParseError,
     RateLimited,
     ScoreValueOutOfRange,
     TransportError,
@@ -27,10 +30,13 @@ from ragrade.llmclient import (
 from ragrade.promptkit import Signature, compile_signature, render_prompt
 
 from stub_servers import (
+    _chat_payload,
+    _is_relaxed,
     always_status_app,
     echo_gold_chat_app,
-    fail_n_then_app,
+    fail_n_then,
     fixed_chat_app,
+    mirror_embedding_app,
 )
 
 SCHEMA = (("score", "real01"), ("label", "label3"), ("feedback", "freetext"))
@@ -69,7 +75,7 @@ def test_complete_returns_stub_body(stub_server_factory):
 
 
 def test_retry_succeeds_after_two_failures(stub_server_factory):
-    server = stub_server_factory(fail_n_then_app(2, "recovered"))
+    server = stub_server_factory(fail_n_then(2, fixed_chat_app("recovered")))
     client = ChatClient(_cfg(server.url, max_retries=3))
     assert client.complete(_prompt()) == "recovered"
     assert len(server.requests) == 3
@@ -90,27 +96,51 @@ def test_rate_limited(stub_server_factory):
         client.complete(_prompt())
 
 
+_RETRY_AFTER_CASES = [
+    (429, "2", 0.0, 2.0),  # the header's delay is longer than the backoff
+    (503, "2", 0.0, 2.0),
+    (429, "0", 0.25, 0.25),  # the backoff is longer
+    (429, "30", 0.0, 5.0),  # capped at the timeout
+    (500, "2", 0.25, 0.25),  # honoured on 429 and 503 only
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25, 0.25),  # date form ignored
+    (429, "-3", 0.25, 0.25),
+]
+
+
+def _chat_once(url, backoff, timeout, monkeypatch):
+    client = ChatClient(_cfg(url, max_retries=2, retry_backoff=backoff, timeout=timeout))
+    assert client.complete(_prompt()) == "recovered"
+
+
+def _embed_once(url, backoff, timeout, monkeypatch):
+    # the embedding client has no retry options: it reads its module's policy
+    monkeypatch.setattr(embedding, "_BACKOFF", backoff)
+    monkeypatch.setattr(embedding, "_TIMEOUT", timeout)
+    cfg = embedding.EmbedderConfig(backend="remote", endpoint=url, dimension=8)
+    assert embedding.embed_tokens("recovered", cfg).tokens == ["recovered"]
+
+
+# both clients send through one request path, so they wait alike; chat cases are unprefixed
 @pytest.mark.parametrize(
-    "status, retry_after, backoff, expected",
+    "send, app, status, retry_after, backoff, expected",
     [
-        (429, "2", 0.0, 2.0),  # the header's delay is longer than the backoff
-        (503, "2", 0.0, 2.0),
-        (429, "0", 0.25, 0.25),  # the backoff is longer
-        (429, "30", 0.0, 5.0),  # capped at the timeout
-        (500, "2", 0.25, 0.25),  # honoured on 429 and 503 only
-        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25, 0.25),  # date form ignored
-        (429, "-3", 0.25, 0.25),
+        pytest.param(send, app, *case, id=prefix + "-".join(map(str, case)))
+        for prefix, send, app in (
+            ("", _chat_once, fixed_chat_app("recovered")),
+            ("embedding-", _embed_once, mirror_embedding_app(8)),
+        )
+        for case in _RETRY_AFTER_CASES
     ],
 )
 def test_retry_wait_honours_retry_after(
-    stub_server_factory, monkeypatch, status, retry_after, backoff, expected
+    stub_server_factory, monkeypatch, send, app, status, retry_after, backoff, expected
 ):
     waits = []
     monkeypatch.setattr(llmclient, "time", SimpleNamespace(sleep=waits.append))
-    app = fail_n_then_app(1, "recovered", status, headers={"Retry-After": retry_after})
-    server = stub_server_factory(app)
-    client = ChatClient(_cfg(server.url, max_retries=2, retry_backoff=backoff, timeout=5.0))
-    assert client.complete(_prompt()) == "recovered"
+    server = stub_server_factory(
+        fail_n_then(1, app, status, headers={"Retry-After": retry_after})
+    )
+    send(server.url, backoff, 5.0, monkeypatch)
     assert waits == [expected]
     assert len(server.requests) == 2
 
@@ -159,6 +189,13 @@ def test_unreachable_endpoint_raises_transport_error():
     client = ChatClient(_cfg("http://127.0.0.1:9", max_retries=2))
     with pytest.raises(TransportError):
         client.complete(_prompt())
+
+
+def test_deeply_nested_reply_envelope_is_a_transport_error(stub_server_factory):
+    deep = b'{"choices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    server = stub_server_factory(lambda path, body: (200, deep))
+    with pytest.raises(TransportError, match="not a JSON object"):
+        ChatClient(_cfg(server.url)).complete(_prompt())
 
 
 def test_bearer_token_from_environment(stub_server_factory, monkeypatch):
@@ -323,6 +360,17 @@ def test_judge_malformed_completion_is_hard_failure(stub_server_factory, payload
     assert len(server.requests) == 3  # complete, then judge's typed and relaxed asks
 
 
+def test_judge_deeply_nested_reply_takes_the_relaxed_path(stub_server_factory):
+    def app(path, body):
+        if _is_relaxed(body):
+            return 200, _chat_payload("Score: 1.0\nLabel: correct\nFeedback: fine")
+        return 200, _chat_payload('{"score": ' + "[" * 100_000)
+
+    judgment = judge(_prompt(), ChatClient(_cfg(stub_server_factory(app).url)))
+    assert judgment.parse_path == "fallback"
+    assert (judgment.score, judgment.label) == (1.0, "correct")
+
+
 def test_ledger_counts_injected_failure_rate(stub_server_factory, fixture_corpus):
     from conftest import gold_by_answer
 
@@ -362,3 +410,58 @@ def test_temperature_validation():
     with pytest.raises(ValueError, match="retry_backoff"):
         ModelConfig(endpoint="http://x", model="m", retry_backoff=-0.5)
     assert ModelConfig(endpoint="http://x", model="m", retry_backoff=0.0).retry_backoff == 0.0
+
+
+# --- parser properties ---
+
+_SCORES = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.text(max_size=12),
+    st.sampled_from(["0.5", " 1 ", "1e400", "nan", "-0", "1_0"]),
+    st.booleans(),
+    st.none(),
+)
+_LABELS = st.one_of(
+    st.sampled_from(["correct", "Partially correct", "INCORRECT", "great"]), st.text(max_size=12)
+)
+_TYPED_REPLIES = st.one_of(
+    st.text(),
+    st.builds(
+        lambda prefix, obj: prefix + json.dumps(obj),
+        st.text(max_size=8),
+        st.fixed_dictionaries(
+            {"score": _SCORES, "label": _LABELS},
+            optional={"feedback": st.one_of(st.text(max_size=8), st.integers())},
+        ),
+    ),
+)
+_RELAXED_REPLIES = st.one_of(
+    st.text(),
+    st.builds(
+        "Score: {}\nLabel: {}\nFeedback: {}".format,
+        st.one_of(_SCORES.map(str), st.from_regex(r"-?[0-9]+(\.[0-9]+)?", fullmatch=True)),
+        _LABELS,
+        st.text(max_size=8),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TYPED_REPLIES)
+def test_parse_typed_raises_only_parse_errors_and_keeps_scores_in_range(raw):
+    try:
+        judgment = parse_typed(raw, SCHEMA)
+    except ParseError:
+        return
+    assert 0.0 <= judgment.score <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RELAXED_REPLIES)
+def test_parse_relaxed_raises_only_fallback_failures_and_keeps_scores_in_range(raw):
+    try:
+        judgment = parse_relaxed(raw)
+    except FallbackParseFailed:
+        return
+    assert 0.0 <= judgment.score <= 1.0

@@ -225,36 +225,29 @@ def test_several_waiting_items_keep_the_bound(fixture_corpus, stub_server_factor
     assert gauge.peak == 2
 
 
-def test_rag_failed_batch_retrieval_falls_back_per_item(fixture_corpus, stub_server_factory):
-    # the embedding service refuses the split's multi-text query request but
-    # answers single texts: each item retrieves for itself, with the same demos
+@pytest.mark.parametrize("mode", [MODE_RAG, MODE_VOTE])
+def test_failing_query_batch_fails_its_items_without_more_requests(
+    mode, fixture_corpus, stub_server_factory, monkeypatch
+):
+    # documents embed; every query request gets a 503
     from stub_servers import mirror_embedding_app
 
+    monkeypatch.setattr("ragrade.embedding._BACKOFF", 0.0)
     mirror = mirror_embedding_app(32)
-    state = {"refuse_batches": True}
 
     def embed_app(path, body):
-        if state["refuse_batches"] and body["role"] == "query" and len(body["texts"]) > 1:
-            return 503, {"error": "batch refused"}
-        return mirror(path, body)
+        return (503, {"error": "down"}) if body["role"] == "query" else mirror(path, body)
 
     embed = stub_server_factory(embed_app)
     embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
     index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    model = _model_cfg(chat.url) if mode == MODE_RAG else None
     records = split_view(fixture_corpus, "test_ua")
-    gold = gold_by_answer(fixture_corpus.records)
-    prompts = []
-    for refuse in (True, False):
-        state["refuse_batches"] = refuse
-        chat = stub_server_factory(echo_gold_chat_app(gold))
-        cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(chat.url, concurrency=1))
-        judgments = run_split(records, cfg, index)
-        assert [j.parse_path for j in judgments] == ["typed"] * len(records)
-        prompts.append([r["body"]["messages"] for r in chat.requests])
-    sizes = [len(r["body"]["texts"]) for r in embed.requests if r["body"]["role"] == "query"]
-    # refused batch, one request per item, then the healthy run's one batch
-    assert sizes == [3, 1, 1, 1, 3]
-    assert prompts[0] == prompts[1]
+    judgments = run_split(records, PipelineConfig(mode=mode, k=3, model=model), index)
+    assert [j.parse_path for j in judgments] == ["failed"] * len(records)
+    assert [r["body"]["role"] for r in embed.requests].count("query") == 3  # one group, 3 attempts
+    assert chat.requests == []
 
 
 def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_server_factory):
@@ -327,20 +320,20 @@ def test_exclude_same_question_flag(fixture_corpus, train_index, stub_server_fac
 
 
 def test_exclude_same_question_matches_payload_filter(fixture_corpus, train_index):
-    from ragrade.pipelines import _retrieve_neighbors
+    from ragrade.pipelines import _batch_neighbors
     from ragrade.retrieval import top_k
 
     for k in (1, 3, 8):
         cfg = PipelineConfig(mode=MODE_VOTE, k=k, exclude_same_question=True)
-        for record in fixture_corpus.records:
+        got = _batch_neighbors(fixture_corpus.records, cfg, train_index)
+        for record, hits in zip(fixture_corpus.records, got):
             same_question = {
                 rid for rid, rec in train_index.payload.items()
                 if rec.question_id == record.question_id
             }
             reference = top_k(train_index, record.student_answer, k,
                               exclude={record.id} | same_question)
-            got = _retrieve_neighbors(record, cfg, train_index)
-            assert [n.record.id for n in got] == [n.record.id for n in reference]
+            assert [n.record.id for n in hits] == [n.record.id for n in reference]
 
 
 def test_chain_of_thought_style_end_to_end(fixture_corpus, train_index, stub_server_factory):
