@@ -6,14 +6,13 @@ from .dataset import AnswerRecord, Corpus, load_corpus, save_corpus, split_view
 from .embedding import EmbedderConfig, TokenEmbeddingMatrix, deterministic_embed, tokenize
 from .llmclient import ChatClient, Judgment, LedgerEntry, ModelConfig
 from .pipelines import OptimizedProgram, PipelineConfig, grade_item, optimize_few_shot, run_split
-from .promptkit import CompiledPrompt, Demo, Signature, compile_signature, render_prompt
+from .promptkit import Demo, PromptTemplate, Signature, compile_signature, render_prompt
 from .retrieval import MaxSimIndex, RetrievedExample, build_index, load_index, maxsim_score, save_index, top_k, top_k_batch
 from .votegrader import VoteResult, vote_classify
 
 __all__ = [
     "AnswerRecord",
     "ChatClient",
-    "CompiledPrompt",
     "Corpus",
     "Demo",
     "EmbedderConfig",
@@ -23,6 +22,7 @@ __all__ = [
     "ModelConfig",
     "OptimizedProgram",
     "PipelineConfig",
+    "PromptTemplate",
     "RetrievedExample",
     "Signature",
     "TokenEmbeddingMatrix",

@@ -212,8 +212,8 @@ def _cmd_grade(args) -> int:
             f"mode {mode_name!r} calls a model; pass --endpoint (and --model)"
         )
 
-    program = None
-    demo_pool = None
+    signature = _signature(cfg)
+    demo_records: List[dataset.AnswerRecord] = []
     if mode == pipelines.MODE_OPTIMIZED:
         if not args.program:
             raise RagradeError("optimized mode needs --program from `ragrade optimize`")
@@ -222,8 +222,13 @@ def _cmd_grade(args) -> int:
             program = pipelines.OptimizedProgram(**data)
         except TypeError as exc:
             raise RagradeError(f"malformed program file {args.program}: {exc}") from exc
-        demo_pool = dataset.split_view(corpus, "train")
-        k = len(program.demo_record_ids)
+        by_id = {r.id: r for r in dataset.split_view(corpus, "train")}
+        missing = [rid for rid in program.demo_record_ids if rid not in by_id]
+        if missing:
+            raise RagradeError(f"program demo ids not in the train pool: {missing}")
+        demo_records = [by_id[rid] for rid in program.demo_record_ids]
+        signature = dataclasses.replace(signature, task_description=program.instruction)
+        k = len(demo_records)
 
     pipe_cfg = pipelines.PipelineConfig(
         mode=mode,
@@ -234,12 +239,7 @@ def _cmd_grade(args) -> int:
         seed=int(cfg.get("seed")),
     )
     judgments = pipelines.run_split(
-        records,
-        pipe_cfg,
-        index,
-        signature=_signature(cfg),
-        program=program,
-        demo_pool=demo_pool,
+        records, pipe_cfg, index, signature=signature, demo_records=demo_records
     )
 
     run_config = {
@@ -314,6 +314,8 @@ def _cmd_optimize(args) -> int:
     shuffled = list(train)
     rng.shuffle(shuffled)
     dev_count = min(int(cfg.get("dev_count")), len(shuffled) - 1)
+    if dev_count < 1:  # train has >= 2 records, so only a flag below 1 gets here
+        raise RagradeError("--dev-count must be >= 1")
     dev, train_pool = shuffled[:dev_count], shuffled[dev_count:]
 
     model_cfg = _model_config(cfg)

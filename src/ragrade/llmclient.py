@@ -1,9 +1,10 @@
 """Chat-completion client for OpenAI-compatible endpoints, with typed output.
 
-The strict path asks for a single JSON object and parses it under the
-prompt's output schema. When that fails, a second request goes out with the
-relaxed plain-text prompt ("Score:", "Label:", "Feedback:" lines) and the
-response is recovered by line-anchored matching. Each judgment's
+The strict path sends a rendered ``PromptTemplate``'s system and user text,
+asks for a single JSON object and parses it under the prompt's output
+schema. When that fails, a second request goes out with the relaxed
+plain-text prompt ("Score:", "Label:", "Feedback:" lines) and the response
+is recovered by line-anchored matching. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
@@ -41,7 +42,7 @@ from .errors import (
     TransportError,
     TypeMismatch,
 )
-from .promptkit import CompiledPrompt, TYPE_FREETEXT, TYPE_LABEL3, TYPE_REAL01
+from .promptkit import PromptTemplate, TYPE_FREETEXT, TYPE_LABEL3, TYPE_REAL01
 
 logger = logging.getLogger(__name__)
 
@@ -222,7 +223,7 @@ class ChatClient:
 
         self._session = requests.Session()
 
-    def complete(self, prompt: CompiledPrompt, relaxed: bool = False) -> str:
+    def complete(self, prompt: PromptTemplate, relaxed: bool = False) -> str:
         """One chat completion, sent through ``post_json``."""
         system = prompt.relaxed_system_text if relaxed else prompt.system_text
         user = prompt.relaxed_user_text if relaxed else prompt.user_text
@@ -339,7 +340,8 @@ def parse_typed(raw: str, schema) -> Judgment:
     )
 
 
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# the number forms float() reads: a sign, a leading- or trailing-dot decimal, an exponent
+_NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _relaxed_field(raw: str, name: str, take_rest: bool = False) -> Optional[str]:
@@ -382,7 +384,7 @@ def parse_relaxed(raw: str) -> Judgment:
 
 
 def fallback_parse(
-    prompt: CompiledPrompt, client: ChatClient, first_raw: Optional[str]
+    prompt: PromptTemplate, client: ChatClient, first_raw: Optional[str]
 ) -> Judgment:
     """Second request with the relaxed prompt after a typed-parse failure.
 
@@ -405,7 +407,7 @@ def fallback_parse(
     return judgment
 
 
-def judge(prompt: CompiledPrompt, client: ChatClient) -> Judgment:
+def judge(prompt: PromptTemplate, client: ChatClient) -> Judgment:
     """Typed attempt, then fallback; the judgment's parse path is the item's outcome."""
     first_raw: Optional[str] = None
     try:

@@ -180,7 +180,8 @@ def rouge2(candidate: str, reference: str) -> Rouge2:
 
 
 def embed_sim_f1(candidate: str, reference: str, cfg: EmbedderConfig) -> float:
-    """Greedy token-level cosine F1 over the embedder; empty text scores 0."""
+    """Greedy token-level cosine F1 over the embedder, in [0, 1]: empty text,
+    or a greedy precision or recall at or below 0, scores 0."""
     return _greedy_f1(*embed_texts([candidate, reference], cfg))
 
 
@@ -190,7 +191,7 @@ def _greedy_f1(cand: TokenEmbeddingMatrix, ref: TokenEmbeddingMatrix) -> float:
     sims = cand.vectors @ ref.vectors.T
     precision = float(np.mean(np.max(sims, axis=1)))
     recall = float(np.mean(np.max(sims, axis=0)))
-    if precision + recall == 0.0:
+    if precision <= 0.0 or recall <= 0.0:  # 2PR/(P+R) is unbounded there
         return 0.0
     return 2 * precision * recall / (precision + recall)
 

@@ -3,8 +3,10 @@ and offline instruction/demo search.
 
 Every run over a split produces one judgment per record (input order
 preserved regardless of execution order) and can be serialized into a
-manifest that is sufficient to reproduce and re-evaluate the run. The
-manifest's error ledger is tallied from the judgments' parse paths.
+manifest that is sufficient to reproduce and re-evaluate the run. rag and
+vote retrieve the whole split's neighbours in one batch pass before any item
+is graded. The manifest's error ledger is tallied from the judgments' parse
+paths.
 """
 
 import json
@@ -21,7 +23,6 @@ from .errors import (
     BackendUnavailable,
     BudgetExhaustedWithoutValidCandidate,
     DimensionMismatch,
-    EmptyMatrix,
     GoldLeakage,
     InvalidEmbedding,
     RagradeError,
@@ -46,6 +47,7 @@ from .promptkit import (
     demo_from_record,
     render_prompt,
 )
+# top_k is imported only so that perfbench/spans.py can patch pipelines.top_k
 from .retrieval import MaxSimIndex, RetrievedExample, query_group_size, top_k, top_k_batch
 from .votegrader import vote_classify
 
@@ -136,32 +138,18 @@ def _batch_neighbors(
 def grade_item(
     record: AnswerRecord,
     cfg: PipelineConfig,
-    index: Optional[MaxSimIndex] = None,
-    *,
-    template: Optional[PromptTemplate] = None,
-    client: Optional[ChatClient] = None,
-    fixed_demos: Optional[Sequence[Demo]] = None,
-    neighbors: Optional[List[RetrievedExample]] = None,
+    template: Optional[PromptTemplate],
+    client: Optional[ChatClient],
+    demos: Sequence[Demo] = (),
+    neighbors: Sequence[RetrievedExample] = (),
 ) -> Judgment:
     """Grade one record under the configured pipeline mode.
 
     The record's gold fields are never placed in the live item; demos carry
-    only other records' gold outputs. Demos and prompt follow the template's
-    signature (the default signature when no template is given). rag and
-    vote use ``neighbors`` when given, else retrieve them from ``index``.
+    only other records' gold outputs. rag and vote take the record's
+    ``neighbors`` from ``run_split``'s split-wide retrieval; optimized mode
+    renders the fixed ``demos``. vote needs no template and no client.
     """
-    cfg.validate()
-    if cfg.mode in (MODE_RAG, MODE_VOTE):
-        if index is None:
-            raise ValueError(f"{cfg.mode} mode requires an index")
-        if neighbors is None:
-            try:
-                neighbors = top_k(
-                    index, record.student_answer, cfg.k, exclude=_exclusions(record, cfg, index)
-                )
-            except EmptyMatrix:
-                neighbors = []
-
     if cfg.mode == MODE_VOTE:
         try:
             vote = vote_classify(neighbors)
@@ -172,23 +160,18 @@ def grade_item(
             score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED
         )
 
-    template = template or compile_signature(Signature(), cfg.style)
     if cfg.mode == MODE_RAG:
         # an answer without tokens has no neighbours: it is graded zero-shot style
         demos = [demo_from_record(n.record, template.signature) for n in neighbors]
         if any(demo.source_record_id == record.id for demo in demos):
             raise GoldLeakage(f"live record {record.id} selected as its own demo")
-    elif cfg.mode == MODE_OPTIMIZED:
-        demos = list(fixed_demos or [])
-    else:
-        demos = []
 
     inputs = {
         "question": record.question,
         "reference_answer": record.reference_answer,
         "student_answer": record.student_answer,
     }
-    return judge(render_prompt(template, inputs, demos), client or ChatClient(cfg.model))
+    return judge(render_prompt(template, inputs, demos), client)
 
 
 def run_split(
@@ -197,38 +180,32 @@ def run_split(
     index: Optional[MaxSimIndex] = None,
     *,
     signature: Optional[Signature] = None,
-    program: Optional[OptimizedProgram] = None,
-    demo_pool: Optional[Sequence[AnswerRecord]] = None,
+    demo_records: Sequence[AnswerRecord] = (),
     client: Optional[ChatClient] = None,
 ) -> List[Judgment]:
     """Grade a whole split view; output order equals input order.
 
-    ``client``, when given, sends every chat request; else the run builds one.
+    ``signature`` defaults to ``Signature()``; optimized mode passes one that
+    carries the program's instruction, and renders ``demo_records`` as the
+    fixed demos of every item. ``client``, when given, sends every chat
+    request; else the run builds one.
     """
     cfg.validate()
     sig = signature or Signature()
-
-    fixed_demos: Optional[List[Demo]] = None
-    if cfg.mode == MODE_OPTIMIZED:
-        if program is None or demo_pool is None:
-            raise ValueError("optimized mode requires a program and its demo pool")
-        sig = replace(sig, task_description=program.instruction)
-        by_id = {r.id: r for r in demo_pool}
-        missing = [rid for rid in program.demo_record_ids if rid not in by_id]
-        if missing:
-            raise RagradeError(f"program demo ids not in the train pool: {missing}")
-        fixed_demos = [demo_from_record(by_id[rid], sig) for rid in program.demo_record_ids]
-
     template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
+    demos: List[Demo] = []
+    if cfg.mode == MODE_OPTIMIZED:
+        demos = [demo_from_record(r, sig) for r in demo_records]
     if client is None and cfg.model is not None:
         client = ChatClient(cfg.model)
 
     # retrieval for the whole split, before the pool; the items of a group
     # whose retrieval fails are failed judgments, with no request of their own
-    retrieves = cfg.mode in (MODE_RAG, MODE_VOTE)
-    if retrieves and index is None:
-        raise ValueError(f"{cfg.mode} mode requires an index")
-    neighbors = _batch_neighbors(records, cfg, index) if retrieves else [None] * len(records)
+    neighbors: List[Optional[List[RetrievedExample]]] = [[]] * len(records)
+    if cfg.mode in (MODE_RAG, MODE_VOTE):
+        if index is None:
+            raise ValueError(f"{cfg.mode} mode requires an index")
+        neighbors = _batch_neighbors(records, cfg, index)
 
     # the only bound on chat requests in flight: an item holds a slot while
     # it works and gives it up while it waits out a retry, so twice as many
@@ -237,18 +214,10 @@ def run_split(
     slots = WorkSlots(concurrency)
 
     def one(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
-        if retrieves and hits is None:
+        if hits is None:
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
         with slots:
-            return grade_item(
-                record,
-                cfg,
-                index,
-                template=template,
-                client=client,
-                fixed_demos=fixed_demos,
-                neighbors=hits,
-            )
+            return grade_item(record, cfg, template, client, demos, hits)
 
     with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
         return list(pool.map(one, records, neighbors))
@@ -303,10 +272,14 @@ def optimize_few_shot(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if not dev:
         raise ValueError("dev set must be non-empty")
     if not train:
         raise ValueError("train pool must be non-empty")
+    if cfg.mode != MODE_OPTIMIZED:
+        raise ValueError("optimize_few_shot needs an optimized-mode config")
     cfg.validate()
 
     client = ChatClient(cfg.model)  # one session for every trial
@@ -318,6 +291,7 @@ def optimize_few_shot(
         candidates += propose_instructions(sig.task_description, proposer)
 
     rng = random.Random(cfg.seed)
+    pool = list(train)
     dev_golds = [r.gold_label for r in dev]
     dev_ids = {r.id for r in dev}
 
@@ -326,23 +300,15 @@ def optimize_few_shot(
     for trial in range(budget):
         instruction = candidates[rng.randrange(len(candidates))]
         size = rng.randint(0, min(k_max, len(train)))
-        demo_records = rng.sample(list(train), size)
-        assert not (dev_ids & {r.id for r in demo_records}), "demo drawn from dev"
-
-        trial_cfg = PipelineConfig(
-            mode=MODE_OPTIMIZED,
-            k=size,
-            style=cfg.style,
-            model=cfg.model,
-            seed=cfg.seed,
-        )
-        program = OptimizedProgram(
-            instruction=instruction,
-            demo_record_ids=[r.id for r in demo_records],
-            dev_accuracy=0.0,
-        )
+        demo_records = rng.sample(pool, size)
+        demo_ids = [r.id for r in demo_records]
+        assert not dev_ids.intersection(demo_ids), "demo drawn from dev"
         judgments = run_split(
-            dev, trial_cfg, signature=sig, program=program, demo_pool=list(train), client=client
+            dev,
+            cfg,
+            signature=replace(sig, task_description=instruction),
+            demo_records=demo_records,
+            client=client,
         )
 
         scored = [
@@ -357,14 +323,14 @@ def optimize_few_shot(
             {
                 "trial": trial,
                 "instruction": instruction,
-                "demo_record_ids": [r.id for r in demo_records],
+                "demo_record_ids": demo_ids,
                 "dev_accuracy": accuracy,
             }
         )
         if accuracy is None:
             continue
         if best is None or accuracy > best[0]:
-            best = (accuracy, trial, instruction, [r.id for r in demo_records])
+            best = (accuracy, trial, instruction, demo_ids)
 
     if best is None:
         raise BudgetExhaustedWithoutValidCandidate(

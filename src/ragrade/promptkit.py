@@ -1,14 +1,15 @@
 """Declarative prompt compilation for grading tasks.
 
 A signature lists input and output fields instead of a hand-written prompt;
-compiling it produces deterministic system/user text. Few-shot demos render
-before the live item in retrieval-rank order and show their gold outputs in
-the same shape the model is asked to produce. Every compiled prompt also
+compiling it produces a ``PromptTemplate`` with deterministic system text,
+and rendering an item fills in the template's user text. Few-shot demos
+render before the live item in retrieval-rank order and show their gold
+outputs in the same shape the model is asked to produce. Every prompt also
 carries a relaxed plain-text variant used by the fallback predictor.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dataset import AnswerRecord, LABELS
@@ -116,21 +117,15 @@ def demo_from_record(record: AnswerRecord, sig: Optional[Signature] = None) -> D
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """A compiled signature; ``render_prompt`` fills in the two user texts."""
+
     signature: Signature
     style: str
     system_text: str
     relaxed_system_text: str
     output_schema: Tuple[Tuple[str, str], ...]  # (field, type tag), prompt order
-
-
-@dataclass(frozen=True)
-class CompiledPrompt:
-    system_text: str
-    user_text: str
-    output_schema: Tuple[Tuple[str, str], ...]
-    demo_count: int
-    relaxed_system_text: str
-    relaxed_user_text: str
+    user_text: str = ""
+    relaxed_user_text: str = ""
 
 
 _REASONING_FIELD = (
@@ -225,8 +220,8 @@ def render_prompt(
     template: PromptTemplate,
     inputs: Dict[str, str],
     demos: Sequence[Demo] = (),
-) -> CompiledPrompt:
-    """Render the live item (and any demos) into final prompt text.
+) -> PromptTemplate:
+    """The template with the live item (and any demos) rendered as its user texts.
 
     Pure function: identical arguments produce byte-identical prompts.
     """
@@ -266,11 +261,8 @@ def render_prompt(
     strict_parts.append("\n".join(live + ["output:"]))
     relaxed_parts.append("\n".join(live))
 
-    return CompiledPrompt(
-        system_text=template.system_text,
+    return replace(
+        template,
         user_text="\n\n".join(strict_parts),
-        output_schema=template.output_schema,
-        demo_count=len(demos),
-        relaxed_system_text=template.relaxed_system_text,
         relaxed_user_text="\n\n".join(relaxed_parts),
     )

@@ -545,6 +545,19 @@ def test_optimize_subcommand(corpus_path, fixture_corpus, tmp_path, stub_server_
     assert json.loads(manifest_path.read_text())["config"]["mode"] == "optimized"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--dev-count", "-1", "--dev-count must be >= 1"), ("--k-max", "-1", "k_max must be >= 0")],
+)
+def test_optimize_bad_count_exits_1(flag, value, message, corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    code = main(["optimize", flag, value, "--endpoint", "http://127.0.0.1:9", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.glob("program_*.json"))
+
+
 def test_config_file_with_flag_override(
     corpus_path, fixture_corpus, tmp_path, stub_server_factory
 ):

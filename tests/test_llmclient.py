@@ -297,6 +297,15 @@ def test_parse_relaxed_happy_path():
     assert judgment.parse_path == "fallback"
 
 
+@pytest.mark.parametrize(
+    "score_text, score",
+    [("1e-1", 0.1), (".5", 0.5), ("+0.75", 0.75), ("5E-1", 0.5), ("1.", 1.0), ("0.25 out of 1", 0.25)],
+)
+def test_parse_relaxed_reads_the_number_forms_float_reads(score_text, score):
+    judgment = parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok")
+    assert judgment.score == score
+
+
 def test_parse_relaxed_no_score_fails():
     from ragrade.errors import FallbackParseFailed
 
@@ -440,7 +449,10 @@ _RELAXED_REPLIES = st.one_of(
     st.text(),
     st.builds(
         "Score: {}\nLabel: {}\nFeedback: {}".format,
-        st.one_of(_SCORES.map(str), st.from_regex(r"-?[0-9]+(\.[0-9]+)?", fullmatch=True)),
+        st.one_of(
+            _SCORES.map(str),
+            st.from_regex(r"[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?", fullmatch=True),
+        ),
         _LABELS,
         st.text(max_size=8),
     ),

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragrade.embedding import EmbedderConfig, embed_tokens
 from ragrade.errors import (
@@ -178,6 +179,43 @@ def test_embed_sim_empty_text():
     cfg = EmbedderConfig(dimension=32)
     assert embed_sim_f1("", "anything", cfg) == 0.0
     assert embed_sim_f1("anything", "", cfg) == 0.0
+
+
+@pytest.mark.parametrize(
+    "candidate, reference",
+    # greedy precision or recall below 0 at dim 32: 2PR/(P+R) gave -59.96 and 48.27
+    [("osprey port osprey", "switch step"), ("cat", "heron frame packet")],
+)
+def test_embed_sim_negative_precision_or_recall_scores_zero(candidate, reference):
+    assert embed_sim_f1(candidate, reference, EmbedderConfig(dimension=32)) == 0.0
+
+
+_WORDS = st.sampled_from(["cat", "heron", "osprey", "port", "switch", "step", "frame", "packet", "a", "the"])
+_TEXTS = st.one_of(st.lists(_WORDS, max_size=8).map(" ".join), st.text(max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TEXTS, _TEXTS), min_size=1, max_size=4))
+def test_bleu_stays_in_0_100(pairs):
+    candidates, references = zip(*pairs)
+    try:
+        score = bleu(list(candidates), list(references))
+    except AllEmptyReferences:
+        return
+    assert 0.0 <= score <= 100.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS, _TEXTS)
+def test_rouge2_stays_in_0_1(candidate, reference):
+    assert all(0.0 <= value <= 1.0 for value in rouge2(candidate, reference))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS, _TEXTS)
+def test_embed_sim_stays_in_0_1(candidate, reference):
+    # a self-pair can land one rounding step above 1
+    assert 0.0 <= embed_sim_f1(candidate, reference, EmbedderConfig(dimension=32)) <= 1.0 + 1e-12
 
 
 def test_embed_sim_matches_double_loop_oracle():

@@ -12,10 +12,8 @@ from ragrade.pipelines import (
     MODE_RAG,
     MODE_VOTE,
     MODE_ZERO_SHOT,
-    OptimizedProgram,
     PipelineConfig,
     build_manifest,
-    grade_item,
     load_manifest,
     optimize_few_shot,
     run_split,
@@ -52,7 +50,7 @@ def test_vote_mode_k1_exact_match(fixture_corpus, train_index):
     target = split_view(fixture_corpus, "train")[4]  # r05
     live = dataclasses.replace(target, id="probe", gold_score=0.0, gold_label="incorrect")
     cfg = PipelineConfig(mode=MODE_VOTE, k=1)
-    judgment = grade_item(live, cfg, train_index)
+    (judgment,) = run_split([live], cfg, train_index)
     assert judgment.label == target.gold_label
     assert judgment.score == target.gold_score
     assert judgment.parse_path == "typed"
@@ -62,7 +60,7 @@ def test_vote_mode_excludes_own_id(fixture_corpus, train_index):
     # grading an indexed record must not let it vote for itself
     target = split_view(fixture_corpus, "train")[0]
     cfg = PipelineConfig(mode=MODE_VOTE, k=1)
-    judgment = grade_item(target, cfg, train_index)
+    (judgment,) = run_split([target], cfg, train_index)
     assert judgment.parse_path == "typed"
     # nearest other neighbor cannot be the record itself; its own gold may
     # still coincide, so assert via neighbor retrieval instead
@@ -78,7 +76,7 @@ def test_zero_shot_with_fixed_stub(fixture_corpus, stub_server_factory):
     server = stub_server_factory(fixed_chat_app(body))
     cfg = PipelineConfig(mode=MODE_ZERO_SHOT, k=0, model=_model_cfg(server.url))
     record = split_view(fixture_corpus, "test_ua")[0]
-    judgment = grade_item(record, cfg)
+    (judgment,) = run_split([record], cfg)
     assert (judgment.score, judgment.label, judgment.feedback) == (0.5, "partially_correct", "halfway")
 
 
@@ -88,7 +86,7 @@ def test_rag_mode_copies_rank1_neighbor_label(fixture_corpus, train_index, stub_
     from ragrade.retrieval import top_k
 
     for record in split_view(fixture_corpus, "test_ua"):
-        judgment = grade_item(record, cfg, train_index)
+        (judgment,) = run_split([record], cfg, train_index)
         rank1 = top_k(train_index, record.student_answer, 1, exclude={record.id})[0]
         assert judgment.label == rank1.record.gold_label
 
@@ -307,7 +305,7 @@ def test_exclude_same_question_flag(fixture_corpus, train_index, stub_server_fac
     cfg = PipelineConfig(
         mode=MODE_RAG, k=3, model=_model_cfg(server.url), exclude_same_question=True
     )
-    grade_item(record, cfg, train_index)
+    run_split([record], cfg, train_index)
     user_text = next(
         m["content"]
         for m in server.requests[-1]["body"]["messages"]
@@ -361,7 +359,7 @@ def test_rag_empty_answer_falls_back_to_zero_demos(fixture_corpus, train_index, 
     body = '{"score": 0.0, "label": "incorrect", "feedback": "no answer"}'
     server = stub_server_factory(fixed_chat_app(body))
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url))
-    judgment = grade_item(record, cfg, train_index)
+    (judgment,) = run_split([record], cfg, train_index)
     assert judgment.label == "incorrect"
     user_text = next(
         m["content"]
@@ -513,20 +511,29 @@ def test_optimize_all_candidates_fail(fixture_corpus, stub_server_factory):
         optimize_few_shot(train, dev, Signature(), budget=2, k_max=2, cfg=cfg)
 
 
+def test_optimize_rejects_a_config_of_another_mode(fixture_corpus):
+    # trials grade through run_split under cfg, so another mode would drop the demos
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua")
+    cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(ValueError, match="optimized-mode"):
+        optimize_few_shot(train, dev, Signature(), budget=1, k_max=1, cfg=cfg)
+
+
 def test_optimized_mode_grades_with_program(fixture_corpus, stub_server_factory):
     gold = gold_by_answer(fixture_corpus.records)
     server = stub_server_factory(echo_gold_chat_app(gold))
     train = split_view(fixture_corpus, "train")
-    program = OptimizedProgram(
-        instruction="Grade the answer strictly.",
-        demo_record_ids=[train[0].id, train[5].id],
-        dev_accuracy=1.0,
-    )
     cfg = PipelineConfig(
         mode=MODE_OPTIMIZED, k=2, model=_model_cfg(server.url, concurrency=1)
     )
     records = split_view(fixture_corpus, "test_uq")
-    judgments = run_split(records, cfg, program=program, demo_pool=train)
+    judgments = run_split(
+        records,
+        cfg,
+        signature=Signature(task_description="Grade the answer strictly."),
+        demo_records=[train[0], train[5]],
+    )
     assert [j.label for j in judgments] == [r.gold_label for r in records]
     system_text = server.requests[0]["body"]["messages"][0]["content"]
     assert system_text.startswith("Grade the answer strictly.")

@@ -117,14 +117,12 @@ def test_empty_signature_rejected():
 
 def test_zero_shot_has_no_demo_block():
     prompt = render_prompt(compile_signature(Signature(), "predict"), _LIVE_INPUTS)
-    assert prompt.demo_count == 0
     assert "Example" not in prompt.user_text
 
 
 def test_k3_renders_three_demos_in_rank_order():
     sig = Signature()
     prompt = render_prompt(compile_signature(sig, "predict"), _LIVE_INPUTS, _demos(sig))
-    assert prompt.demo_count == 3
     assert prompt.user_text.count("Example ") == 3
     assert (
         prompt.user_text.index("kingfisher")
