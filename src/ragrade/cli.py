@@ -66,31 +66,19 @@ def _timestamp() -> str:
     return time.strftime("%Y%m%dT%H%M%S")
 
 
-class RunConfig:
-    """Merged view of defaults, config file, and explicit flags."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.file_cfg: Dict = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            with open(config_path, encoding="utf-8") as fh:
-                self.file_cfg = json.load(fh)
-            if not isinstance(self.file_cfg, dict):
-                raise RagradeError(f"config file {config_path} must hold a JSON object")
-        self.args = args
-
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.file_cfg:
-            return self.file_cfg[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+def _run_config(args: argparse.Namespace) -> Dict:
+    """Built-in defaults, overridden by the config file, overridden by explicit flags."""
+    file_cfg: Dict = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise RagradeError(f"config file {args.config} must hold a JSON object")
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    return {**_DEFAULTS, **file_cfg, **flags}
 
 
-def _embedder_config(cfg: RunConfig) -> EmbedderConfig:
+def _embedder_config(cfg: Dict) -> EmbedderConfig:
     return EmbedderConfig(
         backend=cfg.get("embed_backend"),
         endpoint=cfg.get("embed_endpoint"),
@@ -98,7 +86,7 @@ def _embedder_config(cfg: RunConfig) -> EmbedderConfig:
     )
 
 
-def _model_config(cfg: RunConfig) -> Optional[ModelConfig]:
+def _model_config(cfg: Dict) -> Optional[ModelConfig]:
     endpoint = cfg.get("endpoint")
     if not endpoint:
         return None
@@ -113,7 +101,7 @@ def _model_config(cfg: RunConfig) -> Optional[ModelConfig]:
     )
 
 
-def _load_corpus(cfg: RunConfig) -> dataset.Corpus:
+def _load_corpus(cfg: Dict) -> dataset.Corpus:
     corpus_path = cfg.get("corpus")
     if not corpus_path:
         cached = Path(cfg.get("out_dir")) / "corpus.jsonl"
@@ -128,7 +116,7 @@ def _load_corpus(cfg: RunConfig) -> dataset.Corpus:
     return dataset.load_corpus(corpus_path, fmt)
 
 
-def _signature(cfg: RunConfig) -> promptkit.Signature:
+def _signature(cfg: Dict) -> promptkit.Signature:
     sig_path = cfg.get("signature")
     if sig_path:
         return promptkit.load_signature(sig_path)
@@ -136,7 +124,7 @@ def _signature(cfg: RunConfig) -> promptkit.Signature:
 
 
 def _cmd_ingest(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     corpus = dataset.load_corpus(args.path, cfg.get("format"))
     out_dir = Path(cfg.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +142,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     corpus = _load_corpus(cfg)
     # the index is built over --split (train by default); a config file's
     # "split" names the grading split and does not apply here
@@ -172,7 +160,7 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _resolve_k(cfg: RunConfig, mode: str) -> int:
+def _resolve_k(cfg: Dict, mode: str) -> int:
     k = cfg.get("k")
     if k is not None:
         return int(k)
@@ -182,7 +170,7 @@ def _resolve_k(cfg: RunConfig, mode: str) -> int:
 
 
 def _cmd_grade(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     mode_name = cfg.get("mode")
     mode = _MODE_ALIASES.get(str(mode_name))
     if mode is None:
@@ -281,7 +269,7 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     manifest = pipelines.load_manifest(args.manifest)
     embed_cfg = _embedder_config(cfg)
     row = metrics.manifest_metrics(
@@ -303,7 +291,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     corpus = _load_corpus(cfg)
     train = dataset.split_view(corpus, "train")
     if len(train) < 2:
@@ -367,7 +355,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = RunConfig(args)
+    cfg = _run_config(args)
     manifests = [pipelines.load_manifest(p) for p in args.manifests]
     embed_cfg = _embedder_config(cfg)
     rows = metrics.build_report(

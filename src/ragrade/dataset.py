@@ -127,6 +127,8 @@ class Corpus:
 
 def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
     """Validate one corpus row (as written by ``AnswerRecord.to_row``) into a record and its split."""
+    if not isinstance(row, dict):
+        raise CorpusError(f"row {row_no}: not a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in row:
             raise MissingField(row_no, key)
@@ -174,10 +176,13 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
 def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+            lines = (line for line in fh if line.strip())
+            for row_no, line in enumerate(lines, start=1):
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise CorpusError(f"row {row_no}: malformed JSON: {exc}") from exc
+                yield row
     elif fmt == "csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)

@@ -7,7 +7,6 @@ unit length, whatever the backend returned.
 """
 
 import base64
-import threading
 import unicodedata
 from dataclasses import dataclass
 from hashlib import sha256
@@ -148,8 +147,11 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-class RemoteEmbeddingClient:
-    """HTTP client for the embedding service; callers bound the requests in flight.
+def _embed_remote(
+    texts: Sequence[str], cfg: EmbedderConfig, role: str
+) -> List[TokenEmbeddingMatrix]:
+    """Embed on the embedding service, one request per ``_REQUEST_TEXTS`` texts
+    in order, and none for no texts.
 
     Wire format: POST {"texts": [...], "role": "query"|"document",
     "encoding_format": "base64"} -> {"embeddings": [...], "tokens": [[...], ...]},
@@ -159,29 +161,16 @@ class RemoteEmbeddingClient:
     chat ones do (``llmclient.post_json``), with 3 attempts, 0.5 s backoff and
     a 60 s timeout; one that still fails raises ``BackendUnavailable``.
     """
-
-    def __init__(self, cfg: EmbedderConfig):
-        if not cfg.endpoint:
-            raise ValueError("remote backend requires an endpoint")
-        self.cfg = cfg
-        import requests
-
-        self._session = requests.Session()
-
-    def embed(self, texts: Sequence[str], role: str) -> List[TokenEmbeddingMatrix]:
-        """One request per ``_REQUEST_TEXTS`` texts, in order; none for no texts."""
-        texts = list(texts)
-        out: List[TokenEmbeddingMatrix] = []
-        for start in range(0, len(texts), _REQUEST_TEXTS):
-            out.extend(self._request(texts[start : start + _REQUEST_TEXTS], role))
-        return out
-
-    def _request(self, texts: List[str], role: str) -> List[TokenEmbeddingMatrix]:
-        payload = {"texts": texts, "role": role, "encoding_format": "base64"}
+    if not cfg.endpoint:
+        raise ValueError("remote backend requires an endpoint")
+    texts = list(texts)
+    out: List[TokenEmbeddingMatrix] = []
+    for start in range(0, len(texts), _REQUEST_TEXTS):
+        batch = texts[start : start + _REQUEST_TEXTS]
+        payload = {"texts": batch, "role": role, "encoding_format": "base64"}
         try:
             data = post_json(
-                self._session, self.cfg.endpoint, payload,
-                attempts=_ATTEMPTS, backoff=_BACKOFF, timeout=_TIMEOUT,
+                cfg.endpoint, payload, attempts=_ATTEMPTS, backoff=_BACKOFF, timeout=_TIMEOUT
             )
         except TransportError as exc:
             raise BackendUnavailable(f"embedding service: {exc}") from exc
@@ -196,12 +185,13 @@ class RemoteEmbeddingClient:
                 "embedding service response needs 'embeddings' as a list"
                 " and 'tokens' as a list of lists"
             )
-        if len(embeddings) != len(texts) or len(token_lists) != len(texts):
+        if len(embeddings) != len(batch) or len(token_lists) != len(batch):
             raise BackendUnavailable("embedding service returned wrong batch size")
-        return [
-            TokenEmbeddingMatrix(list(tokens), _token_rows(rows, len(tokens), self.cfg.dimension))
+        out.extend(
+            TokenEmbeddingMatrix(list(tokens), _token_rows(rows, len(tokens), cfg.dimension))
             for rows, tokens in zip(embeddings, token_lists)
-        ]
+        )
+    return out
 
 
 def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
@@ -237,19 +227,6 @@ def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
     return normalize_rows(matrix)
 
 
-_remote_clients: "dict[EmbedderConfig, RemoteEmbeddingClient]" = {}
-_remote_clients_lock = threading.Lock()
-
-
-def _remote_client(cfg: EmbedderConfig) -> RemoteEmbeddingClient:
-    with _remote_clients_lock:
-        client = _remote_clients.get(cfg)
-        if client is None:
-            client = RemoteEmbeddingClient(cfg)
-            _remote_clients[cfg] = client
-    return client
-
-
 def embed_texts(
     texts: Sequence[str], cfg: EmbedderConfig, role: str = ROLE_DOCUMENT
 ) -> List[TokenEmbeddingMatrix]:
@@ -261,7 +238,7 @@ def embed_texts(
         # each distinct token of the call is hashed once
         table = _hash_rows(list(ids), cfg.dimension)
         return [TokenEmbeddingMatrix(t, table[r]) for t, r in zip(token_lists, rows)]
-    return _remote_client(cfg).embed(texts, role)
+    return _embed_remote(texts, cfg, role)
 
 
 def embed_tokens(

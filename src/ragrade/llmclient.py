@@ -8,18 +8,20 @@ is recovered by line-anchored matching. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
-Every HTTP request ragrade sends, chat or embedding, goes through
-``post_json`` and its one retry policy. A request that times out, fails in
-transport, or gets a 5xx or a 429 is sent again, up to ``max_retries``
-attempts in all (always 3 for embedding), after ``retry_backoff * 2**n``
-seconds (no jitter). A 429 or 503 whose ``Retry-After`` gives a delay in
-seconds longer than that waits the header's delay instead, capped at
-``timeout``; the HTTP-date form is ignored. The wait applies to the item whose
-request got the reply, not to the whole client: other items keep sending.
-While it waits, the item gives up its work slot (``WorkSlots``), so a waiting
-item never idles the bound on items working at once.
+Every HTTP request ragrade sends, chat or embedding, goes out on the
+process's one ``requests.Session``, through ``post_json`` and its one retry
+policy. A request that times out, fails in transport, or gets a 5xx or a 429
+is sent again, up to ``max_retries`` attempts in all (always 3 for
+embedding), after ``retry_backoff * 2**n`` seconds (no jitter). A 429 or 503
+whose ``Retry-After`` gives a delay in seconds longer than that waits the
+header's delay instead, capped at ``timeout``; the HTTP-date form is ignored.
+The wait applies to the item whose request got the reply, not to the whole
+client: other items keep sending. While it waits, the item gives up its work
+slot (``WorkSlots``), so a waiting item never idles the bound on items
+working at once.
 """
 
+import functools
 import json
 import logging
 import os
@@ -151,8 +153,20 @@ _held = threading.local()  # .slots: the WorkSlots this thread's item holds a sl
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
+@functools.lru_cache(maxsize=None)
+def _session():
+    """The one session every request goes out on; ``requests`` loads on first use.
+
+    Threads that miss the cache at the same moment may each make one; every
+    later call gets the one the cache keeps.
+    """
+    import requests
+
+    return requests.Session()
+
+
 def post_json(
-    session, url: str, body, *, attempts: int, backoff: float, timeout: float, headers=None
+    url: str, body, *, attempts: int, backoff: float, timeout: float, headers=None
 ) -> Dict:
     """POST ``body`` as JSON and return the reply's JSON object, retrying as
     the module docstring says. Any other non-200 status, or a body that is not
@@ -176,7 +190,7 @@ def post_json(
                     slots.take(returning=True)
         retry_after = None
         try:
-            resp = session.post(url, json=body, headers=headers, timeout=timeout)
+            resp = _session().post(url, json=body, headers=headers, timeout=timeout)
         except requests.Timeout as exc:
             last_error = Timeout(f"request timed out: {exc}")
             continue
@@ -219,9 +233,6 @@ class ChatClient:
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        import requests
-
-        self._session = requests.Session()
 
     def complete(self, prompt: PromptTemplate, relaxed: bool = False) -> str:
         """One chat completion, sent through ``post_json``."""
@@ -244,7 +255,7 @@ class ChatClient:
             headers["Authorization"] = f"Bearer {api_key}"
         cfg = self.cfg
         reply = post_json(
-            self._session, _completions_url(cfg.endpoint), body, attempts=cfg.max_retries,
+            _completions_url(cfg.endpoint), body, attempts=cfg.max_retries,
             backoff=cfg.retry_backoff, timeout=cfg.timeout, headers=headers,
         )
         try:
@@ -342,6 +353,8 @@ def parse_typed(raw: str, schema) -> Judgment:
 
 # the number forms float() reads: a sign, a leading- or trailing-dot decimal, an exponent
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+# what may not follow such a number: "1_0", "1/2", "0,5" and "0.5.1" are not scores
+_NUMBER_CUT_RE = re.compile(r"[\w/]|[.,]\d")
 
 
 def _relaxed_field(raw: str, name: str, take_rest: bool = False) -> Optional[str]:
@@ -365,8 +378,8 @@ def parse_relaxed(raw: str) -> Judgment:
         raise FallbackParseFailed("missing Score/Label line in relaxed output")
 
     number = _NUMBER_RE.search(score_text)
-    if not number:
-        raise FallbackParseFailed(f"no numeric score in {score_text!r}")
+    if not number or _NUMBER_CUT_RE.match(score_text, number.end()):
+        raise FallbackParseFailed(f"no plain numeric score in {score_text!r}")
     score = float(number.group())
     if not (0.0 <= score <= 1.0):
         raise FallbackParseFailed(f"relaxed score {score} outside [0, 1]")

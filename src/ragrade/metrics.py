@@ -250,6 +250,11 @@ def manifest_metrics(
     try:
         evaluable = [it for it in items if it["judgment"]["parse_path"] != "failed"]
         judgments = [Judgment(**it["judgment"]) for it in evaluable]
+        for j in judgments:
+            if isinstance(j.score, bool) or not isinstance(j.score, (int, float)):
+                raise TypeError(f"judgment score {j.score!r} is not a number")
+            if not isinstance(j.label, str):
+                raise TypeError(f"judgment label {j.label!r} is not a string")
         golds = [(it["gold_label"], float(it["gold_score"])) for it in evaluable]
         refs = [it["gold_feedback"] or "" for it in evaluable] if text_metrics else None
         mode = config["mode"]

@@ -282,7 +282,7 @@ def optimize_few_shot(
         raise ValueError("optimize_few_shot needs an optimized-mode config")
     cfg.validate()
 
-    client = ChatClient(cfg.model)  # one session for every trial
+    client = ChatClient(cfg.model)  # one client for every trial
     candidates = [sig.task_description]
     if instructions:
         candidates += [i for i in instructions if i.strip()]

@@ -40,6 +40,14 @@ def test_ingest_invalid_corpus_exits_1(tmp_path):
     assert main(["ingest", str(bad), "--out-dir", str(tmp_path / "runs")]) == 1
 
 
+@pytest.mark.parametrize("bad_line", ["5", '{"id": "a1",'])
+def test_ingest_row_that_is_not_a_json_object_exits_1(tmp_path, capsys, bad_line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(bad_line + "\n", encoding="utf-8")
+    assert main(["ingest", str(bad), "--out-dir", str(tmp_path / "runs")]) == 1
+    assert "error: row 1: " in capsys.readouterr().err
+
+
 def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
@@ -607,6 +615,30 @@ _MALFORMED_MANIFESTS = {
         "manifest_version": 1,
         "config": {"mode": "rag"},
         "items": [{"id": "a1", "gold_label": "correct", "gold_score": 1.0}],
+    },
+    **{
+        f"judgment_{name}": {
+            "manifest_version": 1,
+            "config": {"mode": "rag"},
+            "items": [
+                {
+                    "id": "a1",
+                    "gold_label": "correct",
+                    "gold_score": 1.0,
+                    "gold_feedback": "",
+                    "judgment": {
+                        "score": 1.0, "label": "correct", "feedback": "", "parse_path": "typed",
+                        **judgment,
+                    },
+                }
+            ],
+        }
+        for name, judgment in [
+            ("score_null", {"score": None}),
+            ("score_string", {"score": "0.5"}),
+            ("score_bool", {"score": True}),
+            ("label_null", {"label": None}),
+        ]
     },
 }
 

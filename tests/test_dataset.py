@@ -112,6 +112,14 @@ def test_duplicate_id_rejected(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("bad_line", ["5", "null", '{"id": "a2",'])
+def test_a_row_that_is_not_a_json_object_names_its_row(tmp_path, bad_line):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_row()) + "\n\n" + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"^row 2: "):
+        load_corpus(path)
+
+
 def test_label_canonicalization():
     assert canonical_label("Partially correct") == "partially_correct"
     assert canonical_label("  CORRECT ") == "correct"

@@ -299,11 +299,21 @@ def test_parse_relaxed_happy_path():
 
 @pytest.mark.parametrize(
     "score_text, score",
-    [("1e-1", 0.1), (".5", 0.5), ("+0.75", 0.75), ("5E-1", 0.5), ("1.", 1.0), ("0.25 out of 1", 0.25)],
+    [
+        ("1e-1", 0.1), (".5", 0.5), ("+0.75", 0.75), ("5E-1", 0.5), ("1.", 1.0),
+        ("0.5.", 0.5), ("0.25 out of 1", 0.25),
+    ],
 )
 def test_parse_relaxed_reads_the_number_forms_float_reads(score_text, score):
     judgment = parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok")
     assert judgment.score == score
+
+
+@pytest.mark.parametrize("score_text", ["1_0", "1/2", "0,5", "0.5.1", "1e"])
+def test_parse_relaxed_rejects_a_number_run_into_more_text(score_text):
+    # the first number-like prefix of these is not what they say
+    with pytest.raises(FallbackParseFailed):
+        parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok")
 
 
 def test_parse_relaxed_no_score_fails():

@@ -176,6 +176,31 @@ def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_ser
     assert gauge.peak == 2
 
 
+def test_every_embedding_and_chat_request_goes_out_on_one_session(
+    fixture_corpus, stub_server_factory, monkeypatch
+):
+    import requests
+    from stub_servers import mirror_embedding_app
+
+    sessions = []
+    original_post = requests.Session.post
+
+    def spy(self, url, **kwargs):
+        sessions.append(self)
+        return original_post(self, url, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", spy)
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    embed = stub_server_factory(mirror_embedding_app(32))
+    embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
+    index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
+    cfg = PipelineConfig(mode=MODE_RAG, k=2, model=_model_cfg(chat.url, concurrency=2))
+    judgments = run_split(split_view(fixture_corpus, "test_ua"), cfg, index)
+    assert [j.parse_path for j in judgments] == ["typed"] * 3
+    assert len(sessions) == len(embed.requests) + len(chat.requests) == 2 + 3
+    assert len(set(map(id, sessions))) == 1
+
+
 def _graded_ids(requests, records):
     """The record each zero-shot chat request grades, in arrival order."""
     users = [m["content"] for r in requests for m in r["body"]["messages"] if m["role"] == "user"]
