@@ -55,6 +55,15 @@ _DEFAULTS = {
 }
 
 
+# the numeric keys and their types; flags are typed by argparse, a config
+# file's values by _number
+_NUMBERS = {
+    "embed_dim": int, "seed": int, "k": int, "temperature": float, "max_tokens": int,
+    "timeout": float, "max_retries": int, "concurrency": int, "budget": int,
+    "k_max": int, "dev_count": int,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -74,15 +83,31 @@ def _run_config(args: argparse.Namespace) -> Dict:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise RagradeError(f"config file {args.config} must hold a JSON object")
+        for key in _NUMBERS.keys() & file_cfg.keys():
+            file_cfg[key] = _number(key, file_cfg[key])
     flags = {key: value for key, value in vars(args).items() if value is not None}
     return {**_DEFAULTS, **file_cfg, **flags}
+
+
+def _number(key: str, value):
+    """A config file's ``value`` as ``key``'s type; anything else exits 1."""
+    kind = _NUMBERS[key]
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or number == value:  # 2.5 is not an int
+                return number
+    raise RagradeError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
 
 
 def _embedder_config(cfg: Dict) -> EmbedderConfig:
     return EmbedderConfig(
         backend=cfg.get("embed_backend"),
         endpoint=cfg.get("embed_endpoint"),
-        dimension=int(cfg.get("embed_dim")),
+        dimension=cfg.get("embed_dim"),
     )
 
 
@@ -93,11 +118,11 @@ def _model_config(cfg: Dict) -> Optional[ModelConfig]:
     return ModelConfig(
         endpoint=endpoint,
         model=cfg.get("model"),
-        temperature=float(cfg.get("temperature")),
-        max_tokens=int(cfg.get("max_tokens")),
-        timeout=float(cfg.get("timeout")),
-        max_retries=int(cfg.get("max_retries")),
-        concurrency=int(cfg.get("concurrency")),
+        temperature=cfg.get("temperature"),
+        max_tokens=cfg.get("max_tokens"),
+        timeout=cfg.get("timeout"),
+        max_retries=cfg.get("max_retries"),
+        concurrency=cfg.get("concurrency"),
     )
 
 
@@ -163,7 +188,7 @@ def _cmd_index(args) -> int:
 def _resolve_k(cfg: Dict, mode: str) -> int:
     k = cfg.get("k")
     if k is not None:
-        return int(k)
+        return k
     if mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
         return 5
     return 0
@@ -224,7 +249,7 @@ def _cmd_grade(args) -> int:
         style=cfg.get("style"),
         model=model_cfg,
         exclude_same_question=bool(cfg.get("exclude_same_question")),
-        seed=int(cfg.get("seed")),
+        seed=cfg.get("seed"),
     )
     judgments = pipelines.run_split(
         records, pipe_cfg, index, signature=signature, demo_records=demo_records
@@ -241,7 +266,7 @@ def _cmd_grade(args) -> int:
         "seed": pipe_cfg.seed,
         "exclude_same_question": pipe_cfg.exclude_same_question,
         "embed_backend": cfg.get("embed_backend"),
-        "embed_dim": int(cfg.get("embed_dim")),
+        "embed_dim": cfg.get("embed_dim"),
     }
     manifest = pipelines.build_manifest(
         run_config,
@@ -297,11 +322,11 @@ def _cmd_optimize(args) -> int:
     if len(train) < 2:
         raise RagradeError("optimizer needs at least 2 train records")
 
-    seed = int(cfg.get("seed"))
+    seed = cfg.get("seed")
     rng = random.Random(seed)
     shuffled = list(train)
     rng.shuffle(shuffled)
-    dev_count = min(int(cfg.get("dev_count")), len(shuffled) - 1)
+    dev_count = min(cfg.get("dev_count"), len(shuffled) - 1)
     if dev_count < 1:  # train has >= 2 records, so only a flag below 1 gets here
         raise RagradeError("--dev-count must be >= 1")
     dev, train_pool = shuffled[:dev_count], shuffled[dev_count:]
@@ -334,8 +359,8 @@ def _cmd_optimize(args) -> int:
         train_pool,
         dev,
         _signature(cfg),
-        budget=int(cfg.get("budget")),
-        k_max=int(cfg.get("k_max")),
+        budget=cfg.get("budget"),
+        k_max=cfg.get("k_max"),
         cfg=pipe_cfg,
         instructions=instructions,
     )

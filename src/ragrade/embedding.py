@@ -21,8 +21,6 @@ ROLE_QUERY = "query"
 ROLE_DOCUMENT = "document"
 # texts per embedding-service request
 _REQUEST_TEXTS = 32
-# ModelConfig's default request policy; not in the config or its fingerprint
-_ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 
 
 @dataclass(frozen=True)
@@ -158,8 +156,8 @@ def _embed_remote(
     one token matrix per input text. The returned token list is authoritative.
     An embedding is a string (see ``_token_rows``) or, from a server that
     ignores ``encoding_format``, a list of rows of numbers. Requests retry as
-    chat ones do (``llmclient.post_json``), with 3 attempts, 0.5 s backoff and
-    a 60 s timeout; one that still fails raises ``BackendUnavailable``.
+    chat ones do (``llmclient.post_json``), under its default attempts and
+    timeout; one that still fails raises ``BackendUnavailable``.
     """
     if not cfg.endpoint:
         raise ValueError("remote backend requires an endpoint")
@@ -169,9 +167,7 @@ def _embed_remote(
         batch = texts[start : start + _REQUEST_TEXTS]
         payload = {"texts": batch, "role": role, "encoding_format": "base64"}
         try:
-            data = post_json(
-                cfg.endpoint, payload, attempts=_ATTEMPTS, backoff=_BACKOFF, timeout=_TIMEOUT
-            )
+            data = post_json(cfg.endpoint, payload)
         except TransportError as exc:
             raise BackendUnavailable(f"embedding service: {exc}") from exc
         embeddings = data.get("embeddings")

@@ -12,13 +12,12 @@ Every HTTP request ragrade sends, chat or embedding, goes out on the
 process's one ``requests.Session``, through ``post_json`` and its one retry
 policy. A request that times out, fails in transport, or gets a 5xx or a 429
 is sent again, up to ``max_retries`` attempts in all (always 3 for
-embedding), after ``retry_backoff * 2**n`` seconds (no jitter). A 429 or 503
-whose ``Retry-After`` gives a delay in seconds longer than that waits the
-header's delay instead, capped at ``timeout``; the HTTP-date form is ignored.
-The wait applies to the item whose request got the reply, not to the whole
-client: other items keep sending. While it waits, the item gives up its work
-slot (``WorkSlots``), so a waiting item never idles the bound on items
-working at once.
+embedding), after ``_BACKOFF * 2**n`` seconds, 0.5 s first (no jitter). A
+429 or 503 whose ``Retry-After`` gives a delay in seconds longer than that
+waits the header's delay instead, capped at ``timeout``; the HTTP-date form
+is ignored. The wait applies to that request only. A ``ChatClient`` bounds
+its requests in flight (``WorkSlots``): a request holds a slot only while it
+is sent, and a re-send takes the next free slot ahead of first attempts.
 """
 
 import functools
@@ -53,6 +52,8 @@ API_KEY_ENV = "ASASF_API_KEY"
 PARSE_TYPED = "typed"
 PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
+# the one retry policy: attempts and timeout when none is given, and the backoff base
+_ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,9 @@ class ModelConfig:
     model: str
     temperature: float = 0.0
     max_tokens: int = 512
-    timeout: float = 60.0
-    max_retries: int = 3
+    timeout: float = _TIMEOUT
+    max_retries: int = _ATTEMPTS
     concurrency: int = 4
-    retry_backoff: float = 0.5
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -73,8 +73,6 @@ class ModelConfig:
             raise ValueError("concurrency must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
 
 @dataclass
@@ -115,12 +113,8 @@ class LedgerEntry:
 
 
 class WorkSlots:
-    """At most ``n`` items working at once; ``with slots:`` holds one slot.
-
-    A retry wait inside the block gives the slot up. Coming back, the item
-    takes the next free slot ahead of items that have not started, so its
-    wait is its backoff, not the rest of the split.
-    """
+    """At most ``n`` holders at once. A ``returning`` taker (a re-send) gets the
+    next free slot ahead of first takers, so its wait is its backoff alone."""
 
     def __init__(self, n: int):
         self._cond = threading.Condition()
@@ -140,16 +134,7 @@ class WorkSlots:
             self._free += 1
             self._cond.notify_all()
 
-    def __enter__(self):
-        self.take()
-        _held.slots = self
 
-    def __exit__(self, *exc):
-        _held.slots = None
-        self.give()
-
-
-_held = threading.local()  # .slots: the WorkSlots this thread's item holds a slot of
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
@@ -166,29 +151,28 @@ def _session():
 
 
 def post_json(
-    url: str, body, *, attempts: int, backoff: float, timeout: float, headers=None
+    url: str, body, *, attempts=None, timeout=None, headers=None, slots=None
 ) -> Dict:
     """POST ``body`` as JSON and return the reply's JSON object, retrying as
-    the module docstring says. Any other non-200 status, or a body that is not
-    a JSON object, raises ``TransportError`` at once."""
+    the module docstring says (``_ATTEMPTS`` and ``_TIMEOUT`` unless given).
+    Each send holds one of ``slots``, if given, while it is sent. Any other
+    non-200 status, or a body that is not a JSON object, raises
+    ``TransportError`` at once."""
     import requests
 
+    attempts = _ATTEMPTS if attempts is None else attempts
+    timeout = _TIMEOUT if timeout is None else timeout
     last_error: Optional[Exception] = None
     retry_after: Optional[str] = None
     for attempt in range(attempts):
         if attempt:
-            delay = backoff * 2 ** (attempt - 1)
+            delay = _BACKOFF * 2 ** (attempt - 1)
             if retry_after is not None and _DELAY_SECONDS.fullmatch(retry_after.strip()):
                 delay = max(delay, min(float(retry_after), timeout))
-            slots = getattr(_held, "slots", None)
-            if slots is not None:
-                slots.give()
-            try:
-                time.sleep(delay)
-            finally:
-                if slots is not None:
-                    slots.take(returning=True)
+            time.sleep(delay)
         retry_after = None
+        if slots is not None:
+            slots.take(returning=attempt > 0)
         try:
             resp = _session().post(url, json=body, headers=headers, timeout=timeout)
         except requests.Timeout as exc:
@@ -197,6 +181,9 @@ def post_json(
         except requests.RequestException as exc:
             last_error = TransportError(f"request failed: {exc}")
             continue
+        finally:
+            if slots is not None:
+                slots.give()
         if resp.status_code in (429, 503):
             retry_after = resp.headers.get("Retry-After")
         if resp.status_code == 429:
@@ -227,12 +214,13 @@ def _completions_url(endpoint: str) -> str:
 class ChatClient:
     """Thread-safe client, shared by every item of a run.
 
-    It sends only from the calling thread, so the caller's work slots bound
-    requests in flight; an item waiting out a retry holds no slot.
+    It owns the one bound on chat requests in flight: at most
+    ``cfg.concurrency`` at once, from any number of threads or runs.
     """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
+        self._slots = WorkSlots(cfg.concurrency)
 
     def complete(self, prompt: PromptTemplate, relaxed: bool = False) -> str:
         """One chat completion, sent through ``post_json``."""
@@ -256,7 +244,7 @@ class ChatClient:
         cfg = self.cfg
         reply = post_json(
             _completions_url(cfg.endpoint), body, attempts=cfg.max_retries,
-            backoff=cfg.retry_backoff, timeout=cfg.timeout, headers=headers,
+            timeout=cfg.timeout, headers=headers, slots=self._slots,
         )
         try:
             content = reply["choices"][0]["message"]["content"]

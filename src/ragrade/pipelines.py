@@ -35,7 +35,6 @@ from .llmclient import (
     ModelConfig,
     PARSE_FAILED,
     PARSE_TYPED,
-    WorkSlots,
     judge,
 )
 from .promptkit import (
@@ -61,7 +60,7 @@ MODE_VOTE = "votegrader"
 MODE_OPTIMIZED = "optimized"
 _MODES = (MODE_ZERO_SHOT, MODE_RAG, MODE_VOTE, MODE_OPTIMIZED)
 # what retrieval raises when the embedding backend is down or replies garbage
-_RETRIEVAL_FAILURES = (TransportError, BackendUnavailable, DimensionMismatch, InvalidEmbedding)
+_RETRIEVAL_FAILURES = (BackendUnavailable, DimensionMismatch, InvalidEmbedding)
 
 
 @dataclass
@@ -135,37 +134,27 @@ def _batch_neighbors(
     return out
 
 
+def _vote(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
+    if hits is None:
+        return Judgment(None, None, None, parse_path=PARSE_FAILED)
+    try:
+        vote = vote_classify(hits)
+    except RagradeError as exc:
+        logger.warning("vote failed for %s: %s", record.id, exc)
+        return Judgment(None, None, None, parse_path=PARSE_FAILED)
+    return Judgment(score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED)
+
+
 def grade_item(
-    record: AnswerRecord,
-    cfg: PipelineConfig,
-    template: Optional[PromptTemplate],
-    client: Optional[ChatClient],
-    demos: Sequence[Demo] = (),
-    neighbors: Sequence[RetrievedExample] = (),
+    record: AnswerRecord, template: PromptTemplate, client: ChatClient, demos: Sequence[Demo]
 ) -> Judgment:
-    """Grade one record under the configured pipeline mode.
+    """Grade one record with the ``demos`` that ``run_split`` picked for it.
 
     The record's gold fields are never placed in the live item; demos carry
-    only other records' gold outputs. rag and vote take the record's
-    ``neighbors`` from ``run_split``'s split-wide retrieval; optimized mode
-    renders the fixed ``demos``. vote needs no template and no client.
+    only other records' gold outputs.
     """
-    if cfg.mode == MODE_VOTE:
-        try:
-            vote = vote_classify(neighbors)
-        except RagradeError as exc:
-            logger.warning("vote failed for %s: %s", record.id, exc)
-            return Judgment(None, None, None, parse_path=PARSE_FAILED)
-        return Judgment(
-            score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED
-        )
-
-    if cfg.mode == MODE_RAG:
-        # an answer without tokens has no neighbours: it is graded zero-shot style
-        demos = [demo_from_record(n.record, template.signature) for n in neighbors]
-        if any(demo.source_record_id == record.id for demo in demos):
-            raise GoldLeakage(f"live record {record.id} selected as its own demo")
-
+    if any(demo.source_record_id == record.id for demo in demos):
+        raise GoldLeakage(f"live record {record.id} selected as its own demo")
     inputs = {
         "question": record.question,
         "reference_answer": record.reference_answer,
@@ -185,42 +174,46 @@ def run_split(
 ) -> List[Judgment]:
     """Grade a whole split view; output order equals input order.
 
-    ``signature`` defaults to ``Signature()``; optimized mode passes one that
-    carries the program's instruction, and renders ``demo_records`` as the
-    fixed demos of every item. ``client``, when given, sends every chat
-    request; else the run builds one.
+    Each item's demos are picked here: its neighbours in rag mode, the fixed
+    ``demo_records`` in optimized mode (whose ``signature`` carries the
+    program's instruction), none in zero-shot. vote calls no model; else
+    ``client``, when given, sends every chat request, or the run builds one.
     """
     cfg.validate()
     sig = signature or Signature()
-    template = compile_signature(sig, cfg.style) if cfg.mode != MODE_VOTE else None
-    demos: List[Demo] = []
-    if cfg.mode == MODE_OPTIMIZED:
-        demos = [demo_from_record(r, sig) for r in demo_records]
-    if client is None and cfg.model is not None:
-        client = ChatClient(cfg.model)
-
-    # retrieval for the whole split, before the pool; the items of a group
+    # retrieval for the whole split, before any item; the items of a group
     # whose retrieval fails are failed judgments, with no request of their own
     neighbors: List[Optional[List[RetrievedExample]]] = [[]] * len(records)
     if cfg.mode in (MODE_RAG, MODE_VOTE):
         if index is None:
             raise ValueError(f"{cfg.mode} mode requires an index")
         neighbors = _batch_neighbors(records, cfg, index)
+    if cfg.mode == MODE_VOTE:
+        return [_vote(record, hits) for record, hits in zip(records, neighbors)]
 
-    # the only bound on chat requests in flight: an item holds a slot while
-    # it works and gives it up while it waits out a retry, so twice as many
-    # threads keep the slots busy during backoffs
-    concurrency = cfg.model.concurrency if cfg.model else 1
-    slots = WorkSlots(concurrency)
+    template = compile_signature(sig, cfg.style)
+    if cfg.mode == MODE_OPTIMIZED:
+        leaked = sorted({r.id for r in demo_records} & {r.id for r in records})
+        if leaked:
+            raise GoldLeakage(f"records {leaked} are graded and also demos")
+        fixed = [demo_from_record(r, sig) for r in demo_records]
+        demos: List[Optional[List[Demo]]] = [fixed] * len(records)
+    else:
+        # an answer without tokens has no neighbours: it is graded zero-shot style
+        demos = [
+            None if hits is None else [demo_from_record(n.record, sig) for n in hits]
+            for hits in neighbors
+        ]
+    client = client or ChatClient(cfg.model)
 
-    def one(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
-        if hits is None:
+    def one(record: AnswerRecord, item_demos: Optional[List[Demo]]) -> Judgment:
+        if item_demos is None:
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
-        with slots:
-            return grade_item(record, cfg, template, client, demos, hits)
+        return grade_item(record, template, client, item_demos)
 
-    with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-        return list(pool.map(one, records, neighbors))
+    # twice the client's slots in threads keep them busy through retry backoffs
+    with ThreadPoolExecutor(max_workers=2 * client.cfg.concurrency) as pool:
+        return list(pool.map(one, records, demos))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +286,6 @@ def optimize_few_shot(
     rng = random.Random(cfg.seed)
     pool = list(train)
     dev_golds = [r.gold_label for r in dev]
-    dev_ids = {r.id for r in dev}
 
     best: Optional[Tuple[float, int, str, List[str]]] = None
     trace: List[Dict] = []
@@ -302,7 +294,6 @@ def optimize_few_shot(
         size = rng.randint(0, min(k_max, len(train)))
         demo_records = rng.sample(pool, size)
         demo_ids = [r.id for r in demo_records]
-        assert not dev_ids.intersection(demo_ids), "demo drawn from dev"
         judgments = run_split(
             dev,
             cfg,

@@ -130,6 +130,54 @@ def test_config_file_that_is_not_an_object_exits_1(corpus_path, tmp_path, capsys
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("index", "embed_dim", None),
+        ("grade", "seed", "seven"),
+        ("grade", "k", 2.5),
+        ("grade", "temperature", [0.0]),
+        ("grade", "max_tokens", True),
+        ("grade", "timeout", {"s": 5}),
+        ("grade", "max_retries", "3.5"),
+        ("grade", "concurrency", "two"),
+        ("optimize", "budget", None),
+        ("optimize", "k_max", "1e400"),
+        ("optimize", "dev_count", 1e400),
+    ],
+)
+def test_config_file_number_of_a_wrong_type_exits_1(
+    command, key, value, corpus_path, tmp_path, capsys
+):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    capsys.readouterr()
+    flags = ["--config", str(config_path), "--out-dir", str(out_dir)]
+    if command != "index":
+        flags += ["--endpoint", "http://127.0.0.1:9"]
+    assert main([command, *flags]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_numbers_convert_to_their_key_types(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    out_dir = tmp_path / "runs"
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    config = {"temperature": 0, "seed": "7", "concurrency": 2.0, "embed_dim": 32}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    flags = ["--config", str(config_path), "--mode", "zero-shot", "--split", "test_ua",
+             "--endpoint", server.url]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 0
+    run_config = json.loads((out_dir / "m.json").read_text())["config"]
+    assert (run_config["temperature"], run_config["seed"], run_config["embed_dim"]) == (0.0, 7, 32)
+    assert isinstance(run_config["temperature"], float)
+
+
 def _grade(out_dir, manifest_path, *flags):
     return main(
         ["grade", *flags, "--out-dir", str(out_dir), "--out", str(manifest_path)]
@@ -208,7 +256,7 @@ def test_embedding_503_then_200_is_retried_by_index_and_grade(
     corpus_path, fixture_corpus, tmp_path, stub_server_factory, monkeypatch
 ):
     # each embedding request is refused once with a 503, then answered
-    monkeypatch.setattr("ragrade.embedding._BACKOFF", 0.0)
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.0)
     mirror = mirror_embedding_app(32)
     state = {"flaky": False, "sends": 0}
 
@@ -234,7 +282,8 @@ def test_embedding_503_then_200_is_retried_by_index_and_grade(
         assert _parse_paths(json.loads((out_dir / "m.json").read_text())) == {"typed": 3}
         runs[flaky] = (
             (out_dir / "index.rgix").read_bytes(),
-            [r["body"]["messages"] for r in chat.requests],
+            # the two pool threads may start items in either order
+            sorted(json.dumps(r["body"], sort_keys=True) for r in chat.requests),
             state["sends"],
         )
     assert runs[True][:2] == runs[False][:2]
@@ -340,6 +389,22 @@ def test_grade_bad_program_exits_1(program, message, corpus_path, tmp_path, caps
              "--endpoint", "http://127.0.0.1:9"]
     assert _grade(out_dir, out_dir / "m.json", *flags) == 1
     assert message in capsys.readouterr().err
+
+
+def test_grade_optimized_refuses_a_graded_record_as_demo(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, capsys
+):
+    out_dir = tmp_path / "runs"
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    program = {"instruction": "Grade.", "demo_record_ids": ["r01", "r02"], "dev_accuracy": 1.0}
+    program_path = tmp_path / "program.json"
+    program_path.write_text(json.dumps(program), encoding="utf-8")
+    flags = ["--mode", "optimized", "--program", str(program_path), "--split", "train",
+             "--endpoint", server.url]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "'r01', 'r02'" in capsys.readouterr().err
+    assert server.requests == [] and not (out_dir / "m.json").exists()
 
 
 def test_grade_max_retries_zero_exits_1(corpus_path, tmp_path, capsys):

@@ -42,8 +42,14 @@ from stub_servers import (
 SCHEMA = (("score", "real01"), ("label", "label3"), ("feedback", "freetext"))
 
 
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    # retries wait 0 s here unless a test sets its own backoff
+    monkeypatch.setattr(llmclient, "_BACKOFF", 0.0)
+
+
 def _cfg(endpoint, **kw):
-    defaults = dict(model="stub-model", max_retries=3, retry_backoff=0.0, timeout=5.0)
+    defaults = dict(model="stub-model", max_retries=3, timeout=5.0)
     defaults.update(kw)
     return ModelConfig(endpoint=endpoint, **defaults)
 
@@ -108,14 +114,15 @@ _RETRY_AFTER_CASES = [
 
 
 def _chat_once(url, backoff, timeout, monkeypatch):
-    client = ChatClient(_cfg(url, max_retries=2, retry_backoff=backoff, timeout=timeout))
+    monkeypatch.setattr(llmclient, "_BACKOFF", backoff)
+    client = ChatClient(_cfg(url, max_retries=2, timeout=timeout))
     assert client.complete(_prompt()) == "recovered"
 
 
 def _embed_once(url, backoff, timeout, monkeypatch):
-    # the embedding client has no retry options: it reads its module's policy
-    monkeypatch.setattr(embedding, "_BACKOFF", backoff)
-    monkeypatch.setattr(embedding, "_TIMEOUT", timeout)
+    # the embedding client has no retry options: it reads llmclient's policy
+    monkeypatch.setattr(llmclient, "_BACKOFF", backoff)
+    monkeypatch.setattr(llmclient, "_TIMEOUT", timeout)
     cfg = embedding.EmbedderConfig(backend="remote", endpoint=url, dimension=8)
     assert embedding.embed_tokens("recovered", cfg).tokens == ["recovered"]
 
@@ -426,9 +433,6 @@ def test_temperature_validation():
         ModelConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ValueError):
         ModelConfig(endpoint="http://x", model="m", max_retries=0)
-    with pytest.raises(ValueError, match="retry_backoff"):
-        ModelConfig(endpoint="http://x", model="m", retry_backoff=-0.5)
-    assert ModelConfig(endpoint="http://x", model="m", retry_backoff=0.0).retry_backoff == 0.0
 
 
 # --- parser properties ---

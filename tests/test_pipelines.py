@@ -5,8 +5,8 @@ import pytest
 
 from ragrade.dataset import split_view
 from ragrade.embedding import EmbedderConfig
-from ragrade.errors import BudgetExhaustedWithoutValidCandidate
-from ragrade.llmclient import LedgerEntry, ModelConfig
+from ragrade.errors import BudgetExhaustedWithoutValidCandidate, GoldLeakage
+from ragrade.llmclient import ChatClient, LedgerEntry, ModelConfig
 from ragrade.pipelines import (
     MODE_OPTIMIZED,
     MODE_RAG,
@@ -32,8 +32,14 @@ from stub_servers import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    # retries wait 0 s here unless a test sets its own backoff
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.0)
+
+
 def _model_cfg(endpoint, **kw):
-    defaults = dict(model="stub-model", max_retries=2, retry_backoff=0.0, timeout=5.0)
+    defaults = dict(model="stub-model", max_retries=2, timeout=5.0)
     defaults.update(kw)
     return ModelConfig(endpoint=endpoint, **defaults)
 
@@ -201,19 +207,60 @@ def test_every_embedding_and_chat_request_goes_out_on_one_session(
     assert len(set(map(id, sessions))) == 1
 
 
+def test_shared_client_bound_holds_across_concurrent_run_splits(
+    fixture_corpus, stub_server_factory
+):
+    # the client, not each run, bounds the requests in flight
+    gauge = _InFlight(delay=0.1)
+    gold = gold_by_answer(fixture_corpus.records)
+    server = stub_server_factory(gauge.wrap(echo_gold_chat_app(gold)))
+    cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg(server.url, concurrency=2))
+    client = ChatClient(cfg.model)
+    halves = [fixture_corpus.records[0::2], fixture_corpus.records[1::2]]
+    results = {}
+
+    def grade(half):
+        results[half] = run_split(halves[half], cfg, client=client)
+
+    threads = [threading.Thread(target=grade, args=(half,)) for half in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    for half, records in enumerate(halves):
+        assert [j.label for j in results[half]] == [r.gold_label for r in records]
+    assert len(server.requests) == len(fixture_corpus.records)
+    assert gauge.peak == 2
+
+
+def test_vote_mode_builds_no_client_and_no_pool(fixture_corpus, train_index, monkeypatch):
+    from ragrade import pipelines
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vote grades one item at a time, with no model")
+
+    monkeypatch.setattr(pipelines, "ChatClient", refuse)
+    monkeypatch.setattr(pipelines, "ThreadPoolExecutor", refuse)
+    cfg = PipelineConfig(mode=MODE_VOTE, k=3)
+    judgments = run_split(fixture_corpus.records, cfg, train_index)
+    assert [j.parse_path for j in judgments] == ["typed"] * len(fixture_corpus.records)
+
+
 def _graded_ids(requests, records):
     """The record each zero-shot chat request grades, in arrival order."""
     users = [m["content"] for r in requests for m in r["body"]["messages"] if m["role"] == "user"]
     return [next(rec.id for rec in records if rec.student_answer in user) for user in users]
 
 
-def test_item_waiting_out_a_retry_frees_its_slot(fixture_corpus, stub_server_factory):
+def test_item_waiting_out_a_retry_frees_its_slot(fixture_corpus, stub_server_factory, monkeypatch):
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.5)
     gauge = _InFlight(delay=0.02)
     records = fixture_corpus.records[:3]
     gold = gold_by_answer(fixture_corpus.records)
     app = rate_limit_once_app({records[0].student_answer}, echo_gold_chat_app(gold))
     server = stub_server_factory(gauge.wrap(app))
-    model = _model_cfg(server.url, concurrency=1, retry_backoff=0.5)
+    model = _model_cfg(server.url, concurrency=1)
     judgments = run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
     assert [j.parse_path for j in judgments] == ["typed"] * 3
     order = _graded_ids(server.requests, records)
@@ -222,12 +269,15 @@ def test_item_waiting_out_a_retry_frees_its_slot(fixture_corpus, stub_server_fac
     assert gauge.peak == 1
 
 
-def test_item_back_from_a_retry_goes_ahead_of_unstarted_items(fixture_corpus, stub_server_factory):
+def test_item_back_from_a_retry_goes_ahead_of_unstarted_items(
+    fixture_corpus, stub_server_factory, monkeypatch
+):
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.1)
     records = fixture_corpus.records  # 14 items, 20 ms each, one at a time
     gold = gold_by_answer(records)
     app = rate_limit_once_app({records[0].student_answer}, echo_gold_chat_app(gold))
     server = stub_server_factory(_InFlight(delay=0.02).wrap(app))
-    model = _model_cfg(server.url, concurrency=1, retry_backoff=0.1)
+    model = _model_cfg(server.url, concurrency=1)
     run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
     order = _graded_ids(server.requests, records)
     first, retry = [i for i, rid in enumerate(order) if rid == "r01"]
@@ -235,13 +285,14 @@ def test_item_back_from_a_retry_goes_ahead_of_unstarted_items(fixture_corpus, st
     assert first + 1 < retry < len(order) - 1
 
 
-def test_several_waiting_items_keep_the_bound(fixture_corpus, stub_server_factory):
+def test_several_waiting_items_keep_the_bound(fixture_corpus, stub_server_factory, monkeypatch):
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.2)
     gauge = _InFlight()
     records = fixture_corpus.records[:8]
     gold = gold_by_answer(fixture_corpus.records)
     limited = {r.student_answer for r in records[:3]}
     server = stub_server_factory(gauge.wrap(rate_limit_once_app(limited, echo_gold_chat_app(gold))))
-    model = _model_cfg(server.url, concurrency=2, retry_backoff=0.2)
+    model = _model_cfg(server.url, concurrency=2)
     judgments = run_split(records, PipelineConfig(mode=MODE_ZERO_SHOT, model=model))
     assert [j.parse_path for j in judgments] == ["typed"] * 8
     assert len(server.requests) == 8 + 3
@@ -250,12 +301,11 @@ def test_several_waiting_items_keep_the_bound(fixture_corpus, stub_server_factor
 
 @pytest.mark.parametrize("mode", [MODE_RAG, MODE_VOTE])
 def test_failing_query_batch_fails_its_items_without_more_requests(
-    mode, fixture_corpus, stub_server_factory, monkeypatch
+    mode, fixture_corpus, stub_server_factory
 ):
     # documents embed; every query request gets a 503
     from stub_servers import mirror_embedding_app
 
-    monkeypatch.setattr("ragrade.embedding._BACKOFF", 0.0)
     mirror = mirror_embedding_app(32)
 
     def embed_app(path, body):
@@ -543,6 +593,15 @@ def test_optimize_rejects_a_config_of_another_mode(fixture_corpus):
     cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg("http://127.0.0.1:9"))
     with pytest.raises(ValueError, match="optimized-mode"):
         optimize_few_shot(train, dev, Signature(), budget=1, k_max=1, cfg=cfg)
+
+
+def test_optimized_mode_refuses_a_graded_record_as_demo(fixture_corpus, stub_server_factory):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    train = split_view(fixture_corpus, "train")
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, k=2, model=_model_cfg(server.url))
+    with pytest.raises(GoldLeakage, match="'r01', 'r02'"):
+        run_split(train[:3], cfg, demo_records=train[:2])
+    assert server.requests == []  # refused before any request
 
 
 def test_optimized_mode_grades_with_program(fixture_corpus, stub_server_factory):
