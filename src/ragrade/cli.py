@@ -55,6 +55,9 @@ _DEFAULTS = {
 }
 
 
+# written by `ingest` into the out dir, read by `index`, `grade` and `optimize`
+CORPUS_CACHE = "corpus.cache"
+
 # the numeric keys and their types; flags are typed by argparse, a config
 # file's values by _number
 _NUMBERS = {
@@ -129,9 +132,15 @@ def _model_config(cfg: Dict) -> Optional[ModelConfig]:
 def _load_corpus(cfg: Dict) -> dataset.Corpus:
     corpus_path = cfg.get("corpus")
     if not corpus_path:
-        cached = Path(cfg.get("out_dir")) / "corpus.jsonl"
+        out_dir = Path(cfg.get("out_dir"))
+        cached = out_dir / CORPUS_CACHE
         if cached.exists():
-            return dataset.load_corpus(cached, "jsonl")
+            return dataset.load_corpus(cached, "cache")
+        old = out_dir / "corpus.jsonl"  # what ingest wrote before the cache
+        if old.exists():
+            raise RagradeError(
+                f"{old} is not a current corpus cache; re-run `ragrade ingest`"
+            )
         raise RagradeError(
             "no corpus given; pass --corpus or run `ragrade ingest <path>` first"
         )
@@ -153,8 +162,8 @@ def _cmd_ingest(args) -> int:
     corpus = dataset.load_corpus(args.path, cfg.get("format"))
     out_dir = Path(cfg.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = out_dir / "corpus.jsonl"
-    dataset.save_corpus(corpus, cache, "jsonl")
+    cache = out_dir / CORPUS_CACHE
+    dataset.save_corpus(corpus, cache)
     counts = {
         split: len(dataset.split_view(corpus, split)) for split in dataset.SPLITS
     }
@@ -305,10 +314,10 @@ def _cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = manifest_path.stem + ".report"
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / f"{stem}.csv").write_text(metrics.report_to_csv([row]), encoding="utf-8")
+    with dataset.atomic_write(out_dir / f"{stem}.json") as fh:
+        fh.write((json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    with dataset.atomic_write(out_dir / f"{stem}.csv") as fh:
+        fh.write(metrics.report_to_csv([row]).encode("utf-8"))
 
     print(metrics.report_line(row))
     print(f"reports -> {out_dir / stem}.json, {out_dir / stem}.csv")
@@ -368,10 +377,8 @@ def _cmd_optimize(args) -> int:
     out_dir = Path(cfg.get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out or (out_dir / f"program_{_timestamp()}.json")
-    Path(out_path).write_text(
-        json.dumps(program.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with dataset.atomic_write(out_path) as fh:
+        fh.write((json.dumps(program.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
     print(
         f"best dev accuracy {program.dev_accuracy:.3f} with "
         f"{len(program.demo_record_ids)} demos -> {out_path}"

@@ -9,11 +9,15 @@ into ``train`` / ``test_ua`` (new answers to known questions) / ``test_uq``
 
 import csv
 import json
+import os
 import re
+import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import BinaryIO, Dict, Iterable, Iterator, List
 
 from .errors import (
     CorpusError,
@@ -193,10 +197,16 @@ def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
 
 
 def load_corpus(path, fmt: str = "jsonl") -> Corpus:
-    """Load and validate a corpus file. Scores outside [0, 1] are rejected, not clamped."""
+    """Load and validate a corpus file. Scores outside [0, 1] are rejected, not clamped.
+
+    ``fmt="cache"`` reads a file written by ``save_corpus``: once its header
+    and checksum match, its records are trusted and not validated again.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
+    if fmt == "cache":
+        return _load_cache(path)
     corpus = Corpus()
     for row_no, row in enumerate(_iter_rows(path, fmt), start=1):
         record, split = parse_row(row, row_no)
@@ -206,21 +216,84 @@ def load_corpus(path, fmt: str = "jsonl") -> Corpus:
     return corpus
 
 
-def save_corpus(corpus: Corpus, path, fmt: str = "jsonl") -> None:
+# The corpus cache: a JSON header line, then one JSON array per field of
+# AnswerRecord and one of splits, in corpus order. The header's crc32 covers
+# every byte after the header line.
+CACHE_FORMAT = "ragrade-corpus"
+CACHE_VERSION = 1
+_RECORD_FIELDS = tuple(f.name for f in fields(AnswerRecord))
+_CACHE_COLUMNS = len(_RECORD_FIELDS) + 1  # the last column is the split
+
+
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write a validated ``corpus`` as a cache that ``load_corpus(path, "cache")`` reads."""
+    records = corpus.records
+    columns = [list(map(attrgetter(name), records)) for name in _RECORD_FIELDS]
+    columns.append([corpus.split_assignment[r.id] for r in records])
+    body = "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in columns).encode("utf-8")
+    header = {
+        "format": CACHE_FORMAT,
+        "version": CACHE_VERSION,
+        "records": len(records),
+        "crc32": zlib.crc32(body),
+    }
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(body)
+
+
+def _load_cache(path: Path) -> Corpus:
+    stale = CorpusError(f"{path} is not a current corpus cache; re-run `ragrade ingest`")
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except (ValueError, RecursionError):
+            raise stale from None
+        if not (
+            isinstance(header, dict)
+            and header.get("format") == CACHE_FORMAT
+            and header.get("version") == CACHE_VERSION
+        ):
+            raise stale
+        body_start = fh.tell()
+        crc = 0
+        for block in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB at a time
+            crc = zlib.crc32(block, crc)
+        if crc != header.get("crc32"):
+            raise stale
+        fh.seek(body_start)
+        try:
+            columns = [json.loads(line) for line in fh]
+        except (ValueError, RecursionError):
+            raise stale from None
+    n = header.get("records")
+    if len(columns) != _CACHE_COLUMNS or not all(
+        isinstance(c, list) and len(c) == n for c in columns
+    ):
+        raise stale
+    return Corpus(
+        records=list(map(AnswerRecord, *columns[:-1])),
+        split_assignment=dict(zip(columns[0], columns[-1])),
+    )
+
+
+@contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """Yield a new binary file next to ``path``; it replaces ``path`` when the
+    block exits normally and is removed when it raises.
+
+    A crash part-way leaves the old ``path`` whole. There is no fsync, so this
+    does not promise durability across a power loss.
+    """
     path = Path(path)
-    rows = [r.to_row(corpus.split_assignment[r.id]) for r in corpus.records]
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(_REQUIRED_KEYS))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row[k] for k in _REQUIRED_KEYS})
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r}")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def split_view(corpus: Corpus, split: str) -> List[AnswerRecord]:

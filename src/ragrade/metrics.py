@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dataset import atomic_write
 from .embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_texts, tokenize
 from .errors import (
     AllEmptyReferences,
@@ -371,8 +372,8 @@ def write_report_files(rows: Sequence[ReportRow], out_dir, stem: str) -> Tuple[s
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     txt_path = out_dir / f"{stem}.txt"
-    csv_path.write_text(report_to_csv(rows), encoding="utf-8")
-    txt_path.write_text(
-        report_to_text(rows) + f"\nbleu signature: {BLEU_SIGNATURE}\n", encoding="utf-8"
-    )
+    with atomic_write(csv_path) as fh:
+        fh.write(report_to_csv(rows).encode("utf-8"))
+    with atomic_write(txt_path) as fh:
+        fh.write((report_to_text(rows) + f"\nbleu signature: {BLEU_SIGNATURE}\n").encode("utf-8"))
     return str(csv_path), str(txt_path)

@@ -15,10 +15,9 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .dataset import AnswerRecord
+from .dataset import AnswerRecord, atomic_write
 from .errors import (
     BackendUnavailable,
     BudgetExhaustedWithoutValidCandidate,
@@ -372,10 +371,9 @@ def build_manifest(
 
 
 def write_manifest(manifest: Dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def load_manifest(path) -> Dict:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .dataset import AnswerRecord
+from .dataset import AnswerRecord, atomic_write
 from .embedding import (
     EmbedderConfig,
     ROLE_DOCUMENT,
@@ -311,7 +311,7 @@ def save_index(index: MaxSimIndex, path) -> None:
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header_raw)))
         fh.write(header_raw)
         fh.write(np.ascontiguousarray(index.offsets, dtype="<i8").data)

@@ -1,8 +1,10 @@
 import json
+import zlib
 from collections import Counter
 
 import pytest
 
+from ragrade import dataset
 from ragrade.cli import main
 
 from conftest import gold_by_answer, rewrite_index_header
@@ -13,9 +15,86 @@ def test_ingest_fixture(corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     code = main(["ingest", str(corpus_path), "--out-dir", str(out_dir)])
     assert code == 0
-    assert (out_dir / "corpus.jsonl").exists()
+    assert (out_dir / "corpus.cache").exists()
+    assert not (out_dir / "corpus.jsonl").exists()
     out = capsys.readouterr().out
     assert "train=8" in out and "test_ua=3" in out and "test_uq=3" in out
+
+
+def _rewrite_cache(path, header=None, columns=None):
+    """Rewrite the corpus cache at ``path``; the crc32 is recomputed."""
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    lines = body.splitlines(keepends=True)
+    if columns is not None:
+        lines = columns(lines)
+    body = b"".join(lines)
+    fields = {**json.loads(header_line), "crc32": zlib.crc32(body), **(header or {})}
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + body)
+
+
+def _flip_body_byte(path):
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 5] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+_CACHE_CORRUPTIONS = {
+    "flipped_body_byte": _flip_body_byte,
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[:-40]),
+    "empty": lambda p: p.write_bytes(b""),
+    "header_not_json": lambda p: p.write_bytes(b"corpus\n" + p.read_bytes().split(b"\n", 1)[1]),
+    "other_version": lambda p: _rewrite_cache(p, header={"version": 2}),
+    "other_format": lambda p: _rewrite_cache(p, header={"format": "jsonl"}),
+    "eight_columns": lambda p: _rewrite_cache(p, columns=lambda lines: lines[:8]),
+    "record_count": lambda p: _rewrite_cache(p, header={"records": 15}),
+    "old_jsonl_only": lambda p: p.rename(p.with_name("corpus.jsonl")),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CACHE_CORRUPTIONS))
+def test_bad_corpus_cache_exits_1_with_reingest_message(corruption, corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    _CACHE_CORRUPTIONS[corruption](out_dir / "corpus.cache")
+    name = "corpus.jsonl" if corruption == "old_jsonl_only" else "corpus.cache"
+    capsys.readouterr()
+    commands = [
+        ["index", "--out-dir", str(out_dir)],
+        ["grade", "--mode", "vote", "--k", "3", "--out-dir", str(out_dir)],
+        ["optimize", "--endpoint", "http://127.0.0.1:9", "--out-dir", str(out_dir)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {out_dir / name} is not a current corpus cache; re-run `ragrade ingest`\n"
+        )
+
+
+def test_invalid_corpus_flag_is_parsed_despite_a_valid_cache(corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(corpus_path.read_text(encoding="utf-8").replace('"score": 1.0', '"score": 2.5', 1))
+    capsys.readouterr()
+    assert main(["index", "--corpus", str(bad), "--out-dir", str(out_dir)]) == 1
+    assert "error: row 1: score 2.5 outside [0, 1]" in capsys.readouterr().err
+    assert _grade(out_dir, out_dir / "m.json", "--corpus", str(bad), "--mode", "vote") == 1
+    assert "error: row 1: score 2.5 outside [0, 1]" in capsys.readouterr().err
+
+
+def test_cache_path_neither_parses_rows_nor_validates(corpus_path, tmp_path, monkeypatch):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the corpus cache was parsed or validated again")
+
+    monkeypatch.setattr(dataset, "parse_row", boom)
+    monkeypatch.setattr(dataset.Corpus, "validate", boom)
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    assert _grade(out_dir, out_dir / "m.json", "--mode", "vote", "--k", "3") == 0
+    assert len(json.loads((out_dir / "m.json").read_text())["items"]) == 3
 
 
 def test_ingest_invalid_corpus_exits_1(tmp_path):

@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ragrade.dataset import (
     LABELS,
     SPLITS,
+    atomic_write,
     canonical_label,
     canonical_split,
     load_corpus,
@@ -227,13 +232,101 @@ def test_saf_train_proportion_near_published():
     assert abs(fraction - 0.70) <= 0.02
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_round_trip(fixture_corpus, tmp_path, fmt):
-    first = tmp_path / f"c1.{fmt}"
-    second = tmp_path / f"c2.{fmt}"
-    save_corpus(fixture_corpus, first, fmt)
-    loaded = load_corpus(first, fmt)
+def test_round_trip(fixture_corpus, tmp_path):
+    first = tmp_path / "c1.cache"
+    second = tmp_path / "c2.cache"
+    save_corpus(fixture_corpus, first)
+    loaded = load_corpus(first, "cache")
     assert loaded.records == fixture_corpus.records
     assert loaded.split_assignment == fixture_corpus.split_assignment
-    save_corpus(loaded, second, fmt)
+    save_corpus(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_cache_layout(fixture_corpus, tmp_path):
+    path = tmp_path / "c.cache"
+    save_corpus(fixture_corpus, path)
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header_line) == {
+        "format": "ragrade-corpus",
+        "version": 1,
+        "records": 14,
+        "crc32": zlib.crc32(body),
+    }
+    columns = [json.loads(line) for line in body.splitlines()]
+    assert len(columns) == 9
+    assert columns[0] == [r.id for r in fixture_corpus.records]
+    assert columns[5] == [r.gold_score for r in fixture_corpus.records]
+    assert columns[8] == [fixture_corpus.split_assignment[r.id] for r in fixture_corpus.records]
+
+
+# text that a line-per-column format must keep on its line
+_CACHE_TEXT = st.one_of(
+    st.sampled_from(["", "\n", "a\nb", "\u2028", "\u2029", "\r\n", '"', '\\"', "\u00e9\u4e2d\U0001f600"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@st.composite
+def _source_rows(draw):
+    """Rows of a valid corpus: questions of even number are seen in train
+    (test_ua may reuse them), those of odd number only in test_uq."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    rows, seen = [], set()
+    for i in range(n):
+        q = draw(st.integers(min_value=0, max_value=3))
+        if q % 2:
+            split = "test_uq"
+        elif q in seen:
+            split = draw(st.sampled_from(["train", "test_ua"]))
+        else:
+            split = "train"
+        seen.add(q)
+        rows.append({
+            "id": f"{i}{draw(_CACHE_TEXT)}",
+            "question": f"{draw(_CACHE_TEXT)}#{q}",
+            "question_id": f"q{q}",
+            "reference_answer": draw(_CACHE_TEXT),
+            "student_answer": draw(_CACHE_TEXT),
+            "score": draw(st.one_of(st.sampled_from([0.0, 1e-7, 1 / 3, 1.0]), st.floats(0.0, 1.0))),
+            "label": draw(st.sampled_from(["correct", "Partially correct", "INCORRECT"])),
+            "feedback": draw(_CACHE_TEXT),
+            "split": split,
+        })
+    # one text per question: every row takes the text its question's first row drew
+    texts = {}
+    for row in rows:
+        row["question"] = texts.setdefault(row["question_id"], row["question"])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_source_rows())
+def test_cache_loads_what_the_source_loads(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        source_path = Path(tmp) / "source.jsonl"
+        source_path.write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+        )
+        source = load_corpus(source_path)
+        save_corpus(source, Path(tmp) / "corpus.cache")
+        cached = load_corpus(Path(tmp) / "corpus.cache", "cache")
+    assert cached.records == source.records
+    assert [type(r.gold_score) for r in cached.records] == [float] * len(rows)
+    assert list(cached.split_assignment.items()) == list(source.split_assignment.items())
+
+
+def test_atomic_write_that_raises_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(b"new con")
+            raise RuntimeError("writer failed half-way")
+    assert path.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+    with atomic_write(path) as fh:
+        fh.write(b"new contents\n")
+    assert path.read_bytes() == b"new contents\n"
+    assert os.listdir(tmp_path) == ["out.json"]

@@ -1,14 +1,19 @@
 import functools
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ragrade
 from ragrade.dataset import AnswerRecord
 from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_tokens, normalize_rows
 from ragrade.errors import (
@@ -745,3 +750,16 @@ def test_load_rejects_missing_or_mistyped_header_field(tmp_path, field, corrupt)
     rewrite_index_header(path, corrupt)
     with pytest.raises(ValueError, match=f"corrupt index file: header field '{field}'"):
         load_index(path, records)
+
+
+@pytest.mark.parametrize("given_value, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_one_blas_thread_unless_the_user_set_one(given_value, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = given_value
+    src = str(Path(ragrade.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import os, ragrade; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == f"{expected}\n"
