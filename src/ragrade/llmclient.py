@@ -8,28 +8,41 @@ is recovered by line-anchored matching. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
-Every HTTP request ragrade sends, chat or embedding, goes out on the
-process's one ``requests.Session``, through ``post_json`` and its one retry
-policy. A request that times out, fails in transport, or gets a 5xx or a 429
+Every HTTP request ragrade sends, chat or embedding, goes through
+``post_json`` and its one retry policy, on the standard library's
+``http.client``. Connections are kept alive in one process-wide pool of idle
+connections per (scheme, host, port): one the server has closed meanwhile is
+dropped before reuse, and a reply marked for closing (any HTTP/1.0 reply)
+closes its connection. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are
+read once per URL, and https goes through the proxy in a CONNECT tunnel. The
+one SSL context is built on the first https request, trusting the CA file
+that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names, if either is set.
+In a process that has already loaded ``requests``, the same requests go out
+on one ``requests.Session`` instead, so hooks on it (tracers, HTTP mocks)
+keep seeing them. A reply longer than ``_MAX_REPLY_BYTES`` fails at once.
+A request that times out, fails in transport, or gets a 5xx or a 429
 is sent again, up to ``max_retries`` attempts in all (always 3 for
 embedding), after ``_BACKOFF * 2**n`` seconds, 0.5 s first (no jitter). A
 429 or 503 whose ``Retry-After`` gives a delay in seconds longer than that
 waits the header's delay instead, capped at ``timeout``; the HTTP-date form
 is ignored. The wait applies to that request only. A ``ChatClient`` bounds
 its requests in flight (``WorkSlots``): a request holds a slot only while it
-is sent, and a re-send takes the next free slot ahead of first attempts.
+is sent and its reply read. Slots go out in arrival order, except that a
+re-send takes the next free slot ahead of first attempts.
 """
 
+import base64
 import functools
 import json
 import logging
 import os
 import re
+import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .dataset import canonical_label
 from .errors import (
@@ -54,6 +67,10 @@ PARSE_FALLBACK = "fallback"
 PARSE_FAILED = "failed"
 # the one retry policy: attempts and timeout when none is given, and the backoff base
 _ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
+# the most of a reply read, above the largest legitimate embedding reply
+_MAX_REPLY_BYTES = 64 << 20
+_POOL_SIZE = 4  # idle keep-alive connections kept per host
+_HEADERS = {"Content-Type": "application/json", "User-Agent": "ragrade"}
 
 
 @dataclass(frozen=True)
@@ -113,41 +130,199 @@ class LedgerEntry:
 
 
 class WorkSlots:
-    """At most ``n`` holders at once. A ``returning`` taker (a re-send) gets the
-    next free slot ahead of first takers, so its wait is its backoff alone."""
+    """At most ``n`` holders at once, handed out in arrival order. A
+    ``returning`` taker (a re-send) is served ahead of every first taker, so
+    its wait is its backoff alone."""
 
     def __init__(self, n: int):
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._free = n
-        self._returning = 0
+        self._waiting = (deque(), deque())  # tickets of first takers, of re-sends
 
     def take(self, returning: bool = False) -> None:
-        with self._cond:
-            self._returning += returning
-            while not self._free or (self._returning and not returning):
-                self._cond.wait()
-            self._returning -= returning
-            self._free -= 1
+        with self._lock:
+            if self._free:  # nobody waits while a slot is free
+                self._free -= 1
+                return
+            ticket = threading.Lock()
+            ticket.acquire()
+            self._waiting[returning].append(ticket)
+        ticket.acquire()  # released by the ``give`` that hands this taker its slot
 
     def give(self) -> None:
-        with self._cond:
-            self._free += 1
-            self._cond.notify_all()
+        with self._lock:
+            queue = self._waiting[True] or self._waiting[False]
+            if queue:
+                queue.popleft().release()
+            else:
+                self._free += 1
 
 
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
+class _Route(NamedTuple):
+    """Where a URL's requests go: the host to connect to, an optional CONNECT
+    tunnel, the request target, and any proxy credentials to send."""
+
+    key: tuple
+    https: bool
+    host: str
+    port: int
+    tunnel: Optional[Tuple[str, int]]
+    target: str
+    proxy_headers: Dict[str, str]
+
+
+@functools.lru_cache(maxsize=256)
+def _route(url: str) -> _Route:
+    """``url``'s route. The proxy settings (``*_proxy``, ``no_proxy``) are read
+    once per URL, as ``urllib`` reads them; a proxy is spoken to in plain HTTP."""
+    import http.client
+    import urllib.parse
+    import urllib.request
+
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+            proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            proxy_port = proxy.port or 80
+        else:
+            proxy = None
+    except ValueError as exc:  # a malformed host or port, in the URL or its proxy's
+        raise http.client.InvalidURL(f"{exc}: {url!r}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname or (proxy and not proxy.hostname):
+        raise http.client.InvalidURL(f"not an http(s) URL with a host: {url!r}")
+    https = parts.scheme == "https"
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if proxy is None:
+        return _Route((parts.scheme, parts.hostname, port), https, parts.hostname, port,
+                      None, target, {})
+    proxy_headers = {}
+    if proxy.username:
+        credentials = ":".join(map(urllib.parse.unquote, (proxy.username, proxy.password or "")))
+        proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            credentials.encode("utf-8")).decode("ascii")
+    key = (parts.scheme, parts.hostname, port, proxy.geturl())
+    if https:  # TLS end to end, through a CONNECT tunnel
+        return _Route(key, True, proxy.hostname, proxy_port, (parts.hostname, port), target,
+                      proxy_headers)
+    return _Route(key, False, proxy.hostname, proxy_port, None, url, proxy_headers)
+
+
+def _closed_by_peer(sock) -> bool:
+    """An idle keep-alive socket reads as ready only if the server closed it
+    (or sent what it must not); either way it cannot carry another request."""
+    import select
+
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # already closed, or a descriptor past select's range
+        return True
+
+
+class _ConnectionPool:
+    """The process's idle keep-alive connections, per (scheme, host, port) and
+    proxy, at most ``_POOL_SIZE`` each. A connection goes back only after a
+    reply read to its end and not marked ``will_close``."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: Dict[tuple, list] = {}
+        self._ssl_context = None
+
+    def send(self, url: str, payload: bytes, headers: Dict[str, str], timeout: float):
+        """POST ``payload`` to ``url``: (status, reply headers, reply body of at
+        most ``_MAX_REPLY_BYTES + 1`` bytes)."""
+        route = _route(url)
+        conn = self._take(route.key) or self._connect(route, timeout)
+        try:
+            if conn.sock is not None:  # a reused connection takes this request's timeout
+                conn.sock.settimeout(timeout)
+            conn.request("POST", route.target, body=payload,
+                         headers={**_HEADERS, **headers, **route.proxy_headers})
+            resp = conn.getresponse()
+            body = resp.read(_MAX_REPLY_BYTES + 1)
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close or not resp.isclosed():  # not read to its end: past the cap
+            resp.close()
+            conn.close()
+        else:
+            self._give(route.key, conn)
+        return resp.status, resp.headers, body
+
+    def _take(self, key):
+        with self._lock:
+            idle = self._idle.get(key)
+            while idle:
+                conn = idle.pop()
+                if not _closed_by_peer(conn.sock):
+                    return conn
+                conn.close()
+        return None
+
+    def _give(self, key, conn) -> None:
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            if len(idle) < _POOL_SIZE:
+                idle.append(conn)
+                return
+        conn.close()
+
+    def _connect(self, route: _Route, timeout: float):
+        import http.client
+
+        if not route.https:
+            return http.client.HTTPConnection(route.host, route.port, timeout=timeout)
+        conn = http.client.HTTPSConnection(
+            route.host, route.port, timeout=timeout, context=self._context()
+        )
+        if route.tunnel:
+            conn.set_tunnel(*route.tunnel, headers=route.proxy_headers)
+        return conn
+
+    def _context(self):
+        """The one SSL context, built on the first https request: building one
+        costs more than the rest of a request. ``REQUESTS_CA_BUNDLE`` or
+        ``CURL_CA_BUNDLE`` names the CA file to trust instead of the system's."""
+        with self._lock:
+            if self._ssl_context is None:
+                import ssl
+
+                cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+                self._ssl_context = ssl.create_default_context(cafile=cafile or None)
+            return self._ssl_context
+
+
+_POOL = _ConnectionPool()
+
+
+def _send_with_requests(url: str, payload: bytes, headers: Dict[str, str], timeout: float):
+    """``_ConnectionPool.send`` on ``requests``, for a process that has already
+    loaded it, so hooks on ``requests.Session.post`` see ragrade's requests."""
+    requests = sys.modules["requests"]
+    try:
+        with _requests_session().post(
+            url, data=payload, headers={**_HEADERS, **headers}, timeout=timeout,
+            stream=True, allow_redirects=False,
+        ) as resp:
+            body = bytearray()
+            for chunk in resp.iter_content(1 << 16):
+                body += chunk
+                if len(body) > _MAX_REPLY_BYTES:
+                    break
+    except requests.Timeout as exc:
+        raise TimeoutError(str(exc)) from exc
+    return resp.status_code, resp.headers, bytes(body)
+
+
 @functools.lru_cache(maxsize=None)
-def _session():
-    """The one session every request goes out on; ``requests`` loads on first use.
-
-    Threads that miss the cache at the same moment may each make one; every
-    later call gets the one the cache keeps.
-    """
-    import requests
-
-    return requests.Session()
+def _requests_session():
+    return sys.modules["requests"].Session()
 
 
 def post_json(
@@ -155,13 +330,18 @@ def post_json(
 ) -> Dict:
     """POST ``body`` as JSON and return the reply's JSON object, retrying as
     the module docstring says (``_ATTEMPTS`` and ``_TIMEOUT`` unless given).
-    Each send holds one of ``slots``, if given, while it is sent. Any other
-    non-200 status, or a body that is not a JSON object, raises
-    ``TransportError`` at once."""
-    import requests
+    Each send holds one of ``slots``, if given, while it is sent and its reply
+    read. Any other non-200 status, a reply past ``_MAX_REPLY_BYTES``, or a
+    body that is not a JSON object, raises ``TransportError`` at once."""
+    import http.client
 
     attempts = _ATTEMPTS if attempts is None else attempts
     timeout = _TIMEOUT if timeout is None else timeout
+    try:
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+    except ValueError as exc:  # NaN or infinity, which JSON cannot carry
+        raise TransportError(f"request body is not JSON: {exc}") from None
+    send = _send_with_requests if "requests" in sys.modules else _POOL.send
     last_error: Optional[Exception] = None
     retry_after: Optional[str] = None
     for attempt in range(attempts):
@@ -174,32 +354,36 @@ def post_json(
         if slots is not None:
             slots.take(returning=attempt > 0)
         try:
-            resp = _session().post(url, json=body, headers=headers, timeout=timeout)
-        except requests.Timeout as exc:
+            status, reply_headers, data = send(url, payload, headers or {}, timeout)
+        except TimeoutError as exc:
             last_error = Timeout(f"request timed out: {exc}")
             continue
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_error = TransportError(f"request failed: {exc}")
             continue
         finally:
             if slots is not None:
                 slots.give()
-        if resp.status_code in (429, 503):
-            retry_after = resp.headers.get("Retry-After")
-        if resp.status_code == 429:
+        if len(data) > _MAX_REPLY_BYTES:
+            raise TransportError(f"reply is longer than {_MAX_REPLY_BYTES} bytes")
+        if status in (429, 503):
+            retry_after = reply_headers.get("Retry-After")
+        if status == 429:
             last_error = RateLimited("rate limited by endpoint")
             continue
-        if resp.status_code >= 500:
-            last_error = TransportError(f"server error HTTP {resp.status_code}")
+        if status >= 500:
+            last_error = TransportError(f"server error HTTP {status}")
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            raise TransportError(f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}")
         try:
-            reply = resp.json()
+            reply = json.loads(data)
         except (ValueError, RecursionError):
             reply = None
         if not isinstance(reply, dict):
-            raise TransportError(f"reply is not a JSON object: {resp.text[:200]}")
+            raise TransportError(
+                f"reply is not a JSON object: {data[:200].decode('utf-8', 'replace')}"
+            )
         return reply
     raise last_error
 

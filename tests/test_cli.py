@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -519,6 +523,39 @@ def test_grade_zero_shot_without_endpoint_exits_1(corpus_path, tmp_path, capsys)
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     assert main(["grade", "--mode", "zero-shot", "--out-dir", str(out_dir)]) == 1
+
+
+@pytest.mark.parametrize("mode, loaded", [
+    ("zero-shot", "requests=False http.client=True"),
+    ("vote", "requests=False http.client=False"),
+])
+def test_commands_load_no_http_library_they_do_not_use(
+    mode, loaded, corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    out_dir = str(tmp_path / "runs")
+    commands = [["ingest", str(corpus_path), "--out-dir", out_dir]]
+    if mode == "vote":
+        commands.append(["index", "--split", "train", "--out-dir", out_dir])
+        grade = ["--mode", "vote", "--split", "test_ua"]
+    else:
+        server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+        grade = ["--mode", "zero-shot", "--split", "test_ua", "--endpoint", server.url]
+    commands.append(["grade", *grade, "--out-dir", out_dir])
+    code = "\n".join([
+        "import sys",
+        "from ragrade.cli import main",
+        *(f"assert main({argv!r}) == 0" for argv in commands),
+        "print(*(f'{m}={m in sys.modules}' for m in ('requests', 'http.client')))",
+    ])
+    env = dict(os.environ)
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == loaded
+    if mode != "vote":
+        assert len(server.requests) == 3
 
 
 def test_grade_and_evaluate_echo_stub(

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import json
+import re
 import sys
 import threading
 import time
@@ -192,6 +195,299 @@ def test_work_slots_bound_holds_under_contention():
     assert state["peak"] <= 3
 
 
+def test_work_slots_go_out_in_arrival_order_with_re_sends_first():
+    slots = llmclient.WorkSlots(1)
+    slots.take()  # the one slot is held, so every later taker waits its turn
+    order = []
+
+    def worker(name, returning):
+        slots.take(returning=returning)
+        order.append(name)
+        slots.give()
+
+    takers = [(n, False) for n in range(5)] + [("re-send", True)]
+    threads = []
+    for waiting, (name, returning) in enumerate(takers, start=1):
+        threads.append(threading.Thread(target=worker, args=(name, returning)))
+        threads[-1].start()
+        while sum(map(len, slots._waiting)) < waiting:  # until it holds its ticket
+            time.sleep(0.001)
+    slots.give()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert order == ["re-send", 0, 1, 2, 3, 4]
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A connection pool of the test's own, its idle connections closed after it."""
+    pool = llmclient._ConnectionPool()
+    monkeypatch.setattr(llmclient, "_POOL", pool)
+    yield pool
+    for conn in itertools.chain.from_iterable(pool._idle.values()):
+        conn.close()
+
+
+def _keep_alive_server(close_after_reply):
+    """An HTTP/1.1 chat server whose handler records each connection it accepts
+    and each request it reads; with ``close_after_reply`` it closes the
+    connection after each reply without saying so in the reply."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            self.server.log.append("connect")
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.server.log.append("request")
+            raw = json.dumps(_chat_payload("ok")).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+            self.close_connection = close_after_reply
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    httpd.log = []
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    return httpd
+
+
+@pytest.mark.parametrize("server_closes, log", [
+    (False, ["connect", "request", "request"]),
+    (True, ["connect", "request", "connect", "request"]),
+], ids=["kept_alive", "closed_by_server"])
+def test_idle_connection_is_reused_unless_the_server_closed_it(
+    pool, monkeypatch, server_closes, log
+):
+    import select
+
+    waits = []
+    monkeypatch.setattr(llmclient, "time", SimpleNamespace(sleep=waits.append))
+    httpd = _keep_alive_server(close_after_reply=server_closes)
+    try:
+        client = ChatClient(_cfg(f"http://127.0.0.1:{httpd.server_port}"))
+        assert client.complete(_prompt()) == "ok"
+        (idle,) = [conn for conns in pool._idle.values() for conn in conns]
+        if server_closes:  # the server's close has reached the idle socket
+            assert select.select([idle.sock], [], [], 5)[0]
+        assert client.complete(_prompt()) == "ok"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert httpd.log == log
+    assert waits == []  # no attempt failed, so nothing was sent again
+
+
+def test_pool_never_shares_a_connection_between_concurrent_requests(pool, monkeypatch):
+    waits = []
+    monkeypatch.setattr(llmclient, "time", SimpleNamespace(sleep=waits.append))
+    httpd = _keep_alive_server(close_after_reply=False)
+    # as many slots as idle connections kept, so no connection is ever closed
+    client = ChatClient(
+        _cfg(f"http://127.0.0.1:{httpd.server_port}", concurrency=llmclient._POOL_SIZE)
+    )
+    replies = []
+
+    def worker():
+        for _ in range(25):
+            replies.append(client.complete(_prompt()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        httpd.shutdown()
+        httpd.server_close()
+    assert not any(t.is_alive() for t in threads)
+    # a connection taken by two requests at once would fail one of them
+    assert replies == ["ok"] * 200 and waits == []
+    assert httpd.log.count("request") == 200
+    assert httpd.log.count("connect") <= llmclient._POOL_SIZE
+
+
+@pytest.fixture
+def proxy_env(pool, monkeypatch):
+    """No proxy or CA settings from outside the test, and a route cache of the
+    test's own: routes are cached per URL, so the module's cache never holds a
+    route through a proxy that only this test sets."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setattr(llmclient, "_route", functools.lru_cache()(llmclient._route.__wrapped__))
+    return monkeypatch
+
+
+@pytest.mark.parametrize("no_proxy, via_proxy", [("", True), ("127.0.0.1", False)],
+                         ids=["proxied", "bypassed"])
+def test_http_proxy_carries_requests_unless_no_proxy_names_the_host(
+    proxy_env, stub_server_factory, no_proxy, via_proxy
+):
+    upstream = stub_server_factory(fixed_chat_app("direct"))
+    proxy = stub_server_factory(fixed_chat_app("proxied"))
+    proxy_env.setenv("HTTP_PROXY", proxy.url)
+    proxy_env.setenv("NO_PROXY", no_proxy)
+    reply = ChatClient(_cfg(upstream.url)).complete(_prompt())
+    url = upstream.url + "/v1/chat/completions"
+    if via_proxy:
+        assert reply == "proxied"
+        assert [r["path"] for r in proxy.requests] == [url]  # the absolute URL, as to a proxy
+        assert upstream.requests == []
+    else:
+        assert reply == "direct"
+        assert [r["path"] for r in upstream.requests] == ["/v1/chat/completions"]
+        assert proxy.requests == []
+
+
+@pytest.fixture
+def tls_chat_server(tmp_path):
+    """An https chat stub on 127.0.0.1 with a self-signed certificate; yields
+    (url, path of the certificate)."""
+    import shutil
+    import ssl
+    import subprocess
+    from http.server import ThreadingHTTPServer
+
+    from stub_servers import _Handler
+
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-days", "2", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+    httpd.app, httpd.requests, httpd.lock = fixed_chat_app("secure"), [], threading.Lock()
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    yield f"https://127.0.0.1:{httpd.server_port}", cert
+    httpd.shutdown()
+    httpd.server_close()
+
+
+def _connect_proxy():
+    """A CONNECT-only proxy that records each tunnel's target and relays its bytes."""
+    import select
+    import socket
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            self.server.tunnels.append(self.path)
+            host, port = self.path.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                self.send_response(200, "Connection established")
+                self.end_headers()
+                ends = {self.connection: upstream, upstream: self.connection}
+                while True:
+                    readable, _, _ = select.select(list(ends), [], [], 10)
+                    chunks = [(end, end.recv(65536)) for end in readable]
+                    if not readable or not all(data for _, data in chunks):
+                        break
+                    for end, data in chunks:
+                        ends[end].sendall(data)
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    httpd.tunnels = []
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    return httpd
+
+
+@pytest.mark.parametrize("via_proxy", [False, True], ids=["direct", "tunnelled"])
+def test_https_trusts_the_ca_file_that_requests_ca_bundle_names(proxy_env, tls_chat_server, via_proxy):
+    url, cert = tls_chat_server
+    proxy_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
+    proxy = _connect_proxy() if via_proxy else None
+    try:
+        if proxy:
+            proxy_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+        assert ChatClient(_cfg(url)).complete(_prompt()) == "secure"
+    finally:
+        if proxy:
+            proxy.shutdown()
+            proxy.server_close()
+    if proxy:
+        assert proxy.tunnels == [url.removeprefix("https://")]
+
+
+def test_https_without_a_trusted_ca_is_a_transport_error(proxy_env, tls_chat_server):
+    url, _ = tls_chat_server
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        ChatClient(_cfg(url, max_retries=1)).complete(_prompt())
+
+
+@pytest.fixture
+def requests_loaded():
+    """``requests`` in ``sys.modules`` for one test, so no later test sends through it."""
+    was_loaded = "requests" in sys.modules
+    requests = pytest.importorskip("requests")
+    yield requests
+    if not was_loaded:
+        del sys.modules["requests"]
+
+
+def test_a_process_that_loaded_requests_sends_on_its_session(
+    requests_loaded, stub_server_factory, monkeypatch
+):
+    monkeypatch.setattr(llmclient, "_MAX_REPLY_BYTES", 1024)
+    urls = []
+    original_post = requests_loaded.Session.post
+
+    def spy(self, url, **kwargs):
+        urls.append(url)
+        return original_post(self, url, **kwargs)
+
+    monkeypatch.setattr(requests_loaded.Session, "post", spy)
+    ok = stub_server_factory(fixed_chat_app("ok"))
+    huge = stub_server_factory(fixed_chat_app("x" * 2048))
+    assert ChatClient(_cfg(ok.url)).complete(_prompt()) == "ok"
+    with pytest.raises(TransportError, match="longer than 1024 bytes"):
+        ChatClient(_cfg(huge.url)).complete(_prompt())
+    assert urls == [ok.url + "/v1/chat/completions", huge.url + "/v1/chat/completions"]
+    assert len(huge.requests) == 1  # past the cap is not sent again
+
+
+@pytest.mark.parametrize("endpoint, proxy", [
+    ("http://127.0.0.1:99999", None),
+    ("http://127.0.0.1:port", None),
+    ("http://[::1", None),
+    ("ftp://127.0.0.1", None),
+    ("127.0.0.1:8080", None),
+    ("http://127.0.0.1:8080", "http://127.0.0.1:port"),
+    ("http://127.0.0.1:8080", "http://:3128"),
+])
+def test_malformed_endpoint_or_proxy_is_a_transport_error(proxy_env, endpoint, proxy):
+    if proxy:
+        proxy_env.setenv("HTTP_PROXY", proxy)
+    # refused before any connection: the message names the URL, not a socket error
+    with pytest.raises(TransportError, match=re.escape(f"'{endpoint}/v1/chat/completions'")):
+        ChatClient(_cfg(endpoint, max_retries=1)).complete(_prompt())
+
+
 def test_unreachable_endpoint_raises_transport_error():
     client = ChatClient(_cfg("http://127.0.0.1:9", max_retries=2))
     with pytest.raises(TransportError):
@@ -211,15 +507,13 @@ def test_bearer_token_from_environment(stub_server_factory, monkeypatch):
 
     # the stub handler drops headers, so spy on the outgoing request instead
     captured = {}
-    import requests
+    original_send = llmclient._ConnectionPool.send
 
-    original_post = requests.Session.post
+    def spy(self, url, payload, headers, timeout):
+        captured.update(headers)
+        return original_send(self, url, payload, headers, timeout)
 
-    def spy(self, url, **kwargs):
-        captured.update(kwargs.get("headers") or {})
-        return original_post(self, url, **kwargs)
-
-    monkeypatch.setattr(requests.Session, "post", spy)
+    monkeypatch.setattr(llmclient._ConnectionPool, "send", spy)
     ChatClient(_cfg(server.url)).complete(_prompt())
     assert captured.get("Authorization") == "Bearer sekrit"
 

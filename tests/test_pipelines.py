@@ -185,17 +185,17 @@ def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_ser
 def test_every_embedding_and_chat_request_goes_out_on_one_session(
     fixture_corpus, stub_server_factory, monkeypatch
 ):
-    import requests
+    from ragrade import llmclient
     from stub_servers import mirror_embedding_app
 
-    sessions = []
-    original_post = requests.Session.post
+    sessions = []  # the connection pool each request went out on
+    original_send = llmclient._ConnectionPool.send
 
-    def spy(self, url, **kwargs):
+    def spy(self, url, payload, headers, timeout):
         sessions.append(self)
-        return original_post(self, url, **kwargs)
+        return original_send(self, url, payload, headers, timeout)
 
-    monkeypatch.setattr(requests.Session, "post", spy)
+    monkeypatch.setattr(llmclient._ConnectionPool, "send", spy)
     chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
     embed = stub_server_factory(mirror_embedding_app(32))
     embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
@@ -205,6 +205,28 @@ def test_every_embedding_and_chat_request_goes_out_on_one_session(
     assert [j.parse_path for j in judgments] == ["typed"] * 3
     assert len(sessions) == len(embed.requests) + len(chat.requests) == 2 + 3
     assert len(set(map(id, sessions))) == 1
+
+
+def test_oversized_reply_fails_its_own_item_only(fixture_corpus, stub_server_factory, monkeypatch):
+    from stub_servers import _chat_payload
+
+    monkeypatch.setattr("ragrade.llmclient._MAX_REPLY_BYTES", 1024)
+    records = split_view(fixture_corpus, "test_ua")
+    huge_answer = records[1].student_answer
+    echo = echo_gold_chat_app(gold_by_answer(fixture_corpus.records))
+
+    def app(path, body):
+        if huge_answer in body["messages"][-1]["content"]:
+            return 200, _chat_payload("x" * 2048)
+        return echo(path, body)
+
+    server = stub_server_factory(app)
+    cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg(server.url, concurrency=2))
+    judgments = run_split(records, cfg)
+    assert [j.parse_path for j in judgments] == ["typed", "failed", "typed"]
+    # one send on each path, typed then relaxed: a reply past the cap is not sent again
+    huge = [r for r in server.requests if huge_answer in r["body"]["messages"][-1]["content"]]
+    assert len(huge) == 2 and len(server.requests) == 4
 
 
 def test_shared_client_bound_holds_across_concurrent_run_splits(
