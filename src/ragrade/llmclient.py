@@ -14,12 +14,13 @@ Every HTTP request ragrade sends, chat or embedding, goes through
 connections per (scheme, host, port): one the server has closed meanwhile is
 dropped before reuse, and a reply marked for closing (any HTTP/1.0 reply)
 closes its connection. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are
-read once per URL, and https goes through the proxy in a CONNECT tunnel. The
-one SSL context is built on the first https request, trusting the CA file
-that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names, if either is set.
-In a process that has already loaded ``requests``, the same requests go out
-on one ``requests.Session`` instead, so hooks on it (tracers, HTTP mocks)
-keep seeing them. A reply longer than ``_MAX_REPLY_BYTES`` fails at once.
+read once per URL, and https goes through the proxy in a CONNECT tunnel, whose
+CONNECT alone carries the proxy's credentials. The one SSL context is built on
+the first https request, trusting the CA file that ``REQUESTS_CA_BUNDLE`` or
+``CURL_CA_BUNDLE`` names, if either is set. In a process that has already
+loaded ``requests``, each request is passed through ``requests.Session.post``
+on its way to the pool, so hooks on that method (tracers, HTTP mocks) keep
+seeing it. A reply longer than ``_MAX_REPLY_BYTES`` fails at once.
 A request that times out, fails in transport, or gets a 5xx or a 429
 is sent again, up to ``max_retries`` attempts in all (always 3 for
 embedding), after ``_BACKOFF * 2**n`` seconds, 0.5 s first (no jitter). A
@@ -69,7 +70,6 @@ PARSE_FAILED = "failed"
 _ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 # the most of a reply read, above the largest legitimate embedding reply
 _MAX_REPLY_BYTES = 64 << 20
-_POOL_SIZE = 4  # idle keep-alive connections kept per host
 _HEADERS = {"Content-Type": "application/json", "User-Agent": "ragrade"}
 
 
@@ -163,7 +163,8 @@ _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 class _Route(NamedTuple):
     """Where a URL's requests go: the host to connect to, an optional CONNECT
-    tunnel, the request target, and any proxy credentials to send."""
+    tunnel, the request target, and any proxy credentials, which go with each
+    request through a plain-http proxy and with the CONNECT of a tunnel only."""
 
     key: tuple
     https: bool
@@ -177,7 +178,8 @@ class _Route(NamedTuple):
 @functools.lru_cache(maxsize=256)
 def _route(url: str) -> _Route:
     """``url``'s route. The proxy settings (``*_proxy``, ``no_proxy``) are read
-    once per URL, as ``urllib`` reads them; a proxy is spoken to in plain HTTP."""
+    once per URL, as ``urllib`` reads them; a proxy is spoken to in plain HTTP,
+    so one given by an ``https://`` (or any other non-http) URL is refused."""
     import http.client
     import urllib.parse
     import urllib.request
@@ -195,6 +197,8 @@ def _route(url: str) -> _Route:
         raise http.client.InvalidURL(f"{exc}: {url!r}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname or (proxy and not proxy.hostname):
         raise http.client.InvalidURL(f"not an http(s) URL with a host: {url!r}")
+    if proxy and proxy.scheme != "http":
+        raise http.client.InvalidURL(f"proxy {proxy.geturl()!r} for {url!r} is not an http:// URL")
     https = parts.scheme == "https"
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     if proxy is None:
@@ -223,26 +227,36 @@ def _closed_by_peer(sock) -> bool:
         return True
 
 
+class _Reply(NamedTuple):
+    """A reply, under the names a ``requests.Response`` gives its parts."""
+
+    status_code: int
+    headers: object
+    content: bytes
+
+
 class _ConnectionPool:
     """The process's idle keep-alive connections, per (scheme, host, port) and
-    proxy, at most ``_POOL_SIZE`` each. A connection goes back only after a
-    reply read to its end and not marked ``will_close``."""
+    proxy. A connection goes back only after a reply read to its end and not
+    marked ``will_close``, so there are never more idle than requests were
+    once in flight together."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._idle: Dict[tuple, list] = {}
         self._ssl_context = None
 
-    def send(self, url: str, payload: bytes, headers: Dict[str, str], timeout: float):
-        """POST ``payload`` to ``url``: (status, reply headers, reply body of at
-        most ``_MAX_REPLY_BYTES + 1`` bytes)."""
+    def send(self, url: str, payload: bytes, headers: Dict[str, str], timeout: float) -> _Reply:
+        """POST ``payload`` to ``url``; the reply's body is read to at most
+        ``_MAX_REPLY_BYTES + 1`` bytes."""
         route = _route(url)
         conn = self._take(route.key) or self._connect(route, timeout)
+        if route.tunnel is None:  # to the server itself, or in plain http to its proxy
+            headers = {**headers, **route.proxy_headers}
         try:
             if conn.sock is not None:  # a reused connection takes this request's timeout
                 conn.sock.settimeout(timeout)
-            conn.request("POST", route.target, body=payload,
-                         headers={**_HEADERS, **headers, **route.proxy_headers})
+            conn.request("POST", route.target, body=payload, headers={**_HEADERS, **headers})
             resp = conn.getresponse()
             body = resp.read(_MAX_REPLY_BYTES + 1)
         except BaseException:
@@ -253,7 +267,7 @@ class _ConnectionPool:
             conn.close()
         else:
             self._give(route.key, conn)
-        return resp.status, resp.headers, body
+        return _Reply(resp.status, resp.headers, body)
 
     def _take(self, key):
         with self._lock:
@@ -267,11 +281,7 @@ class _ConnectionPool:
 
     def _give(self, key, conn) -> None:
         with self._lock:
-            idle = self._idle.setdefault(key, [])
-            if len(idle) < _POOL_SIZE:
-                idle.append(conn)
-                return
-        conn.close()
+            self._idle.setdefault(key, []).append(conn)
 
     def _connect(self, route: _Route, timeout: float):
         import http.client
@@ -301,28 +311,15 @@ class _ConnectionPool:
 _POOL = _ConnectionPool()
 
 
-def _send_with_requests(url: str, payload: bytes, headers: Dict[str, str], timeout: float):
-    """``_ConnectionPool.send`` on ``requests``, for a process that has already
-    loaded it, so hooks on ``requests.Session.post`` see ragrade's requests."""
-    requests = sys.modules["requests"]
-    try:
-        with _requests_session().post(
-            url, data=payload, headers={**_HEADERS, **headers}, timeout=timeout,
-            stream=True, allow_redirects=False,
-        ) as resp:
-            body = bytearray()
-            for chunk in resp.iter_content(1 << 16):
-                body += chunk
-                if len(body) > _MAX_REPLY_BYTES:
-                    break
-    except requests.Timeout as exc:
-        raise TimeoutError(str(exc)) from exc
-    return resp.status_code, resp.headers, bytes(body)
+class _SessionStandIn:
+    """The ``self`` that ``requests.Session.post`` is called on, in a process
+    that has already loaded ``requests``. That method's body is
+    ``return self.request("POST", url, data=data, json=json, **kwargs)``, so the
+    request still goes out on ``_POOL``, and hooks on the method see it."""
 
-
-@functools.lru_cache(maxsize=None)
-def _requests_session():
-    return sys.modules["requests"].Session()
+    @staticmethod
+    def request(method, url, data, json, headers, timeout) -> _Reply:
+        return _POOL.send(url, data, headers, timeout)
 
 
 def post_json(
@@ -341,7 +338,8 @@ def post_json(
         payload = json.dumps(body, allow_nan=False).encode("utf-8")
     except ValueError as exc:  # NaN or infinity, which JSON cannot carry
         raise TransportError(f"request body is not JSON: {exc}") from None
-    send = _send_with_requests if "requests" in sys.modules else _POOL.send
+    requests = sys.modules.get("requests")
+    send = functools.partial(requests.Session.post, _SessionStandIn) if requests else _POOL.send
     last_error: Optional[Exception] = None
     retry_after: Optional[str] = None
     for attempt in range(attempts):
@@ -354,7 +352,7 @@ def post_json(
         if slots is not None:
             slots.take(returning=attempt > 0)
         try:
-            status, reply_headers, data = send(url, payload, headers or {}, timeout)
+            resp = send(url, payload, headers=headers or {}, timeout=timeout)
         except TimeoutError as exc:
             last_error = Timeout(f"request timed out: {exc}")
             continue
@@ -364,10 +362,11 @@ def post_json(
         finally:
             if slots is not None:
                 slots.give()
+        status, data = resp.status_code, resp.content
         if len(data) > _MAX_REPLY_BYTES:
             raise TransportError(f"reply is longer than {_MAX_REPLY_BYTES} bytes")
         if status in (429, 503):
-            retry_after = reply_headers.get("Retry-After")
+            retry_after = resp.headers.get("Retry-After")
         if status == 429:
             last_error = RateLimited("rate limited by endpoint")
             continue
