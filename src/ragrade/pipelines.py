@@ -12,10 +12,11 @@ paths.
 import json
 import logging
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .dataset import AnswerRecord, atomic_write
 from .errors import (
@@ -170,6 +171,7 @@ def run_split(
     signature: Optional[Signature] = None,
     demo_records: Sequence[AnswerRecord] = (),
     client: Optional[ChatClient] = None,
+    gate: Optional[Callable[[AnswerRecord, Callable[[], Judgment]], Optional[Judgment]]] = None,
 ) -> List[Judgment]:
     """Grade a whole split view; output order equals input order.
 
@@ -177,6 +179,9 @@ def run_split(
     ``demo_records`` in optimized mode (whose ``signature`` carries the
     program's instruction), none in zero-shot. vote calls no model; else
     ``client``, when given, sends every chat request, or the run builds one.
+    ``gate``, when given, grades each item instead: it is called with the
+    record and a function that grades it, and returns that function's
+    judgment, or ``None`` for an item it does not send.
     """
     cfg.validate()
     sig = signature or Signature()
@@ -205,9 +210,11 @@ def run_split(
         ]
     client = client or ChatClient(cfg.model)
 
-    def one(record: AnswerRecord, item_demos: Optional[List[Demo]]) -> Judgment:
+    def one(record: AnswerRecord, item_demos: Optional[List[Demo]]) -> Optional[Judgment]:
         if item_demos is None:
             return Judgment(None, None, None, parse_path=PARSE_FAILED)
+        if gate is not None:
+            return gate(record, lambda: grade_item(record, template, client, item_demos))
         return grade_item(record, template, client, item_demos)
 
     # twice the client's slots in threads keep them busy through retry backoffs
@@ -246,6 +253,45 @@ def propose_instructions(
     return lines[:n]
 
 
+class _Race:
+    """One trial's stop rule, as ``run_split``'s gate.
+
+    With c correct of s scored items and r not yet finished, the trial can
+    reach at most (c+r)/(s+r). A failed item is not scored, and leaving it
+    out cannot lift the accuracy above that bound. Once the bound is at or
+    below the incumbent's accuracy (compared as integers), the trial cannot
+    win and its unstarted items are not sent. The bound never rises, so
+    whether a trial ``lost`` at its end does not depend on thread timing.
+    """
+
+    def __init__(self, items: int, incumbent: Optional[Tuple[int, int]]):
+        self.correct = self.scored = 0
+        self.left = items
+        self.right: Set[str] = set()  # ids of the items graded correctly
+        self.incumbent = incumbent  # (correct, scored), or None: nothing to beat
+        self._lock = threading.Lock()
+
+    def lost(self) -> bool:
+        if self.incumbent is None:
+            return False
+        correct, scored = self.incumbent
+        return (self.correct + self.left) * scored <= correct * (self.scored + self.left)
+
+    def __call__(self, record: AnswerRecord, grade: Callable[[], Judgment]) -> Optional[Judgment]:
+        with self._lock:
+            if self.lost():
+                return None
+        judgment = grade()
+        with self._lock:
+            self.left -= 1
+            if judgment.parse_path != PARSE_FAILED:
+                self.scored += 1
+                if judgment.label == record.gold_label:
+                    self.correct += 1
+                    self.right.add(record.id)
+        return judgment
+
+
 def optimize_few_shot(
     train: Sequence[AnswerRecord],
     dev: Sequence[AnswerRecord],
@@ -259,8 +305,13 @@ def optimize_few_shot(
 
     Each candidate pairs an instruction (the base one, a supplied one, or a
     proposal-model paraphrase) with a random train-only demo subset of size
-    <= k_max, and is scored by label accuracy on the dev items. Deterministic
-    given the seed and fixed model responses.
+    <= k_max, and is scored by label accuracy on the dev items. Only a
+    strictly better trial replaces the incumbent, so trials are raced: a
+    trial stops sending once it cannot beat the incumbent (``_Race``), and
+    sends the incumbent's misses (wrong or failed dev items) first, then the
+    rest, each in dev order. A trial that cannot win, or that repeats an
+    earlier (instruction, demo ids) pair, is traced as ``stopped``, without
+    an accuracy. Deterministic given the seed and fixed model responses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -284,53 +335,52 @@ def optimize_few_shot(
 
     rng = random.Random(cfg.seed)
     pool = list(train)
-    dev_golds = [r.gold_label for r in dev]
 
-    best: Optional[Tuple[float, int, str, List[str]]] = None
+    best: Optional[Tuple[int, int, str, List[str]]] = None  # correct, scored, instruction, demo ids
+    order = list(dev)  # send order: the incumbent's misses first
+    tried: Set[Tuple[str, Tuple[str, ...]]] = set()
     trace: List[Dict] = []
     for trial in range(budget):
         instruction = candidates[rng.randrange(len(candidates))]
         size = rng.randint(0, min(k_max, len(train)))
         demo_records = rng.sample(pool, size)
         demo_ids = [r.id for r in demo_records]
-        judgments = run_split(
-            dev,
+        entry: Dict = {"trial": trial, "instruction": instruction, "demo_record_ids": demo_ids}
+        trace.append(entry)
+        key = (instruction, tuple(demo_ids))
+        if key in tried:
+            entry["stopped"] = True  # the same prompts cannot beat the result they had
+            continue
+        tried.add(key)
+
+        race = _Race(len(dev), best and best[:2])
+        run_split(
+            order,
             cfg,
             signature=replace(sig, task_description=instruction),
             demo_records=demo_records,
             client=client,
+            gate=race,
         )
-
-        scored = [
-            (j.label, gold)
-            for j, gold in zip(judgments, dev_golds)
-            if j.parse_path != PARSE_FAILED
-        ]
-        accuracy = (
-            sum(p == g for p, g in scored) / len(scored) if scored else None
-        )
-        trace.append(
-            {
-                "trial": trial,
-                "instruction": instruction,
-                "demo_record_ids": demo_ids,
-                "dev_accuracy": accuracy,
-            }
-        )
-        if accuracy is None:
+        if race.lost():
+            entry["stopped"] = True
             continue
-        if best is None or accuracy > best[0]:
-            best = (accuracy, trial, instruction, demo_ids)
+        # not lost: every item was sent, and the trial beats the incumbent if any
+        entry["dev_accuracy"] = race.correct / race.scored if race.scored else None
+        if not race.scored:
+            continue
+        best = (race.correct, race.scored, instruction, demo_ids)
+        order = sorted(dev, key=lambda r: r.id in race.right)
 
     if best is None:
         raise BudgetExhaustedWithoutValidCandidate(
             f"all {budget} candidates failed on every dev item"
         )
-    accuracy, _, instruction, demo_ids = best
+    correct, scored, instruction, demo_ids = best
     return OptimizedProgram(
         instruction=instruction,
         demo_record_ids=demo_ids,
-        dev_accuracy=accuracy,
+        dev_accuracy=correct / scored,
         trace=trace,
     )
 

@@ -42,7 +42,10 @@ class StubServer:
         self.httpd.app = app
         self.httpd.requests = []
         self.httpd.lock = threading.Lock()
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll lets close() return within 0.05 s instead of up to 0.5 s
+        self._thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     @property
@@ -256,5 +259,30 @@ def instruction_sensitive_chat_app(gold_by_answer, magic_demo_answer):
         if magic_demo_answer in demos_section:
             return echo(path, body)
         return 200, _chat_payload('{"score": 0.0, "label": "incorrect", "feedback": "junk"}')
+
+    return app
+
+
+def outcome_chat_app(gold_by_answer, outcome):
+    """Grades each item as ``outcome(instruction, demos, answer)`` says.
+
+    ``instruction`` is the system text's first paragraph and ``demos`` the
+    number of demos before the live item. ``"right"`` replies with the live
+    item's gold label, ``"wrong"`` with another label, and ``"fail"`` with
+    prose that neither the typed nor the relaxed parser reads.
+    """
+
+    def app(path, body):
+        instruction = _message_text(body, "system").split("\n\n")[0]
+        user_text = _message_text(body, "user")
+        demos = user_text.count("student_answer: ") - 1  # the live item's is the last
+        answer = _find_live_answer(user_text, gold_by_answer.keys())
+        verdict = outcome(instruction, demos, answer)
+        if verdict == "fail":
+            return 200, _chat_payload("never valid output")
+        label = gold_by_answer[answer]["label"]
+        if verdict == "wrong":
+            label = "incorrect" if label != "incorrect" else "correct"
+        return 200, _chat_payload(json.dumps({"score": 0.5, "label": label, "feedback": "ok"}))
 
     return app

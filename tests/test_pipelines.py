@@ -2,9 +2,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragrade.dataset import split_view
 from ragrade.embedding import EmbedderConfig
+from ragrade import pipelines
 from ragrade.errors import BudgetExhaustedWithoutValidCandidate, GoldLeakage
 from ragrade.llmclient import ChatClient, LedgerEntry, ModelConfig
 from ragrade.pipelines import (
@@ -27,7 +29,9 @@ from stub_servers import (
     copy_first_demo_chat_app,
     echo_gold_chat_app,
     fixed_chat_app,
+    StubServer,
     instruction_sensitive_chat_app,
+    outcome_chat_app,
     rate_limit_once_app,
 )
 
@@ -597,6 +601,199 @@ def test_optimize_shares_one_client(
     train = split_view(fixture_corpus, "train")
     optimize_few_shot(train, split_view(fixture_corpus, "test_ua"), Signature(), budget=3, k_max=2, cfg=cfg)
     assert len(created) == clients
+
+
+def _count_trial_requests(monkeypatch, server):
+    """Patches ``run_split`` to note the stub requests of each optimizer trial."""
+    counts = []
+    real = pipelines.run_split
+
+    def counting(*args, **kwargs):
+        before = len(server.requests)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            counts.append(len(server.requests) - before)
+
+    monkeypatch.setattr(pipelines, "run_split", counting)
+    return counts
+
+
+def _live(request):
+    return request["body"]["messages"][1]["content"].rpartition("student_answer: ")[2].split("\n")[0]
+
+
+_GOOD = "Grade the answer against the reference."
+
+
+def _good_or_all_wrong(dev, misses):
+    """``_GOOD`` grades every dev item right but ``misses``; any other prompt gets all wrong."""
+    missed = {dev[i].student_answer for i in misses}
+
+    def outcome(instruction, demos, answer):
+        return "right" if instruction == _GOOD and answer not in missed else "wrong"
+
+    return outcome
+
+
+def test_optimize_race_stops_a_poor_candidate_early(fixture_corpus, stub_server_factory, monkeypatch):
+    gold = gold_by_answer(fixture_corpus.records)
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua") + split_view(fixture_corpus, "test_uq")
+    server = stub_server_factory(outcome_chat_app(gold, _good_or_all_wrong(dev, misses=(2, 4))))
+    counts = _count_trial_requests(monkeypatch, server)
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url, concurrency=1), seed=0)
+    program = optimize_few_shot(train, dev, Signature(), budget=2, k_max=0, cfg=cfg, instructions=[_GOOD])
+
+    first, second = program.trace
+    assert first["instruction"] == _GOOD and second["instruction"] != _GOOD  # the seed's draw
+    assert counts[0] == len(dev)
+    # the poor candidate stops after the incumbent's two misses: at most one more was started
+    assert 2 <= counts[1] <= 3 < len(dev)
+    later = server.requests[len(dev):]
+    assert {_live(r) for r in later[:2]} == {dev[2].student_answer, dev[4].student_answer}
+    assert second == {"trial": 1, "instruction": second["instruction"], "demo_record_ids": [], "stopped": True}
+    assert (program.instruction, program.demo_record_ids, program.dev_accuracy) == (_GOOD, [], 4 / 6)
+
+
+def test_optimize_race_later_trials_send_nothing_after_a_perfect_incumbent(
+    fixture_corpus, stub_server_factory, monkeypatch
+):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    counts = _count_trial_requests(monkeypatch, server)
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua")
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=42)
+    program = optimize_few_shot(train, dev, Signature(), budget=5, k_max=3, cfg=cfg)
+    assert program.trace[0]["dev_accuracy"] == 1.0
+    assert counts[0] == len(dev) and not any(counts[1:])
+    assert len(server.requests) == len(dev)
+    assert all(entry["stopped"] and "dev_accuracy" not in entry for entry in program.trace[1:])
+
+
+def test_optimize_race_repeated_candidate_sends_nothing(fixture_corpus, stub_server_factory, monkeypatch):
+    # every candidate is the base instruction with no demos, and gets every item wrong:
+    # against an incumbent at 0.0 a new candidate would have to send them all
+    gold = gold_by_answer(fixture_corpus.records)
+    server = stub_server_factory(outcome_chat_app(gold, lambda instruction, demos, answer: "wrong"))
+    counts = _count_trial_requests(monkeypatch, server)
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua")
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=1)
+    program = optimize_few_shot(train, dev, Signature(), budget=3, k_max=0, cfg=cfg)
+    assert len(server.requests) == len(dev)
+    assert counts == [len(dev)]  # the repeats never reach run_split
+    assert program.dev_accuracy == 0.0
+    assert [entry.get("stopped", False) for entry in program.trace] == [False, True, True]
+
+
+def test_optimize_race_gives_the_same_program_twice(fixture_corpus, stub_server_factory):
+    # stop points move with thread timing; the program and its trace must not
+    gold = gold_by_answer(fixture_corpus.records)
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua") + split_view(fixture_corpus, "test_uq")
+
+    def outcome(instruction, demos, answer):
+        return ("right", "wrong", "fail")[(len(answer) + demos + len(instruction)) % 3]
+
+    server = stub_server_factory(outcome_chat_app(gold, outcome))
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=7)
+    runs = [
+        optimize_few_shot(train, dev, Signature(), budget=8, k_max=3, cfg=cfg, instructions=[_GOOD, "Be strict."])
+        for _ in range(2)
+    ]
+    assert runs[0].to_dict() == runs[1].to_dict()
+    assert any(entry.get("stopped") for entry in runs[0].trace)
+
+
+_VERDICTS = ("right", "wrong", "fail")
+
+
+@st.composite
+def _race_cases(draw):
+    extra = draw(st.integers(0, 2))
+    k_max = draw(st.integers(0, 2))
+    items = draw(st.integers(1, 6))
+    table = {
+        (c, d, i): draw(st.sampled_from(_VERDICTS))
+        for c in range(extra + 1)
+        for d in range(k_max + 1)
+        for i in range(items)
+    }
+    budget = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10**6))
+    concurrency = draw(st.integers(1, 2))
+    return extra, k_max, items, table, budget, seed, concurrency
+
+
+def test_optimize_race_picks_the_program_full_grading_picks(fixture_corpus):
+    """Random (candidate, dev item) outcome tables: racing picks what grading every trial fully picks."""
+    gold = gold_by_answer(fixture_corpus.records)
+    train = split_view(fixture_corpus, "train")
+    all_dev = split_view(fixture_corpus, "test_ua") + split_view(fixture_corpus, "test_uq")
+    case = {}
+    seen = []
+
+    def outcome(instruction, demos, answer):
+        verdict = case["table"][case["candidates"].index(instruction), demos, case["item_of"][answer]]
+        seen.append(verdict)
+        return verdict
+
+    server = StubServer(outcome_chat_app(gold, outcome))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_race_cases())
+    def check(args):
+        extra, k_max, items, table, budget, seed, concurrency = args
+        dev = all_dev[:items]
+        instructions = [f"Instruction number {n}." for n in range(extra)]
+        case.update(
+            table=table,
+            candidates=[Signature().task_description] + instructions,
+            item_of={r.student_answer: i for i, r in enumerate(dev)},
+        )
+        seen.clear()
+        cfg = PipelineConfig(
+            mode=MODE_OPTIMIZED, model=_model_cfg(server.url, concurrency=concurrency), seed=seed
+        )
+        try:
+            program = optimize_few_shot(train, dev, Signature(), budget, k_max, cfg, instructions)
+        except BudgetExhaustedWithoutValidCandidate:
+            # no trial ever scored an item, so none was cut short: every reply failed
+            assert seen and set(seen) == {"fail"}
+            return
+
+        def full(entry):
+            outs = [
+                table[case["candidates"].index(entry["instruction"]), len(entry["demo_record_ids"]), i]
+                for i in range(items)
+            ]
+            return outs.count("right"), len(outs) - outs.count("fail")
+
+        best, expected, tried = None, [], set()
+        for entry in program.trace:
+            correct, scored = full(entry)
+            key = (entry["instruction"], tuple(entry["demo_record_ids"]))
+            wins = scored > 0 and (best is None or correct * best[1] > best[0] * scored)
+            want = {k: entry[k] for k in ("trial", "instruction", "demo_record_ids")}
+            if key in tried or (best is not None and not wins):
+                want["stopped"] = True
+            else:
+                want["dev_accuracy"] = correct / scored if scored else None
+            tried.add(key)
+            expected.append(want)
+            if wins:
+                best = (correct, scored, entry["instruction"], entry["demo_record_ids"])
+        assert program.trace == expected
+        assert (program.instruction, program.demo_record_ids, program.dev_accuracy) == (
+            best[2], best[3], best[0] / best[1]
+        )
+        assert len(seen) <= 2 * items * len(tried)
+
+    try:
+        check()
+    finally:
+        server.close()
 
 
 def test_optimize_all_candidates_fail(fixture_corpus, stub_server_factory):
