@@ -172,7 +172,7 @@ def run_split(
     demo_records: Sequence[AnswerRecord] = (),
     client: Optional[ChatClient] = None,
     gate: Optional[Callable[[AnswerRecord, Callable[[], Judgment]], Optional[Judgment]]] = None,
-) -> List[Judgment]:
+) -> List[Optional[Judgment]]:
     """Grade a whole split view; output order equals input order.
 
     Each item's demos are picked here: its neighbours in rag mode, the fixed
@@ -181,7 +181,8 @@ def run_split(
     ``client``, when given, sends every chat request, or the run builds one.
     ``gate``, when given, grades each item instead: it is called with the
     record and a function that grades it, and returns that function's
-    judgment, or ``None`` for an item it does not send.
+    judgment, or ``None`` for an item it does not send; that item's entry in
+    the returned list is ``None``. Without a gate no entry is ``None``.
     """
     cfg.validate()
     sig = signature or Signature()
@@ -309,9 +310,9 @@ def optimize_few_shot(
     strictly better trial replaces the incumbent, so trials are raced: a
     trial stops sending once it cannot beat the incumbent (``_Race``), and
     sends the incumbent's misses (wrong or failed dev items) first, then the
-    rest, each in dev order. A trial that cannot win, or that repeats an
-    earlier (instruction, demo ids) pair, is traced as ``stopped``, without
-    an accuracy. Deterministic given the seed and fixed model responses.
+    rest, each in dev order. A trial that cannot win is traced as
+    ``stopped``, without an accuracy. Deterministic given the seed and fixed
+    model responses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -338,7 +339,6 @@ def optimize_few_shot(
 
     best: Optional[Tuple[int, int, str, List[str]]] = None  # correct, scored, instruction, demo ids
     order = list(dev)  # send order: the incumbent's misses first
-    tried: Set[Tuple[str, Tuple[str, ...]]] = set()
     trace: List[Dict] = []
     for trial in range(budget):
         instruction = candidates[rng.randrange(len(candidates))]
@@ -347,12 +347,6 @@ def optimize_few_shot(
         demo_ids = [r.id for r in demo_records]
         entry: Dict = {"trial": trial, "instruction": instruction, "demo_record_ids": demo_ids}
         trace.append(entry)
-        key = (instruction, tuple(demo_ids))
-        if key in tried:
-            entry["stopped"] = True  # the same prompts cannot beat the result they had
-            continue
-        tried.add(key)
-
         race = _Race(len(dev), best and best[:2])
         run_split(
             order,

@@ -671,20 +671,53 @@ def test_optimize_race_later_trials_send_nothing_after_a_perfect_incumbent(
     assert all(entry["stopped"] and "dev_accuracy" not in entry for entry in program.trace[1:])
 
 
-def test_optimize_race_repeated_candidate_sends_nothing(fixture_corpus, stub_server_factory, monkeypatch):
-    # every candidate is the base instruction with no demos, and gets every item wrong:
-    # against an incumbent at 0.0 a new candidate would have to send them all
+def test_optimize_race_stops_a_repeated_candidate(fixture_corpus, stub_server_factory, monkeypatch):
+    # k_max=0 and no other instruction: every trial repeats the first candidate,
+    # which misses two items; each repeat is sent those misses first and loses on them
     gold = gold_by_answer(fixture_corpus.records)
-    server = stub_server_factory(outcome_chat_app(gold, lambda instruction, demos, answer: "wrong"))
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua") + split_view(fixture_corpus, "test_uq")
+    missed = {dev[2].student_answer, dev[4].student_answer}
+    server = stub_server_factory(
+        outcome_chat_app(gold, lambda instruction, demos, answer: "wrong" if answer in missed else "right")
+    )
     counts = _count_trial_requests(monkeypatch, server)
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url, concurrency=1), seed=1)
+    program = optimize_few_shot(train, dev, Signature(), budget=3, k_max=0, cfg=cfg)
+    assert counts[0] == len(dev)
+    # at most one item past the two misses was started before the repeat lost
+    assert all(2 <= count <= 3 for count in counts[1:])
+    assert [entry.get("stopped", False) for entry in program.trace] == [False, True, True]
+    assert program.dev_accuracy == (len(dev) - 2) / len(dev)
+
+
+def test_optimize_grades_a_repeat_again_after_its_items_failed(
+    fixture_corpus, stub_server_factory, monkeypatch
+):
+    # every trial is the same candidate; an outage fails all of the first trial's
+    # items, so nothing has been measured and the repeat must be graded in full
+    gold = gold_by_answer(fixture_corpus.records)
+    outage = [True]
+    server = stub_server_factory(
+        outcome_chat_app(gold, lambda instruction, demos, answer: "fail" if outage[0] else "right")
+    )
+    real = pipelines.run_split
+
+    def outage_in_first_trial(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        finally:
+            outage[0] = False
+
+    monkeypatch.setattr(pipelines, "run_split", outage_in_first_trial)
     train = split_view(fixture_corpus, "train")
     dev = split_view(fixture_corpus, "test_ua")
     cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=1)
-    program = optimize_few_shot(train, dev, Signature(), budget=3, k_max=0, cfg=cfg)
-    assert len(server.requests) == len(dev)
-    assert counts == [len(dev)]  # the repeats never reach run_split
-    assert program.dev_accuracy == 0.0
-    assert [entry.get("stopped", False) for entry in program.trace] == [False, True, True]
+    program = optimize_few_shot(train, dev, Signature(), budget=2, k_max=0, cfg=cfg)
+    assert [entry["dev_accuracy"] for entry in program.trace] == [None, 1.0]
+    assert (program.instruction, program.demo_record_ids, program.dev_accuracy) == (
+        Signature().task_description, [], 1.0
+    )
 
 
 def test_optimize_race_gives_the_same_program_twice(fixture_corpus, stub_server_factory):
@@ -770,17 +803,15 @@ def test_optimize_race_picks_the_program_full_grading_picks(fixture_corpus):
             ]
             return outs.count("right"), len(outs) - outs.count("fail")
 
-        best, expected, tried = None, [], set()
+        best, expected = None, []
         for entry in program.trace:
             correct, scored = full(entry)
-            key = (entry["instruction"], tuple(entry["demo_record_ids"]))
             wins = scored > 0 and (best is None or correct * best[1] > best[0] * scored)
             want = {k: entry[k] for k in ("trial", "instruction", "demo_record_ids")}
-            if key in tried or (best is not None and not wins):
+            if best is not None and not wins:
                 want["stopped"] = True
             else:
                 want["dev_accuracy"] = correct / scored if scored else None
-            tried.add(key)
             expected.append(want)
             if wins:
                 best = (correct, scored, entry["instruction"], entry["demo_record_ids"])
@@ -788,7 +819,7 @@ def test_optimize_race_picks_the_program_full_grading_picks(fixture_corpus):
         assert (program.instruction, program.demo_record_ids, program.dev_accuracy) == (
             best[2], best[3], best[0] / best[1]
         )
-        assert len(seen) <= 2 * items * len(tried)
+        assert len(seen) <= 2 * items * budget
 
     try:
         check()
