@@ -235,9 +235,3 @@ def embed_texts(
         table = _hash_rows(list(ids), cfg.dimension)
         return [TokenEmbeddingMatrix(t, table[r]) for t, r in zip(token_lists, rows)]
     return _embed_remote(texts, cfg, role)
-
-
-def embed_tokens(
-    text: str, cfg: EmbedderConfig, role: str = ROLE_DOCUMENT
-) -> TokenEmbeddingMatrix:
-    return embed_texts([text], cfg, role)[0]

@@ -106,6 +106,11 @@ class RateLimited(TransportError):
     pass
 
 
+class Stopped(RagradeError):
+    """A request's stop predicate held when it was granted its slot, so it was
+    not sent; neither a transport nor a parse failure, so nothing re-asks."""
+
+
 class ParseError(RagradeError):
     """Typed-output parsing failed; triggers the fallback predictor."""
 

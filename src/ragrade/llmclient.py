@@ -29,10 +29,14 @@ waits the header's delay instead, capped at ``timeout``; the HTTP-date form
 is ignored. The wait applies to that request only. A ``ChatClient`` bounds
 its requests in flight (``WorkSlots``): a request holds a slot only while it
 is sent and its reply read. Slots go out in arrival order, except that a
-re-send takes the next free slot ahead of first attempts.
+re-send takes the next free slot ahead of first attempts. A request granted
+its slot while the caller's ``stop_when`` predicate holds gives the slot back
+unsent and raises ``Stopped``: first attempts, re-sends and relaxed re-asks
+alike. The optimizer stops a lost trial this way.
 """
 
 import base64
+import contextvars
 import functools
 import json
 import logging
@@ -53,6 +57,7 @@ from .errors import (
     ParseError,
     RateLimited,
     ScoreValueOutOfRange,
+    Stopped,
     Timeout,
     TransportError,
     TypeMismatch,
@@ -71,6 +76,9 @@ _ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 # the most of a reply read, above the largest legitimate embedding reply
 _MAX_REPLY_BYTES = 64 << 20
 _HEADERS = {"Content-Type": "application/json", "User-Agent": "ragrade"}
+# read when a request is granted its slot: if it is set and returns true, the
+# request is not sent and ``post_json`` raises ``Stopped``
+stop_when: contextvars.ContextVar = contextvars.ContextVar("stop_when", default=None)
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,6 @@ class LedgerEntry:
             fallback_successes=paths[PARSE_FALLBACK],
             hard_failures=paths[PARSE_FAILED],
         )
-
-    @property
-    def typed_failure_rate(self) -> float:
-        return self.typed_failures / self.total_calls if self.total_calls else 0.0
 
 
 class WorkSlots:
@@ -328,8 +332,10 @@ def post_json(
     """POST ``body`` as JSON and return the reply's JSON object, retrying as
     the module docstring says (``_ATTEMPTS`` and ``_TIMEOUT`` unless given).
     Each send holds one of ``slots``, if given, while it is sent and its reply
-    read. Any other non-200 status, a reply past ``_MAX_REPLY_BYTES``, or a
-    body that is not a JSON object, raises ``TransportError`` at once."""
+    read; if ``stop_when`` holds when the slot is granted, the slot goes back
+    and ``Stopped`` is raised. Any other non-200 status, a reply past
+    ``_MAX_REPLY_BYTES``, or a body that is not a JSON object, raises
+    ``TransportError`` at once."""
     import http.client
 
     attempts = _ATTEMPTS if attempts is None else attempts
@@ -351,6 +357,10 @@ def post_json(
         retry_after = None
         if slots is not None:
             slots.take(returning=attempt > 0)
+            stop = stop_when.get()
+            if stop is not None and stop():
+                slots.give()
+                raise Stopped("stopped before sending")
         try:
             resp = send(url, payload, headers=headers or {}, timeout=timeout)
         except TimeoutError as exc:

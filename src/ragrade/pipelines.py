@@ -26,6 +26,7 @@ from .errors import (
     GoldLeakage,
     InvalidEmbedding,
     RagradeError,
+    Stopped,
     TransportError,
 )
 from .llmclient import (
@@ -36,6 +37,7 @@ from .llmclient import (
     PARSE_FAILED,
     PARSE_TYPED,
     judge,
+    stop_when,
 )
 from .promptkit import (
     Demo,
@@ -182,7 +184,9 @@ def run_split(
     ``gate``, when given, grades each item instead: it is called with the
     record and a function that grades it, and returns that function's
     judgment, or ``None`` for an item it does not send; that item's entry in
-    the returned list is ``None``. Without a gate no entry is ``None``.
+    the returned list is ``None``. ``optimize_few_shot``'s gate (``_Race``)
+    stops an item once its trial has lost, at the next chat slot the item is
+    granted. Without a gate no entry is ``None``.
     """
     cfg.validate()
     sig = signature or Signature()
@@ -261,8 +265,10 @@ class _Race:
     reach at most (c+r)/(s+r). A failed item is not scored, and leaving it
     out cannot lift the accuracy above that bound. Once the bound is at or
     below the incumbent's accuracy (compared as integers), the trial cannot
-    win and its unstarted items are not sent. The bound never rises, so
-    whether a trial ``lost`` at its end does not depend on thread timing.
+    win: each of its requests granted a chat slot from then on, first asks,
+    relaxed re-asks and re-sends alike, goes unsent (``llmclient.stop_when``),
+    and its item is not graded. The bound never rises, so whether a trial
+    ``lost`` at its end does not depend on thread timing.
     """
 
     def __init__(self, items: int, incumbent: Optional[Tuple[int, int]]):
@@ -276,13 +282,17 @@ class _Race:
         if self.incumbent is None:
             return False
         correct, scored = self.incumbent
-        return (self.correct + self.left) * scored <= correct * (self.scored + self.left)
+        with self._lock:
+            return (self.correct + self.left) * scored <= correct * (self.scored + self.left)
 
     def __call__(self, record: AnswerRecord, grade: Callable[[], Judgment]) -> Optional[Judgment]:
-        with self._lock:
-            if self.lost():
-                return None
-        judgment = grade()
+        token = stop_when.set(self.lost)
+        try:
+            judgment = grade()
+        except Stopped:
+            return None
+        finally:
+            stop_when.reset(token)
         with self._lock:
             self.left -= 1
             if judgment.parse_path != PARSE_FAILED:
@@ -307,12 +317,12 @@ def optimize_few_shot(
     Each candidate pairs an instruction (the base one, a supplied one, or a
     proposal-model paraphrase) with a random train-only demo subset of size
     <= k_max, and is scored by label accuracy on the dev items. Only a
-    strictly better trial replaces the incumbent, so trials are raced: a
-    trial stops sending once it cannot beat the incumbent (``_Race``), and
-    sends the incumbent's misses (wrong or failed dev items) first, then the
-    rest, each in dev order. A trial that cannot win is traced as
-    ``stopped``, without an accuracy. Deterministic given the seed and fixed
-    model responses.
+    strictly better trial replaces the incumbent, so trials are raced: once
+    a trial cannot beat the incumbent (``_Race``), none of its requests
+    granted a chat slot from then on is sent. A trial sends the incumbent's
+    misses (wrong or failed dev items) first, then the rest, each in dev
+    order. A trial that cannot win is traced as ``stopped``, without an
+    accuracy. Deterministic given the seed and fixed model responses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

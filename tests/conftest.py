@@ -1,12 +1,14 @@
 import json
 import struct
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ragrade import embedding
 from ragrade.dataset import AnswerRecord, Corpus
 
 from stub_servers import StubServer
@@ -91,6 +93,24 @@ def gold_by_answer(records):
         for r in records
         if r.student_answer
     }
+
+
+def embed_tokens(text, cfg, role=embedding.ROLE_DOCUMENT):
+    """One text's token matrix: ``embed_texts`` over a batch of one."""
+    return embedding.embed_texts([text], cfg, role)[0]
+
+
+def typed_failure_rate(entry):
+    """The share of a ``LedgerEntry``'s judgments whose typed parse failed."""
+    return entry.typed_failures / entry.total_calls if entry.total_calls else 0.0
+
+
+def wait_until(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.001)
 
 
 def rewrite_index_header(path, edit):

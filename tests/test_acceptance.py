@@ -21,7 +21,7 @@ from ragrade.metrics import bleu, rouge2, scoring_metrics
 from ragrade.retrieval import build_index, maxsim_score, top_k
 from ragrade.votegrader import vote_classify
 
-from conftest import gold_by_answer
+from conftest import embed_tokens, gold_by_answer
 from stub_servers import StubServer, echo_gold_chat_app
 from test_promptkit import GOLDEN_DIR, golden_cases, _golden_bytes
 from test_retrieval import _exact_order, _matrix, _stored_docs
@@ -123,8 +123,6 @@ def test_acceptance_2_maxsim_oracle_equivalence():
         ]
         cfg = EmbedderConfig(dimension=32)
         index = build_index(records, cfg)
-        from ragrade.embedding import embed_tokens
-
         for _ in range(10):
             query_text = " ".join(pyrng.choice(words) for _ in range(3))
             query_matrix = embed_tokens(query_text, cfg, role="query")

@@ -13,7 +13,6 @@ from ragrade.embedding import (
     config_fingerprint,
     deterministic_embed,
     embed_texts,
-    embed_tokens,
     normalize_rows,
     tokenize,
     _hash_rows,
@@ -21,6 +20,7 @@ from ragrade.embedding import (
 )
 from ragrade.errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding
 
+from conftest import embed_tokens
 from stub_servers import fixed_embedding_app, mirror_embedding_app
 
 

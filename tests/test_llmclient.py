@@ -20,6 +20,7 @@ from ragrade.errors import (
     ParseError,
     RateLimited,
     ScoreValueOutOfRange,
+    Stopped,
     TransportError,
     TypeMismatch,
 )
@@ -33,6 +34,7 @@ from ragrade.llmclient import (
 )
 from ragrade.promptkit import Signature, compile_signature, render_prompt
 
+from conftest import embed_tokens, typed_failure_rate, wait_until
 from stub_servers import (
     _chat_payload,
     _is_relaxed,
@@ -128,7 +130,7 @@ def _embed_once(url, backoff, timeout, monkeypatch):
     monkeypatch.setattr(llmclient, "_BACKOFF", backoff)
     monkeypatch.setattr(llmclient, "_TIMEOUT", timeout)
     cfg = embedding.EmbedderConfig(backend="remote", endpoint=url, dimension=8)
-    assert embedding.embed_tokens("recovered", cfg).tokens == ["recovered"]
+    assert embed_tokens("recovered", cfg).tokens == ["recovered"]
 
 
 # both clients send through one request path, so they wait alike; chat cases are unprefixed
@@ -218,6 +220,57 @@ def test_work_slots_go_out_in_arrival_order_with_re_sends_first():
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
     assert order == ["re-send", 0, 1, 2, 3, 4]
+
+
+def test_a_request_stopped_while_it_waits_for_its_slot_is_never_sent(stub_server_factory):
+    server = stub_server_factory(fixed_chat_app("sent"))
+    client = ChatClient(_cfg(server.url, concurrency=1))
+    client._slots.take()  # the test holds the client's only slot
+    stop = threading.Event()
+    outcome = []
+
+    def request():
+        token = llmclient.stop_when.set(stop.is_set)
+        try:
+            outcome.append(client.complete(_prompt()))
+        except Stopped as exc:
+            outcome.append(exc)
+        finally:
+            llmclient.stop_when.reset(token)
+
+    waiter = threading.Thread(target=request, daemon=True)
+    waiter.start()
+    wait_until(lambda: client._slots._waiting[False])  # it waits for the slot
+    stop.set()
+    client._slots.give()
+    waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0], Stopped)
+    assert server.requests == []
+    # the stopped request gave its slot back, so the next one goes out
+    after = threading.Thread(target=lambda: outcome.append(client.complete(_prompt())), daemon=True)
+    after.start()
+    after.join(timeout=10)
+    assert not after.is_alive()
+    assert outcome[1:] == ["sent"] and len(server.requests) == 1
+
+
+@pytest.mark.parametrize("app, sent", [
+    (fixed_chat_app("no structure whatsoever"), 0),
+    (fixed_chat_app("no structure whatsoever"), 1),  # the relaxed re-ask is stopped
+    (fail_n_then(1, fixed_chat_app("no structure whatsoever"), status=503), 1),  # a 503, then the re-send is stopped
+], ids=["first_ask", "relaxed_re_ask", "re_send"])
+def test_a_stopped_request_passes_through_judge_untouched(stub_server_factory, app, sent):
+    server = stub_server_factory(app)
+    client = ChatClient(_cfg(server.url, max_retries=3))
+    token = llmclient.stop_when.set(lambda: len(server.requests) >= sent)
+    try:
+        with pytest.raises(Stopped):  # not a failed judgment, and no further ask
+            judge(_prompt(), client)
+    finally:
+        llmclient.stop_when.reset(token)
+    assert len(server.requests) == sent
+    assert not any(_is_relaxed(r["body"]) for r in server.requests)
 
 
 @pytest.fixture
@@ -748,7 +801,7 @@ def test_ledger_counts_injected_failure_rate(stub_server_factory, fixture_corpus
     entry = LedgerEntry.of(judgments)
     assert entry.total_calls == 200
     assert entry.typed_failures == 20
-    assert entry.typed_failure_rate == pytest.approx(0.10)
+    assert typed_failure_rate(entry) == pytest.approx(0.10)
     assert entry.fallback_successes == 20  # relaxed responses always parse
     assert entry.hard_failures == 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ragrade.embedding import EmbedderConfig, embed_tokens
+from ragrade.embedding import EmbedderConfig
 from ragrade.errors import (
     AllEmptyReferences,
     EmptyEvaluationSet,
@@ -26,6 +26,7 @@ from ragrade.metrics import (
     text_metrics_report,
 )
 
+from conftest import embed_tokens
 from stub_servers import mirror_embedding_app
 
 # hand-executed oracle for the 2-sentence fixture below: pooled counts

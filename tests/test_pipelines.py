@@ -24,7 +24,7 @@ from ragrade.pipelines import (
 from ragrade.promptkit import Signature
 from ragrade.retrieval import build_index
 
-from conftest import gold_by_answer
+from conftest import gold_by_answer, typed_failure_rate, wait_until
 from stub_servers import (
     copy_first_demo_chat_app,
     echo_gold_chat_app,
@@ -157,7 +157,7 @@ class _InFlight:
         return slow
 
 
-def test_worker_pool_is_the_only_chat_concurrency_bound(fixture_corpus, stub_server_factory):
+def test_chat_client_is_the_only_chat_concurrency_bound(fixture_corpus, stub_server_factory):
     gauge = _InFlight()
     gold = gold_by_answer(fixture_corpus.records)
     server = stub_server_factory(gauge.wrap(echo_gold_chat_app(gold)))
@@ -167,7 +167,7 @@ def test_worker_pool_is_the_only_chat_concurrency_bound(fixture_corpus, stub_ser
     assert gauge.peak == 2
 
 
-def test_worker_pool_bounds_chat_and_embedding_together(fixture_corpus, stub_server_factory):
+def test_chat_client_bound_holds_alongside_remote_embedding(fixture_corpus, stub_server_factory):
     # rag embeds the split's queries in one request before the pool starts,
     # then the workers call the model
     from stub_servers import mirror_embedding_app
@@ -360,7 +360,7 @@ def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_ser
     report = scoring_metrics(judgments, [(r.gold_label, r.gold_score) for r in records])
     assert report.accuracy == 1.0
     assert report.rmse == 0.0
-    assert LedgerEntry.of(judgments).typed_failure_rate == 0.0
+    assert typed_failure_rate(LedgerEntry.of(judgments)) == 0.0
 
 
 def test_injected_failures_hit_exact_ledger_rate(fixture_corpus, train_index, stub_server_factory):
@@ -654,6 +654,27 @@ def test_optimize_race_stops_a_poor_candidate_early(fixture_corpus, stub_server_
     assert {_live(r) for r in later[:2]} == {dev[2].student_answer, dev[4].student_answer}
     assert second == {"trial": 1, "instruction": second["instruction"], "demo_record_ids": [], "stopped": True}
     assert (program.instruction, program.demo_record_ids, program.dev_accuracy) == (_GOOD, [], 4 / 6)
+
+
+def test_run_split_entry_of_an_item_stopped_at_its_slot_is_none(fixture_corpus, stub_server_factory):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    client = ChatClient(_model_cfg(server.url, concurrency=1))
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=client.cfg)
+    records = split_view(fixture_corpus, "test_ua")[:2]
+    race = pipelines._Race(len(records), incumbent=(0, 1))  # bound 1 > 0: not lost
+    client._slots.take()  # the test holds the only slot, so both items wait for it
+    out = []
+    runner = threading.Thread(
+        target=lambda: out.append(run_split(records, cfg, client=client, gate=race)), daemon=True
+    )
+    runner.start()
+    wait_until(lambda: len(client._slots._waiting[False]) == len(records))  # both passed the gate
+    race.incumbent = (1, 1)  # a perfect incumbent: the trial has lost
+    client._slots.give()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert out == [[None, None]]
+    assert server.requests == []
 
 
 def test_optimize_race_later_trials_send_nothing_after_a_perfect_incumbent(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import ragrade
 from ragrade.dataset import AnswerRecord
-from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_tokens, normalize_rows
+from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, normalize_rows
 from ragrade.errors import (
     DimensionMismatch,
     EmptyIndex,
@@ -35,7 +35,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
-from conftest import rewrite_index_header
+from conftest import embed_tokens, rewrite_index_header
 from stub_servers import mirror_embedding_app
 
 
