@@ -32,22 +32,13 @@ _MODE_ALIASES = {
 }
 
 _DEFAULTS = {
-    "format": "jsonl",
     "out_dir": "runs",
     "seed": 0,
     "split": "test_ua",
     "mode": "zero-shot",
     "style": "predict",
-    "embed_backend": "deterministic_test",
-    "embed_endpoint": None,
-    "embed_dim": 32,
     "model": "mistral:7b",
     "endpoint": None,
-    "temperature": 0.0,
-    "max_tokens": 512,
-    "timeout": 60.0,
-    "max_retries": 3,
-    "concurrency": 4,
     "exclude_same_question": False,
     "budget": 16,
     "k_max": 5,
@@ -65,6 +56,11 @@ _NUMBERS = {
     "timeout": float, "max_retries": int, "concurrency": int, "budget": int,
     "k_max": int, "dev_count": int,
 }
+
+# the keys that set EmbedderConfig's and ModelConfig's fields; a key that no
+# flag and no config file sets leaves its field at the class's default
+_EMBED_KEYS = {"embed_backend": "backend", "embed_endpoint": "endpoint", "embed_dim": "dimension"}
+_MODEL_KEYS = ("temperature", "max_tokens", "timeout", "max_retries", "concurrency")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,26 +103,15 @@ def _number(key: str, value):
 
 
 def _embedder_config(cfg: Dict) -> EmbedderConfig:
-    return EmbedderConfig(
-        backend=cfg.get("embed_backend"),
-        endpoint=cfg.get("embed_endpoint"),
-        dimension=cfg.get("embed_dim"),
-    )
+    return EmbedderConfig(**{field: cfg[key] for key, field in _EMBED_KEYS.items() if key in cfg})
 
 
 def _model_config(cfg: Dict) -> Optional[ModelConfig]:
     endpoint = cfg.get("endpoint")
     if not endpoint:
         return None
-    return ModelConfig(
-        endpoint=endpoint,
-        model=cfg.get("model"),
-        temperature=cfg.get("temperature"),
-        max_tokens=cfg.get("max_tokens"),
-        timeout=cfg.get("timeout"),
-        max_retries=cfg.get("max_retries"),
-        concurrency=cfg.get("concurrency"),
-    )
+    settings = {key: cfg[key] for key in _MODEL_KEYS if key in cfg}
+    return ModelConfig(endpoint=endpoint, model=cfg.get("model"), **settings)
 
 
 def _load_corpus(cfg: Dict) -> dataset.Corpus:
@@ -144,10 +129,7 @@ def _load_corpus(cfg: Dict) -> dataset.Corpus:
         raise RagradeError(
             "no corpus given; pass --corpus or run `ragrade ingest <path>` first"
         )
-    fmt = cfg.get("format")
-    if fmt == "jsonl" and str(corpus_path).endswith(".csv"):
-        fmt = "csv"
-    return dataset.load_corpus(corpus_path, fmt)
+    return dataset.load_corpus(corpus_path, cfg.get("format"))
 
 
 def _signature(cfg: Dict) -> promptkit.Signature:
@@ -160,9 +142,7 @@ def _signature(cfg: Dict) -> promptkit.Signature:
 def _cmd_ingest(args) -> int:
     cfg = _run_config(args)
     corpus = dataset.load_corpus(args.path, cfg.get("format"))
-    out_dir = Path(cfg.get("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = out_dir / CORPUS_CACHE
+    cache = Path(cfg.get("out_dir")) / CORPUS_CACHE
     dataset.save_corpus(corpus, cache)
     counts = {
         split: len(dataset.split_view(corpus, split)) for split in dataset.SPLITS
@@ -183,9 +163,7 @@ def _cmd_index(args) -> int:
     records = dataset.split_view(corpus, args.split or "train")
     embed_cfg = _embedder_config(cfg)
     index = retrieval.build_index(records, embed_cfg)
-    out_dir = Path(cfg.get("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_path = cfg.get("index_path") or (out_dir / "index.rgix")
+    index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / "index.rgix")
     retrieval.save_index(index, index_path)
     print(
         f"indexed {len(index)} records (skipped {index.skipped_empty} empty) "
@@ -210,6 +188,7 @@ def _cmd_grade(args) -> int:
     if mode is None:
         raise RagradeError(f"unknown mode {mode_name!r}")
     k = _resolve_k(cfg, mode)
+    embed_cfg = _embedder_config(cfg)
     split = cfg.get("split")
     corpus = _load_corpus(cfg)
     records = dataset.split_view(corpus, split)
@@ -225,7 +204,7 @@ def _cmd_grade(args) -> int:
                 "not exist; build one with `ragrade index --split train`"
             )
         index = retrieval.load_index(
-            index_path, corpus.records, _embedder_config(cfg), force=bool(args.force)
+            index_path, corpus.records, embed_cfg, force=bool(args.force)
         )
 
     model_cfg = _model_config(cfg)
@@ -274,8 +253,8 @@ def _cmd_grade(args) -> int:
         "temperature": model_cfg.temperature if model_cfg else None,
         "seed": pipe_cfg.seed,
         "exclude_same_question": pipe_cfg.exclude_same_question,
-        "embed_backend": cfg.get("embed_backend"),
-        "embed_dim": cfg.get("embed_dim"),
+        "embed_backend": embed_cfg.backend,
+        "embed_dim": embed_cfg.dimension,
     }
     manifest = pipelines.build_manifest(
         run_config,
@@ -284,10 +263,8 @@ def _cmd_grade(args) -> int:
         index_fingerprint=index.fingerprint if index else None,
     )
 
-    out_dir = Path(cfg.get("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out or (
-        out_dir / f"manifest_{mode}_k{k}_{split}_{_timestamp()}.json"
+        Path(cfg.get("out_dir")) / f"manifest_{mode}_k{k}_{split}_{_timestamp()}.json"
     )
     pipelines.write_manifest(manifest, out_path)
     failed = sum(1 for j in judgments if j.parse_path == "failed")
@@ -312,7 +289,6 @@ def _cmd_evaluate(args) -> int:
 
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = manifest_path.stem + ".report"
     with dataset.atomic_write(out_dir / f"{stem}.json") as fh:
         fh.write((json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
@@ -374,9 +350,7 @@ def _cmd_optimize(args) -> int:
         instructions=instructions,
     )
 
-    out_dir = Path(cfg.get("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = args.out or (out_dir / f"program_{_timestamp()}.json")
+    out_path = args.out or (Path(cfg.get("out_dir")) / f"program_{_timestamp()}.json")
     with dataset.atomic_write(out_path) as fh:
         fh.write((json.dumps(program.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
     print(
@@ -393,8 +367,7 @@ def _cmd_report(args) -> int:
     rows = metrics.build_report(
         manifests, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
     )
-    out_dir = Path(cfg.get("out_dir"))
-    csv_path, txt_path = metrics.write_report_files(rows, out_dir, "report")
+    csv_path, txt_path = metrics.write_report_files(rows, cfg.get("out_dir"), "report")
     print(metrics.report_to_text(rows), end="")
     print(f"reports -> {csv_path}, {txt_path}")
     return 0

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional
 
 from .errors import (
     CorpusError,
@@ -196,9 +196,10 @@ def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
         raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def load_corpus(path, fmt: str = "jsonl") -> Corpus:
+def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
     """Load and validate a corpus file. Scores outside [0, 1] are rejected, not clamped.
 
+    Without ``fmt``, a ``.csv`` file is read as CSV and any other as JSONL.
     ``fmt="cache"`` reads a file written by ``save_corpus``: once its header
     and checksum match, its records are trusted and not validated again.
     """
@@ -208,6 +209,7 @@ def load_corpus(path, fmt: str = "jsonl") -> Corpus:
     if fmt == "cache":
         return _load_cache(path)
     corpus = Corpus()
+    fmt = fmt or ("csv" if path.suffix == ".csv" else "jsonl")
     for row_no, row in enumerate(_iter_rows(path, fmt), start=1):
         record, split = parse_row(row, row_no)
         corpus.records.append(record)
@@ -280,12 +282,14 @@ def _load_cache(path: Path) -> Corpus:
 @contextmanager
 def atomic_write(path) -> Iterator[BinaryIO]:
     """Yield a new binary file next to ``path``; it replaces ``path`` when the
-    block exits normally and is removed when it raises.
+    block exits normally and is removed when it raises. ``path``'s directory
+    is created if it is missing.
 
     A crash part-way leaves the old ``path`` whole. There is no fsync, so this
     does not promise durability across a power loss.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:

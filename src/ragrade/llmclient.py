@@ -32,7 +32,8 @@ is sent and its reply read. Slots go out in arrival order, except that a
 re-send takes the next free slot ahead of first attempts. A request granted
 its slot while the caller's ``stop_when`` predicate holds gives the slot back
 unsent and raises ``Stopped``: first attempts, re-sends and relaxed re-asks
-alike. The optimizer stops a lost trial this way.
+alike. A re-send whose predicate holds before its backoff raises ``Stopped``
+without waiting. The optimizer stops a lost trial this way.
 """
 
 import base64
@@ -76,8 +77,9 @@ _ATTEMPTS, _BACKOFF, _TIMEOUT = 3, 0.5, 60.0
 # the most of a reply read, above the largest legitimate embedding reply
 _MAX_REPLY_BYTES = 64 << 20
 _HEADERS = {"Content-Type": "application/json", "User-Agent": "ragrade"}
-# read when a request is granted its slot: if it is set and returns true, the
-# request is not sent and ``post_json`` raises ``Stopped``
+# read before a re-send's backoff and when a request is granted its slot: if
+# it is set and returns true, the request is not sent and ``post_json`` raises
+# ``Stopped``
 stop_when: contextvars.ContextVar = contextvars.ContextVar("stop_when", default=None)
 
 
@@ -92,8 +94,10 @@ class ModelConfig:
     concurrency: int = 4
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN fails too
+            raise ValueError("temperature must be a finite number >= 0")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # sockets overflow above it
+            raise ValueError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if self.max_retries < 1:
@@ -326,16 +330,21 @@ class _SessionStandIn:
         return _POOL.send(url, data, headers, timeout)
 
 
+def _stopped() -> bool:
+    stop = stop_when.get()
+    return stop is not None and stop()
+
+
 def post_json(
     url: str, body, *, attempts=None, timeout=None, headers=None, slots=None
 ) -> Dict:
     """POST ``body`` as JSON and return the reply's JSON object, retrying as
     the module docstring says (``_ATTEMPTS`` and ``_TIMEOUT`` unless given).
     Each send holds one of ``slots``, if given, while it is sent and its reply
-    read; if ``stop_when`` holds when the slot is granted, the slot goes back
-    and ``Stopped`` is raised. Any other non-200 status, a reply past
-    ``_MAX_REPLY_BYTES``, or a body that is not a JSON object, raises
-    ``TransportError`` at once."""
+    read; if ``stop_when`` holds before a re-send's backoff, or when the slot
+    is granted (the slot then goes back), ``Stopped`` is raised. Any other
+    non-200 status, a reply past ``_MAX_REPLY_BYTES``, or a body that is not
+    a JSON object, raises ``TransportError`` at once."""
     import http.client
 
     attempts = _ATTEMPTS if attempts is None else attempts
@@ -350,6 +359,8 @@ def post_json(
     retry_after: Optional[str] = None
     for attempt in range(attempts):
         if attempt:
+            if _stopped():  # a request that will not be sent waits out no backoff
+                raise Stopped("stopped before a re-send")
             delay = _BACKOFF * 2 ** (attempt - 1)
             if retry_after is not None and _DELAY_SECONDS.fullmatch(retry_after.strip()):
                 delay = max(delay, min(float(retry_after), timeout))
@@ -357,8 +368,7 @@ def post_json(
         retry_after = None
         if slots is not None:
             slots.take(returning=attempt > 0)
-            stop = stop_when.get()
-            if stop is not None and stop():
+            if _stopped():
                 slots.give()
                 raise Stopped("stopped before sending")
         try:

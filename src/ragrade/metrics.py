@@ -369,7 +369,6 @@ def write_report_files(rows: Sequence[ReportRow], out_dir, stem: str) -> Tuple[s
     from pathlib import Path
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     txt_path = out_dir / f"{stem}.txt"
     with atomic_write(csv_path) as fh:

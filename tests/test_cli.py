@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -498,6 +499,46 @@ def test_grade_max_retries_zero_exits_1(corpus_path, tmp_path, capsys):
     assert "max_retries" in capsys.readouterr().err
 
 
+def test_grade_temperature_nan_exits_1_before_any_request(
+    corpus_path, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("unused"))
+    out_dir = tmp_path / "runs"
+    flags = ["--corpus", str(corpus_path), "--mode", "zero-shot", "--endpoint", server.url,
+             "--temperature", "nan"]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "temperature" in capsys.readouterr().err
+    assert server.requests == [] and not (out_dir / "m.json").exists()
+
+
+def test_ingest_reads_a_csv_suffix_as_csv(fixture_corpus, tmp_path):
+    rows = [rec.to_row(fixture_corpus.split_assignment[rec.id]) for rec in fixture_corpus.records]
+    source = tmp_path / "corpus.csv"
+    with open(source, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["ingest", str(source), "--out-dir", str(tmp_path / "by_suffix")]) == 0
+    assert main(["ingest", str(source), "--format", "csv", "--out-dir", str(tmp_path / "by_flag")]) == 0
+    cache = (tmp_path / "by_suffix" / "corpus.cache").read_bytes()
+    assert cache == (tmp_path / "by_flag" / "corpus.cache").read_bytes()
+
+
+def test_grade_with_out_elsewhere_leaves_the_working_directory_empty(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, monkeypatch
+):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "elsewhere" / "m.json"  # its directory is made as needed
+    argv = ["grade", "--corpus", str(corpus_path), "--mode", "zero-shot", "--split", "test_ua",
+            "--endpoint", server.url, "--out", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text())["items"]) == 3
+    assert list(cwd.iterdir()) == []
+
+
 def test_grade_rag_without_index_exits_1(corpus_path, tmp_path, capsys):
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
@@ -523,6 +564,21 @@ def test_grade_zero_shot_without_endpoint_exits_1(corpus_path, tmp_path, capsys)
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     assert main(["grade", "--mode", "zero-shot", "--out-dir", str(out_dir)]) == 1
+
+
+def test_modules_without_arrays_load_no_numpy():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "\n".join([
+        "import os, sys",
+        "import ragrade.dataset, ragrade.llmclient, ragrade.promptkit, ragrade.errors",
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False 1\n"
 
 
 @pytest.mark.parametrize("mode, loaded", [

@@ -273,6 +273,21 @@ def test_a_stopped_request_passes_through_judge_untouched(stub_server_factory, a
     assert not any(_is_relaxed(r["body"]) for r in server.requests)
 
 
+def test_a_re_send_stopped_before_its_backoff_waits_none_of_it(stub_server_factory, monkeypatch):
+    monkeypatch.setattr(llmclient, "_BACKOFF", 0.5)
+    server = stub_server_factory(fail_n_then(1, fixed_chat_app("sent"), status=503))
+    client = ChatClient(_cfg(server.url, max_retries=3))
+    token = llmclient.stop_when.set(lambda: len(server.requests) >= 1)
+    started = time.monotonic()
+    try:
+        with pytest.raises(Stopped):
+            client.complete(_prompt())
+    finally:
+        llmclient.stop_when.reset(token)
+    assert time.monotonic() - started < 0.25  # not the 0.5 s backoff
+    assert len(server.requests) == 1
+
+
 @pytest.fixture
 def pool(monkeypatch):
     """A connection pool of the test's own, its idle connections closed after it."""
@@ -813,6 +828,15 @@ def test_temperature_validation():
         ModelConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ValueError):
         ModelConfig(endpoint="http://x", model="m", max_retries=0)
+    # NaN cannot go into a JSON body, and a timeout outside (0, TIMEOUT_MAX]
+    # fails every request or overflows the socket's
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            ModelConfig(endpoint="http://x", model="m", temperature=temperature)
+    for timeout in (0.0, -1.0, float("nan"), float("inf"), 1e10):
+        with pytest.raises(ValueError, match="timeout"):
+            ModelConfig(endpoint="http://x", model="m", timeout=timeout)
+    ModelConfig(endpoint="http://x", model="m", timeout=threading.TIMEOUT_MAX)
 
 
 # --- parser properties ---
