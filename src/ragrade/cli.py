@@ -74,8 +74,9 @@ def _timestamp() -> str:
     return time.strftime("%Y%m%dT%H%M%S")
 
 
-def _run_config(args: argparse.Namespace) -> Dict:
-    """Built-in defaults, overridden by the config file, overridden by explicit flags."""
+def _run_config(args: argparse.Namespace, **defaults) -> Dict:
+    """Built-in defaults, then a command's own ``defaults``, overridden by the
+    config file, overridden by explicit flags."""
     file_cfg: Dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -85,7 +86,7 @@ def _run_config(args: argparse.Namespace) -> Dict:
         for key in _NUMBERS.keys() & file_cfg.keys():
             file_cfg[key] = _number(key, file_cfg[key])
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    return {**_DEFAULTS, **file_cfg, **flags}
+    return {**_DEFAULTS, **defaults, **file_cfg, **flags}
 
 
 def _number(key: str, value):
@@ -280,15 +281,16 @@ def _cmd_grade(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _run_config(args)
+    manifest_path = Path(args.manifest)
+    # reports go next to the manifest unless a flag or the config file says otherwise
+    cfg = _run_config(args, out_dir=manifest_path.parent)
     manifest = pipelines.load_manifest(args.manifest)
     embed_cfg = _embedder_config(cfg)
     row = metrics.manifest_metrics(
         manifest, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
     )
 
-    manifest_path = Path(args.manifest)
-    out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent
+    out_dir = Path(cfg["out_dir"])
     stem = manifest_path.stem + ".report"
     with dataset.atomic_write(out_dir / f"{stem}.json") as fh:
         fh.write((json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))

@@ -64,7 +64,7 @@ def canonical_split(raw: str) -> str:
     return _canonical(raw, SPLITS, "split")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerRecord:
     """One labeled item: question, reference answer, student answer, gold fields."""
 

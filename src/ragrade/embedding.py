@@ -1,16 +1,25 @@
 """Per-token unit-vector embeddings behind a pluggable backend.
 
-Two backends produce the same shape of output: a remote embedding service
-(POST JSON, one token matrix per input text) and a deterministic local
-embedder meant for tests and offline runs. Rows are always re-normalized to
-unit length, whatever the backend returned.
+Two backends produce the same output: a remote embedding service (POST
+JSON, one token matrix per input text) and a deterministic local embedder
+meant for tests and offline runs. Rows are always re-normalized to unit
+length, whatever the backend returned.
+
+One ``embed_texts`` call returns its texts in one layout, ``EmbeddedTexts``:
+each text's token list, int64 offsets marking where each text's tokens
+start, a float64 table of unit rows, and one table row id per token. The
+deterministic backend's table holds each distinct token of the call once;
+the remote backend's holds the reply rows, one per token. The layout reads
+as a sequence of per-text ``TokenEmbeddingMatrix``; ``retrieval.build_index``
+gathers the whole index from it at once.
 """
 
 import base64
 import unicodedata
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +63,34 @@ class TokenEmbeddingMatrix:
     @property
     def n_tokens(self) -> int:
         return len(self.tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedTexts(Sequence[TokenEmbeddingMatrix]):
+    """The texts of one ``embed_texts`` call. Text ``i`` has the tokens
+    ``tokens[i]``, and its token ``j`` the row
+    ``table[row_ids[offsets[i] + j]]``. Item ``i`` is text ``i``'s
+    ``TokenEmbeddingMatrix``, whose rows are a fresh float64 gather made when
+    the item is read, so iterating holds one text's rows at a time."""
+
+    tokens: List[List[str]]
+    offsets: np.ndarray  # int64, len(tokens) + 1, offsets[0] == 0
+    table: np.ndarray  # float64 (rows, dim), unit rows
+    row_ids: np.ndarray  # intp, offsets[-1]
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices count from the end
+        rows = self.row_ids[self.offsets[i] : self.offsets[i + 1]]
+        return TokenEmbeddingMatrix(self.tokens[i], self.table[rows])
+
+    @property
+    def dim(self) -> int:
+        return int(self.table.shape[1])
 
 
 def tokenize(text: str) -> List[str]:
@@ -107,8 +144,9 @@ def _hash_rows(tokens: Sequence[str], d: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     z ^= z >> np.uint64(31)
     values = ((z >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53) * 2.0 - 1.0
-    # no draw is 0, so no norm is; a per-row dot is the sum np.linalg.norm takes
-    return values / np.sqrt([row.dot(row) for row in values]).reshape(-1, 1)
+    # no draw is 0, so no norm is; a (1, d) @ (d, 1) matmul is the per-row
+    # dot product that np.linalg.norm takes of one row
+    return values / np.sqrt(np.matmul(values[:, None, :], values[:, :, None])).reshape(-1, 1)
 
 
 def deterministic_embed(token: str, d: int) -> np.ndarray:
@@ -147,22 +185,25 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 def _embed_remote(
     texts: Sequence[str], cfg: EmbedderConfig, role: str
-) -> List[TokenEmbeddingMatrix]:
+) -> Tuple[List[List[str]], np.ndarray]:
     """Embed on the embedding service, one request per ``_REQUEST_TEXTS`` texts
-    in order, and none for no texts.
+    in order, and none for no texts: each text's tokens, and every token's
+    row, in order, as one matrix.
 
     Wire format: POST {"texts": [...], "role": "query"|"document",
     "encoding_format": "base64"} -> {"embeddings": [...], "tokens": [[...], ...]},
     one token matrix per input text. The returned token list is authoritative.
     An embedding is a string (see ``_token_rows``) or, from a server that
-    ignores ``encoding_format``, a list of rows of numbers. Requests retry as
-    chat ones do (``llmclient.post_json``), under its default attempts and
-    timeout; one that still fails raises ``BackendUnavailable``.
+    ignores ``encoding_format``, a list of rows of numbers. Each reply's rows
+    are normalized as one matrix. Requests retry as chat ones do
+    (``llmclient.post_json``), under its default attempts and timeout; one
+    that still fails raises ``BackendUnavailable``.
     """
     if not cfg.endpoint:
         raise ValueError("remote backend requires an endpoint")
     texts = list(texts)
-    out: List[TokenEmbeddingMatrix] = []
+    token_lists: List[List[str]] = []
+    tables = [np.empty((0, cfg.dimension))]
     for start in range(0, len(texts), _REQUEST_TEXTS):
         batch = texts[start : start + _REQUEST_TEXTS]
         payload = {"texts": batch, "role": role, "encoding_format": "base64"}
@@ -171,27 +212,30 @@ def _embed_remote(
         except TransportError as exc:
             raise BackendUnavailable(f"embedding service: {exc}") from exc
         embeddings = data.get("embeddings")
-        token_lists = data.get("tokens")
+        reply_tokens = data.get("tokens")
         if not (
             isinstance(embeddings, list)
-            and isinstance(token_lists, list)
-            and all(isinstance(x, list) for x in token_lists)
+            and isinstance(reply_tokens, list)
+            and all(isinstance(x, list) for x in reply_tokens)
         ):
             raise BackendUnavailable(
                 "embedding service response needs 'embeddings' as a list"
                 " and 'tokens' as a list of lists"
             )
-        if len(embeddings) != len(batch) or len(token_lists) != len(batch):
+        if len(embeddings) != len(batch) or len(reply_tokens) != len(batch):
             raise BackendUnavailable("embedding service returned wrong batch size")
-        out.extend(
-            TokenEmbeddingMatrix(list(tokens), _token_rows(rows, len(tokens), cfg.dimension))
-            for rows, tokens in zip(embeddings, token_lists)
-        )
-    return out
+        rows = [
+            _token_rows(matrix, len(tokens), cfg.dimension)
+            for matrix, tokens in zip(embeddings, reply_tokens)
+        ]
+        tables.append(normalize_rows(np.concatenate(rows)))
+        token_lists.extend(map(list, reply_tokens))
+    return token_lists, np.concatenate(tables)
 
 
 def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
-    """One reply embedding as an (n_tokens, dimension) matrix of unit rows.
+    """One reply embedding as an (n_tokens, dimension) float64 matrix, not
+    yet normalized.
 
     A string holds the rows base64-encoded as little-endian float64, row-major,
     ``dimension`` values per row; a list holds them as JSON numbers. Either
@@ -206,8 +250,8 @@ def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
             raise DimensionMismatch(
                 f"{len(raw)} embedding bytes for {n_tokens} tokens of dimension {dimension}"
             )
-        matrix = np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)
-    elif isinstance(rows, list):
+        return np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)
+    if isinstance(rows, list):
         try:
             matrix = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -218,20 +262,24 @@ def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
             raise DimensionMismatch(
                 f"embedding of shape {matrix.shape} for {n_tokens} tokens of dimension {dimension}"
             )
-    else:
-        raise BackendUnavailable("an embedding must be a base64 string or a list of rows")
-    return normalize_rows(matrix)
+        return matrix
+    raise BackendUnavailable("an embedding must be a base64 string or a list of rows")
 
 
 def embed_texts(
     texts: Sequence[str], cfg: EmbedderConfig, role: str = ROLE_DOCUMENT
-) -> List[TokenEmbeddingMatrix]:
-    """Embed a batch of texts into token matrices (one per text)."""
+) -> EmbeddedTexts:
+    """Embed a batch of texts in one layout; item ``i`` is text ``i``'s token matrix."""
     if cfg.backend == "deterministic_test":
         token_lists = [tokenize(text) for text in texts]
-        ids: Dict[str, int] = {}
-        rows = [[ids.setdefault(t, len(ids)) for t in tokens] for tokens in token_lists]
-        # each distinct token of the call is hashed once
+        flat = list(chain.from_iterable(token_lists))
+        # each distinct token of the call is hashed once, in order of first use
+        ids = {token: i for i, token in enumerate(dict.fromkeys(flat))}
         table = _hash_rows(list(ids), cfg.dimension)
-        return [TokenEmbeddingMatrix(t, table[r]) for t, r in zip(token_lists, rows)]
-    return _embed_remote(texts, cfg, role)
+        row_ids = np.fromiter(map(ids.__getitem__, flat), np.intp, len(flat))
+    else:
+        token_lists, table = _embed_remote(texts, cfg, role)
+        row_ids = np.arange(len(table))
+    offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, token_lists), np.int64, len(token_lists)), out=offsets[1:])
+    return EmbeddedTexts(token_lists, offsets, table, row_ids)

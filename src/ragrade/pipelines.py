@@ -137,7 +137,13 @@ def _batch_neighbors(
 
 
 def _vote(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
+    """The majority vote of ``hits``; a failed judgment when retrieval failed
+    or found no neighbours, as for an empty or whitespace-only answer, which
+    has no tokens."""
     if hits is None:
+        return Judgment(None, None, None, parse_path=PARSE_FAILED)
+    if not hits and not record.student_answer.strip():
+        logger.warning("vote failed for %s: the answer has no tokens", record.id)
         return Judgment(None, None, None, parse_path=PARSE_FAILED)
     try:
         vote = vote_classify(hits)

@@ -8,7 +8,10 @@ ascending record id breaks ties.
 Every document's token rows live in one C-contiguous float32 matrix, with an
 offsets array marking where each document starts. Documents are stored in
 ascending token count, stable with respect to input order, so the documents
-of one length form a contiguous run. ``top_k_batch`` embeds a group of
+of one length form a contiguous run. ``build_index`` embeds every answer in
+one ``embed_texts`` call and fills the matrix with one float32 gather from
+that call's row table, in length order, with no per-answer matrix and no
+reordering afterwards. ``top_k_batch`` embeds a group of
 queries in one call and scans each run once for all of them, in chunks: one
 float32 matmul against the group's distinct query rows, a zero-copy
 (documents, length, rows) view, and a max over token positions by in-place
@@ -73,14 +76,8 @@ class MaxSimIndex:
     def __post_init__(self):
         lengths = np.diff(self.offsets)
         if np.any(lengths[1:] < lengths[:-1]):
-            order = np.argsort(lengths, kind="stable")
-            lengths = lengths[order]
-            offsets = np.zeros_like(self.offsets)
-            np.cumsum(lengths, out=offsets[1:])
-            # every row of document order[i] moves from its old start to offsets[i]
-            shift = np.repeat(self.offsets[:-1][order] - offsets[:-1], lengths)
-            self.vectors = self.vectors[shift + np.arange(offsets[-1])]
-            self.offsets = offsets
+            order, self.offsets, rows = _length_order(self.offsets)
+            self.vectors = self.vectors[rows]
             self.record_ids = [self.record_ids[i] for i in order]
         self.row_of = {rid: row for row, rid in enumerate(self.record_ids)}
         self.question_rows = {}
@@ -89,6 +86,19 @@ class MaxSimIndex:
 
     def __len__(self) -> int:
         return len(self.record_ids)
+
+
+def _length_order(offsets: np.ndarray):
+    """The documents that ``offsets`` delimits, in ascending token count and
+    stable: (their old positions, their new offsets, each new row's old row)."""
+    lengths = np.diff(offsets)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    new_offsets = np.zeros_like(offsets)
+    np.cumsum(lengths, out=new_offsets[1:])
+    # every row of document order[i] moves from its old start to new_offsets[i]
+    shift = np.repeat(offsets[:-1][order] - new_offsets[:-1], lengths)
+    return order, new_offsets, shift + np.arange(new_offsets[-1])
 
 
 @dataclass
@@ -116,42 +126,32 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     """Embed each record's student answer (document role) into a fresh index.
 
     Records with empty student answers are skipped and counted, not indexed.
+    One embedding call embeds every answer, and one float32 gather from its
+    row table lays the rows out in the index's length order.
     """
     if not records:
         raise EmptyIndex("no records to index")
 
     indexable = [r for r in records if r.student_answer.strip()]
-    skipped = len(records) - len(indexable)
     if not indexable:
         raise EmptyIndex(f"all {len(records)} records had empty student answers")
 
-    indexed: List[AnswerRecord] = []
-    matrices: List[np.ndarray] = []
     embedded = embed_texts([r.student_answer for r in indexable], cfg, role=ROLE_DOCUMENT)
-    for rec, matrix in zip(indexable, embedded):
-        if matrix.n_tokens == 0:
-            skipped += 1
-            continue
-        indexed.append(rec)
-        matrices.append(matrix.vectors)
-
-    if not matrices:
+    order, offsets, rows = _length_order(embedded.offsets)
+    # answers without tokens sort first, and are skipped
+    empty = int(np.count_nonzero(offsets[1:] == 0))
+    if empty == len(indexable):
         raise EmptyIndex("no record produced any tokens")
-    dims = {m.shape[1] for m in matrices}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed dimensions in index: {sorted(dims)}")
-
-    offsets = np.zeros(len(matrices) + 1, dtype=np.int64)
-    np.cumsum([m.shape[0] for m in matrices], out=offsets[1:])
+    indexed = [indexable[i] for i in order[empty:].tolist()]
     return MaxSimIndex(
-        dim=dims.pop(),
+        dim=embedded.dim,
         fingerprint=config_fingerprint(cfg),
         config=cfg,
         record_ids=[r.id for r in indexed],
-        offsets=offsets,
-        vectors=np.concatenate(matrices, dtype=np.float32),
+        offsets=offsets[empty:],
+        vectors=embedded.table.astype(np.float32)[embedded.row_ids[rows]],
         payload={r.id: r for r in indexed},
-        skipped_empty=skipped,
+        skipped_empty=len(records) - len(indexed),
     )
 
 
@@ -249,16 +249,17 @@ def _retrieve(
     out: List[Optional[List[RetrievedExample]]] = []
     step = query_group_size(index)
     for first in range(0, len(query_texts), step):
-        queries = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
-        live = [j for j, query in enumerate(queries) if query.n_tokens]
-        for j in live:
-            if queries[j].dim != index.dim:
-                raise DimensionMismatch(f"query dim {queries[j].dim} != doc dim {index.dim}")
-        rows = [queries[j].vectors.astype(np.float32) for j in live]
+        embedded = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
+        live = np.flatnonzero(np.diff(embedded.offsets)).tolist()
+        if live and embedded.dim != index.dim:
+            raise DimensionMismatch(f"query dim {embedded.dim} != doc dim {index.dim}")
+        # each query's float64 rows are gathered when used, so the group's
+        # rows are held once, in the embedding's table
+        rows = [embedded[j].vectors.astype(np.float32) for j in live]
         scores = _scan_scores(index, rows) if live else None
-        group: List[Optional[List[RetrievedExample]]] = [None] * len(queries)
+        group: List[Optional[List[RetrievedExample]]] = [None] * len(embedded)
         for row, j in enumerate(live):
-            group[j] = _select(index, scores[row], queries[j], k, excludes[first + j])
+            group[j] = _select(index, scores[row], embedded[j], k, excludes[first + j])
         out += group
     return out
 

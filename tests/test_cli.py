@@ -846,6 +846,29 @@ def test_unknown_manifest_exits_1(tmp_path):
     assert main(["evaluate", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+def test_evaluate_out_dir_from_flag_then_config_file_then_manifest_directory(
+    source, corpus_path, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    runs = tmp_path / "runs"
+    manifest = tmp_path / "manifests" / "m.json"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(runs)]) == 0
+    assert main(["index", "--out-dir", str(runs)]) == 0
+    assert main(["grade", "--mode", "vote", "--out-dir", str(runs), "--out", str(manifest)]) == 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out_dir": "fromcfg"}), encoding="utf-8")
+    flags = {
+        "flag": ["--config", str(config), "--out-dir", "fromflag"],
+        "config": ["--config", str(config)],
+        "manifest": [],
+    }[source]
+    assert main(["evaluate", str(manifest), *flags]) == 0
+    expected = {"flag": "fromflag", "config": "fromcfg", "manifest": "manifests"}[source]
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("m.report.*"))
+    assert written == [f"{expected}/m.report.csv", f"{expected}/m.report.json"]
+
+
 _MALFORMED_MANIFESTS = {
     "not_an_object": [{"config": {"mode": "rag"}, "items": []}],
     "item_without_judgment": {

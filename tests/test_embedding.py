@@ -208,8 +208,8 @@ def test_embed_texts_batch_equals_one_text_at_a_time():
 
 def test_embed_texts_no_texts(stub_server_factory):
     server = stub_server_factory(mirror_embedding_app(dimension=8))
-    assert embed_texts([], EmbedderConfig(dimension=8)) == []
-    assert embed_texts([], EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)) == []
+    assert list(embed_texts([], EmbedderConfig(dimension=8))) == []
+    assert list(embed_texts([], EmbedderConfig(backend="remote", endpoint=server.url, dimension=8))) == []
     assert server.requests == []
 
 

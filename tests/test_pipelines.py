@@ -470,6 +470,24 @@ def test_rag_empty_answer_falls_back_to_zero_demos(fixture_corpus, train_index, 
     assert "Example" not in user_text
 
 
+def test_whitespace_answer_fails_in_vote_mode_and_is_typed_in_rag_mode(
+    fixture_corpus, train_index, stub_server_factory, caplog
+):
+    import dataclasses
+
+    record = dataclasses.replace(
+        split_view(fixture_corpus, "test_ua")[0], id="blank1", student_answer=" \t\n"
+    )
+    (voted,) = run_split([record], PipelineConfig(mode=MODE_VOTE, k=3), train_index)
+    assert voted.parse_path == "failed"
+    assert "vote failed for blank1: the answer has no tokens" in caplog.text
+    body = '{"score": 0.0, "label": "incorrect", "feedback": "no answer"}'
+    server = stub_server_factory(fixed_chat_app(body))
+    cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url))
+    (graded,) = run_split([record], cfg, train_index)
+    assert (graded.parse_path, graded.label) == ("typed", "incorrect")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(mode="zero_shot", k=3).validate()

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ragrade
 from ragrade.dataset import AnswerRecord
-from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, normalize_rows
+from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_texts, normalize_rows
 from ragrade.errors import (
     DimensionMismatch,
     EmptyIndex,
@@ -162,6 +162,71 @@ def test_build_index_skips_empty_answers():
 def test_build_index_all_empty():
     with pytest.raises(EmptyIndex):
         build_index([_record("r1", ""), _record("r2", "")], EmbedderConfig())
+
+
+def _reference_build(records, cfg):
+    """Reference for ``build_index``: each answer embedded alone, the answers
+    with tokens stably sorted by token count, their rows concatenated in
+    float32. Returns (record ids, offsets, vectors, skipped) or None when no
+    answer has a token."""
+    docs = [
+        (r.id, embed_texts([r.student_answer], cfg)[0].vectors)
+        for r in records
+        if r.student_answer.strip()
+    ]
+    docs = sorted((doc for doc in docs if len(doc[1])), key=lambda doc: len(doc[1]))
+    if not docs:
+        return None
+    offsets = np.cumsum([0] + [len(rows) for _, rows in docs])
+    vectors = np.concatenate([rows for _, rows in docs], dtype=np.float32)
+    return [rid for rid, _ in docs], offsets, vectors, len(records) - len(docs)
+
+
+def _assert_build_equals_reference(texts, cfg):
+    records = [_record(f"r{i:02d}", text) for i, text in enumerate(texts)]
+    expected = _reference_build(records, cfg)
+    if expected is None:
+        with pytest.raises(EmptyIndex):
+            build_index(records, cfg)
+        return
+    index = build_index(records, cfg)
+    record_ids, offsets, vectors, skipped = expected
+    assert index.vectors.tobytes() == vectors.tobytes()
+    assert index.vectors.dtype == np.float32 and index.vectors.flags.c_contiguous
+    assert index.offsets.dtype == np.int64 and index.offsets.tolist() == offsets.tolist()
+    assert index.record_ids == record_ids
+    assert index.skipped_empty == skipped
+
+
+# empty and whitespace-only answers, punctuation alone, repeated tokens, and
+# non-ASCII letters, digits and punctuation
+_BUILD_PIECES = [
+    "", " ", "\t\n", "\u3000", "cat", "cat", "dog.", "...", "!?", "—", "naïve",
+    "İstanbul", "東京", "x-y", "€5", "٣²",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.lists(st.sampled_from(_BUILD_PIECES), max_size=6).map(" ".join),
+                  st.text(max_size=12)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example([" ", "\t\n", "", "\u3000"])
+def test_build_index_equals_per_answer_reference(texts):
+    _assert_build_equals_reference(texts, EmbedderConfig(dimension=8))
+
+
+def test_remote_build_index_equals_per_answer_reference(stub_server_factory):
+    server = stub_server_factory(mirror_embedding_app(dimension=16))
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=16)
+    # 70 answers: three requests, each reply's rows normalized as one matrix
+    rng = random.Random(23)
+    texts = [" ".join(rng.choices(_BUILD_PIECES, k=rng.randint(0, 6))) for _ in range(70)]
+    _assert_build_equals_reference(texts, cfg)
 
 
 def test_top_k_self_retrieval():
