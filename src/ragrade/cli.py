@@ -118,15 +118,9 @@ def _model_config(cfg: Dict) -> Optional[ModelConfig]:
 def _load_corpus(cfg: Dict) -> dataset.Corpus:
     corpus_path = cfg.get("corpus")
     if not corpus_path:
-        out_dir = Path(cfg.get("out_dir"))
-        cached = out_dir / CORPUS_CACHE
+        cached = Path(cfg.get("out_dir")) / CORPUS_CACHE
         if cached.exists():
             return dataset.load_corpus(cached, "cache")
-        old = out_dir / "corpus.jsonl"  # what ingest wrote before the cache
-        if old.exists():
-            raise RagradeError(
-                f"{old} is not a current corpus cache; re-run `ragrade ingest`"
-            )
         raise RagradeError(
             "no corpus given; pass --corpus or run `ragrade ingest <path>` first"
         )
@@ -485,7 +479,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TransportError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RagradeError, FileNotFoundError, ValueError) as exc:
+    except (RagradeError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime catch-all for exit code 2

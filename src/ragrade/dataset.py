@@ -77,19 +77,6 @@ class AnswerRecord:
     gold_label: str
     gold_feedback: str
 
-    def to_row(self, split: str) -> Dict[str, object]:
-        return {
-            "id": self.id,
-            "question": self.question,
-            "question_id": self.question_id,
-            "reference_answer": self.reference_answer,
-            "student_answer": self.student_answer,
-            "score": self.gold_score,
-            "label": self.gold_label,
-            "feedback": self.gold_feedback,
-            "split": split,
-        }
-
 
 @dataclass
 class Corpus:
@@ -130,7 +117,8 @@ class Corpus:
 
 
 def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
-    """Validate one corpus row (as written by ``AnswerRecord.to_row``) into a record and its split."""
+    """Validate one corpus row, a JSONL object or a CSV row keyed by
+    ``_REQUIRED_KEYS`` and an optional ``max_points``, into a record and its split."""
     if not isinstance(row, dict):
         raise CorpusError(f"row {row_no}: not a JSON object")
     for key in _REQUIRED_KEYS:
@@ -145,10 +133,15 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
         raise MissingField(row_no, "score")
 
     max_points = row.get("max_points")
-    if max_points is not None and str(max_points).strip() != "":
-        denom = float(max_points)
-        if denom <= 0:
-            raise CorpusError(f"row {row_no}: max_points must be positive")
+    if max_points is not None and str(max_points).strip() != "":  # an empty CSV cell is absent
+        try:
+            denom = float(max_points)
+        except (TypeError, ValueError, OverflowError):
+            denom = float("nan")
+        if isinstance(max_points, bool) or not 0 < denom < float("inf"):
+            raise CorpusError(
+                f"row {row_no}: max_points must be a finite number > 0, not {max_points!r}"
+            )
         score = score / denom
 
     if not (0.0 <= score <= 1.0):
@@ -204,8 +197,6 @@ def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
     and checksum match, its records are trusted and not validated again.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if fmt == "cache":
         return _load_cache(path)
     corpus = Corpus()

@@ -193,9 +193,9 @@ def _embed_remote(
     Wire format: POST {"texts": [...], "role": "query"|"document",
     "encoding_format": "base64"} -> {"embeddings": [...], "tokens": [[...], ...]},
     one token matrix per input text. The returned token list is authoritative.
-    An embedding is a string (see ``_token_rows``) or, from a server that
-    ignores ``encoding_format``, a list of rows of numbers. Each reply's rows
-    are normalized as one matrix. Requests retry as chat ones do
+    Each embedding is a base64 string (see ``_token_rows``); a service that
+    ignores ``encoding_format`` is refused. Each reply's rows are normalized
+    as one matrix. Requests retry as chat ones do
     (``llmclient.post_json``), under its default attempts and timeout; one
     that still fails raises ``BackendUnavailable``.
     """
@@ -235,35 +235,23 @@ def _embed_remote(
 
 def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
     """One reply embedding as an (n_tokens, dimension) float64 matrix, not
-    yet normalized.
-
-    A string holds the rows base64-encoded as little-endian float64, row-major,
-    ``dimension`` values per row; a list holds them as JSON numbers. Either
-    way the shape must be exactly (n_tokens, dimension).
+    yet normalized: a base64 string of little-endian float64 values,
+    row-major, ``dimension`` values per row.
     """
-    if isinstance(rows, str):
-        try:
-            raw = base64.b64decode(rows, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise BackendUnavailable(f"embedding is not valid base64: {exc}") from exc
-        if len(raw) != n_tokens * dimension * 8:
-            raise DimensionMismatch(
-                f"{len(raw)} embedding bytes for {n_tokens} tokens of dimension {dimension}"
-            )
-        return np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)
-    if isinstance(rows, list):
-        try:
-            matrix = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DimensionMismatch(f"embedding rows are not a matrix of numbers: {exc}") from exc
-        if not rows:
-            matrix = matrix.reshape(0, dimension)
-        if matrix.shape != (n_tokens, dimension):
-            raise DimensionMismatch(
-                f"embedding of shape {matrix.shape} for {n_tokens} tokens of dimension {dimension}"
-            )
-        return matrix
-    raise BackendUnavailable("an embedding must be a base64 string or a list of rows")
+    if not isinstance(rows, str):
+        raise BackendUnavailable(
+            "an embedding must be a base64 string: the service must honour"
+            ' "encoding_format": "base64"'
+        )
+    try:
+        raw = base64.b64decode(rows, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise BackendUnavailable(f"embedding is not valid base64: {exc}") from exc
+    if len(raw) != n_tokens * dimension * 8:
+        raise DimensionMismatch(
+            f"{len(raw)} embedding bytes for {n_tokens} tokens of dimension {dimension}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)
 
 
 def embed_texts(

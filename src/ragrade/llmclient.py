@@ -3,8 +3,10 @@
 The strict path sends a rendered ``PromptTemplate``'s system and user text,
 asks for a single JSON object and parses it under the prompt's output
 schema. When that fails, a second request goes out with the relaxed
-plain-text prompt ("Score:", "Label:", "Feedback:" lines) and the response
-is recovered by line-anchored matching. Each judgment's
+plain-text prompt, which asks for one labelled line per output field under
+the field's own name, and the response is recovered by line-anchored
+matching. ``promptkit.judgment_fields`` names the fields that hold the
+judgment's score, label and feedback on either path. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
@@ -63,7 +65,7 @@ from .errors import (
     TransportError,
     TypeMismatch,
 )
-from .promptkit import PromptTemplate, TYPE_FREETEXT, TYPE_LABEL3, TYPE_REAL01
+from .promptkit import PromptTemplate, TYPE_LABEL3, TYPE_REAL01, judgment_fields
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +104,8 @@ class ModelConfig:
             raise ValueError("concurrency must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
 
 
 @dataclass
@@ -502,20 +506,6 @@ def _coerce_label(value) -> str:
         raise TypeMismatch(f"unknown label {value!r}")
 
 
-def _extract_judgment_fields(schema, values: Dict) -> Tuple[float, str, str]:
-    score = label = feedback = None
-    for name, tag in schema:
-        if tag == TYPE_REAL01 and score is None:
-            score = values[name]
-        elif tag == TYPE_LABEL3 and label is None:
-            label = values[name]
-        elif tag == TYPE_FREETEXT and feedback is None and name != "reasoning":
-            feedback = values[name]
-    if score is None or label is None or feedback is None:
-        raise TypeMismatch("schema does not cover score/label/feedback")
-    return score, label, feedback
-
-
 def parse_typed(raw: str, schema) -> Judgment:
     """Parse the first JSON object in ``raw`` under the schema's typed contract.
 
@@ -536,7 +526,7 @@ def parse_typed(raw: str, schema) -> Judgment:
             if not isinstance(value, str):
                 raise TypeMismatch(f"field {name!r} must be a string")
             values[name] = value
-    score, label, feedback = _extract_judgment_fields(schema, values)
+    score, label, feedback = (values[name] for name in judgment_fields(schema))
     return Judgment(
         score=score, label=label, feedback=feedback, parse_path=PARSE_TYPED, raw_text=raw
     )
@@ -560,24 +550,26 @@ def _relaxed_field(raw: str, name: str, take_rest: bool = False) -> Optional[str
     return value.strip()
 
 
-def parse_relaxed(raw: str) -> Judgment:
-    """Recover score/label/feedback from labelled plain-text lines."""
-    score_text = _relaxed_field(raw, "score")
-    label_text = _relaxed_field(raw, "label")
-    feedback_text = _relaxed_field(raw, "feedback", take_rest=True)
+def parse_relaxed(raw: str, schema) -> Judgment:
+    """Recover a judgment from the labelled plain-text lines that the relaxed
+    prompt asks for, under the schema's own field names. The feedback runs to
+    the end of the reply if it is the schema's last field, else to the end of
+    its line."""
+    score_name, label_name, feedback_name = judgment_fields(schema)
+    score_text = _relaxed_field(raw, score_name)
+    label_text = _relaxed_field(raw, label_name)
+    feedback_text = _relaxed_field(raw, feedback_name, take_rest=feedback_name == schema[-1][0])
     if score_text is None or label_text is None:
-        raise FallbackParseFailed("missing Score/Label line in relaxed output")
+        raise FallbackParseFailed(f"missing {score_name} or {label_name} line in relaxed output")
 
     number = _NUMBER_RE.search(score_text)
     if not number or _NUMBER_CUT_RE.match(score_text, number.end()):
         raise FallbackParseFailed(f"no plain numeric score in {score_text!r}")
-    score = float(number.group())
-    if not (0.0 <= score <= 1.0):
-        raise FallbackParseFailed(f"relaxed score {score} outside [0, 1]")
     try:
-        label = canonical_label(label_text)
-    except ValueError:
-        raise FallbackParseFailed(f"unknown relaxed label {label_text!r}")
+        score = _coerce_score(number.group())
+        label = _coerce_label(label_text)
+    except ParseError as exc:
+        raise FallbackParseFailed(f"relaxed output: {exc}") from exc
 
     return Judgment(
         score=score,
@@ -596,7 +588,7 @@ def fallback_parse(
     """
     relaxed_raw = client.complete(prompt, relaxed=True)
     try:
-        judgment = parse_relaxed(relaxed_raw)
+        judgment = parse_relaxed(relaxed_raw, prompt.output_schema)
     except FallbackParseFailed:
         return Judgment(
             score=None,

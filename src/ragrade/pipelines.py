@@ -12,6 +12,7 @@ paths.
 import json
 import logging
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -46,6 +47,7 @@ from .promptkit import (
     Signature,
     compile_signature,
     demo_from_record,
+    record_inputs,
     render_prompt,
 )
 # top_k is imported only so that perfbench/spans.py can patch pipelines.top_k
@@ -163,12 +165,7 @@ def grade_item(
     """
     if any(demo.source_record_id == record.id for demo in demos):
         raise GoldLeakage(f"live record {record.id} selected as its own demo")
-    inputs = {
-        "question": record.question,
-        "reference_answer": record.reference_answer,
-        "student_answer": record.student_answer,
-    }
-    return judge(render_prompt(template, inputs, demos), client)
+    return judge(render_prompt(template, record_inputs(record), demos), client)
 
 
 def run_split(
@@ -241,6 +238,8 @@ _PROPOSAL_SYSTEM = (
     "You rewrite task instructions. Respond with one rewritten instruction per "
     "line and no other text."
 )
+# a list marker opening a proposal line: "1.", "2)", "-" or "*", then whitespace
+_LIST_MARKER = re.compile(r"^(?:\d+[.)]|[-*])(?:\s+|$)")
 
 
 def propose_instructions(
@@ -258,7 +257,7 @@ def propose_instructions(
         return []
     lines = []
     for line in raw.splitlines():
-        line = line.strip().lstrip("0123456789.)- ").strip()
+        line = _LIST_MARKER.sub("", line.strip(), count=1)
         if line:
             lines.append(line)
     return lines[:n]

@@ -6,6 +6,8 @@ and rendering an item fills in the template's user text. Few-shot demos
 render before the live item in retrieval-rank order and show their gold
 outputs in the same shape the model is asked to produce. Every prompt also
 carries a relaxed plain-text variant used by the fallback predictor.
+``judgment_fields`` alone decides, by type, which output fields hold a
+judgment's score, label and feedback.
 """
 
 import json
@@ -56,6 +58,7 @@ class Signature:
         for _, tag, _ in self.output_fields:
             if tag not in _TYPE_TAGS:
                 raise ValueError(f"unknown output type tag {tag!r}")
+        judgment_fields(self.output_fields)
 
     def input_names(self) -> List[str]:
         return [n for n, _ in self.input_fields]
@@ -96,23 +99,36 @@ class Demo:
         return dict(self.outputs)
 
 
-def demo_from_record(record: AnswerRecord, sig: Optional[Signature] = None) -> Demo:
-    """Turn a retrieved training record into a fully worked few-shot example."""
-    sig = sig or Signature()
-    values = {
+def record_inputs(record: AnswerRecord) -> Dict[str, str]:
+    """A record's values for the input fields a signature may name; never its
+    gold fields."""
+    return {
         "question": record.question,
         "reference_answer": record.reference_answer,
         "student_answer": record.student_answer,
-        "score": repr(float(record.gold_score)),
-        "label": record.gold_label,
-        "feedback": record.gold_feedback,
+    }
+
+
+def demo_from_record(record: AnswerRecord, sig: Optional[Signature] = None) -> Demo:
+    """Turn a retrieved training record into a fully worked few-shot example:
+    the signature's score, label and feedback fields (``judgment_fields``)
+    show the record's gold values."""
+    sig = sig or Signature()
+    score, label, feedback = judgment_fields(sig.output_fields)
+    inputs = record_inputs(record)
+    gold = {
+        score: repr(float(record.gold_score)),
+        label: record.gold_label,
+        feedback: record.gold_feedback,
     }
     try:
-        inputs = tuple((name, values[name]) for name in sig.input_names())
-        outputs = tuple((name, values[name]) for name in sig.output_names())
+        return Demo(
+            inputs=tuple((name, inputs[name]) for name in sig.input_names()),
+            outputs=tuple((name, gold[name]) for name in sig.output_names()),
+            source_record_id=record.id,
+        )
     except KeyError as exc:
         raise DemoSchemaMismatch(f"record has no value for field {exc}") from exc
-    return Demo(inputs=inputs, outputs=outputs, source_record_id=record.id)
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,23 @@ _REASONING_FIELD = (
     TYPE_FREETEXT,
     "step-by-step reasoning about the grading, written before the other fields",
 )
+
+
+def judgment_fields(schema) -> Tuple[str, str, str]:
+    """The names of a judgment's score, label and feedback fields: the first
+    ``real01``, ``label3`` and ``freetext`` field of ``schema``, whose entries
+    are (name, type tag, ...), the reasoning field aside."""
+    first: Dict[str, str] = {}
+    for name, tag, *_ in schema:
+        if (name, tag) != _REASONING_FIELD[:2]:
+            first.setdefault(tag, name)
+    missing = [tag for tag in _TYPE_TAGS if tag not in first]
+    if missing:
+        raise ValueError(
+            f"the output fields have no {' or '.join(missing)} field; a judgment needs "
+            f"a score ({TYPE_REAL01}), a label ({TYPE_LABEL3}) and feedback ({TYPE_FREETEXT})"
+        )
+    return first[TYPE_REAL01], first[TYPE_LABEL3], first[TYPE_FREETEXT]
 
 
 def _type_hint(tag: str) -> str:

@@ -6,13 +6,13 @@ exhaustive over the index; no approximate pruning. Scores equal to 1e-9 tie;
 ascending record id breaks ties.
 
 Every document's token rows live in one C-contiguous float32 matrix, with an
-offsets array marking where each document starts. Documents are stored in
-ascending token count, stable with respect to input order, so the documents
-of one length form a contiguous run. ``build_index`` embeds every answer in
+offsets array marking where each document starts. ``build_index`` stores
+documents in ascending token count, stable with respect to input order, so
+the documents of one length form a contiguous run. It embeds every answer in
 one ``embed_texts`` call and fills the matrix with one float32 gather from
 that call's row table, in length order, with no per-answer matrix and no
-reordering afterwards. ``top_k_batch`` embeds a group of
-queries in one call and scans each run once for all of them, in chunks: one
+reordering afterwards. ``top_k_batch`` embeds a group of queries in one
+call and scans each run once for all of them, in chunks: one
 float32 matmul against the group's distinct query rows, a zero-copy
 (documents, length, rows) view, and a max over token positions by in-place
 pairwise halving; each query then sums its rows' maxima in float64. Per
@@ -20,10 +20,11 @@ query, it re-scores in float64 every document whose float32 score is within
 a proven error bound of the k-th best, so the ranking equals the exact one
 over the stored rows. ``top_k`` is its one-query case. The index persists to
 a single binary file (format v3) of record ids and token rows, not records:
-loading takes the records from the caller's corpus. It refuses to load under
-a different embedder fingerprint unless forced. A v2 file loads without its
-record payload being read; one written in another document order is put into
-length order on load, with no re-indexing.
+loading takes the records from the caller's corpus and keeps the file's
+document order. It refuses to load under a different embedder fingerprint
+unless forced. A v2 file loads without its record payload being read. Order
+changes no ranking, only a scan's speed: a v2 file written in corpus order
+has far more equal-length runs to scan; ``ragrade index`` rewrites it.
 """
 
 import json
@@ -59,8 +60,8 @@ _SCORE_BLOCK_BYTES = 4 << 20
 class MaxSimIndex:
     """Document ``i`` is ``record_ids[i]``; its token rows are
     ``vectors[offsets[i]:offsets[i + 1]]``, at least one per document.
-    Construction puts the documents in ascending token count, stable with
-    respect to the order given."""
+    Documents may come in any order; a scan is fastest in ascending token
+    count, the order ``build_index`` lays them out in."""
 
     dim: int
     fingerprint: str
@@ -74,11 +75,6 @@ class MaxSimIndex:
     question_rows: Dict[str, List[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        lengths = np.diff(self.offsets)
-        if np.any(lengths[1:] < lengths[:-1]):
-            order, self.offsets, rows = _length_order(self.offsets)
-            self.vectors = self.vectors[rows]
-            self.record_ids = [self.record_ids[i] for i in order]
         self.row_of = {rid: row for row, rid in enumerate(self.record_ids)}
         self.question_rows = {}
         for row, rid in enumerate(self.record_ids):
@@ -174,7 +170,8 @@ def _scan_scores(index: MaxSimIndex, queries: Sequence[np.ndarray]) -> np.ndarra
     scores = np.empty((len(queries), len(index)), dtype=np.float64)
     offsets = index.offsets
     lengths = np.diff(offsets)
-    # documents come in ascending token count: one run per distinct length
+    # one run per stretch of equal-length documents: one per distinct length
+    # in an index that ``build_index`` laid out
     bounds = [*np.flatnonzero(np.diff(lengths, prepend=0)).tolist(), len(index)]
     chunk = max(1, min(_SCAN_CHUNK_TOKENS, _SCAN_BUFFER_BYTES // (4 * len(distinct))))
     buffer = np.empty((max(chunk, lengths.max()), len(distinct)), np.float32)
@@ -356,13 +353,11 @@ def load_index(
         if fh.read(4) != _MAGIC:
             raise ValueError("not an index file")
         (version,) = struct.unpack("<I", _read_bytes(fh, 4))
-        if version == 1:
-            raise ValueError(
-                "index format v1 is no longer supported; re-index with `ragrade index`"
-            )
         # v2 is v3 followed by a record payload, which is never read
         if version not in (2, _FORMAT_VERSION):
-            raise ValueError(f"unsupported index format version {version}")
+            raise ValueError(
+                f"index format v{version} is not supported; re-index with `ragrade index`"
+            )
         (header_len,) = struct.unpack("<I", _read_bytes(fh, 4))
         header = json.loads(_read_bytes(fh, header_len).decode("utf-8"))
 

@@ -78,9 +78,24 @@ def corpus_path(fixture_corpus, tmp_path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in fixture_corpus.records:
             fh.write(
-                json.dumps(rec.to_row(fixture_corpus.split_assignment[rec.id])) + "\n"
+                json.dumps(corpus_row(rec, fixture_corpus.split_assignment[rec.id])) + "\n"
             )
     return path
+
+
+def corpus_row(record, split):
+    """``record`` as a corpus row in ``split``, the input ``dataset.parse_row`` reads."""
+    return {
+        "id": record.id,
+        "question": record.question,
+        "question_id": record.question_id,
+        "reference_answer": record.reference_answer,
+        "student_answer": record.student_answer,
+        "score": record.gold_score,
+        "label": record.gold_label,
+        "feedback": record.gold_feedback,
+        "split": split,
+    }
 
 
 def gold_by_answer(records):

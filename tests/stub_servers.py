@@ -7,6 +7,7 @@ prompt contents, leakage scans).
 
 import base64
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -91,7 +92,9 @@ def mirror_embedding_app(dimension: int = 32):
 
 
 def fixed_embedding_app(payload_by_text):
-    """Serves hand-written (tokens, vectors) payloads keyed by input text."""
+    """Serves hand-written (tokens, vectors) payloads keyed by input text; each
+    text's rows go out as one base64 run of their values, so ragged rows
+    arrive with the wrong byte count."""
 
     def app(path, body):
         embeddings = []
@@ -99,7 +102,9 @@ def fixed_embedding_app(payload_by_text):
         for text in body.get("texts", []):
             tokens, vectors = payload_by_text[text]
             token_lists.append(tokens)
-            embeddings.append(vectors)
+            values = [value for row in vectors for value in row]
+            raw = struct.pack(f"<{len(values)}d", *values)
+            embeddings.append(base64.b64encode(raw).decode("ascii"))
         return 200, {"embeddings": embeddings, "tokens": token_lists}
 
     return app

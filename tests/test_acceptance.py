@@ -21,7 +21,7 @@ from ragrade.metrics import bleu, rouge2, scoring_metrics
 from ragrade.retrieval import build_index, maxsim_score, top_k
 from ragrade.votegrader import vote_classify
 
-from conftest import embed_tokens, gold_by_answer
+from conftest import corpus_row, embed_tokens, gold_by_answer
 from stub_servers import StubServer, echo_gold_chat_app
 from test_promptkit import GOLDEN_DIR, golden_cases, _golden_bytes
 from test_retrieval import _exact_order, _matrix, _stored_docs
@@ -276,7 +276,7 @@ def _synthetic_corpus(n_train=10, n_ua=40):
 def _write_corpus(corpus, path):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
-            fh.write(json.dumps(rec.to_row(corpus.split_assignment[rec.id])) + "\n")
+            fh.write(json.dumps(corpus_row(rec, corpus.split_assignment[rec.id])) + "\n")
 
 
 def _grade_rag(corpus_file, out_dir, server_url, manifest_path, extra=()):

@@ -1,6 +1,8 @@
+import base64
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import zlib
@@ -12,7 +14,7 @@ import pytest
 from ragrade import dataset
 from ragrade.cli import main
 
-from conftest import gold_by_answer, rewrite_index_header
+from conftest import corpus_row, gold_by_answer, rewrite_index_header
 from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
 
 
@@ -52,8 +54,16 @@ _CACHE_CORRUPTIONS = {
     "other_format": lambda p: _rewrite_cache(p, header={"format": "jsonl"}),
     "eight_columns": lambda p: _rewrite_cache(p, columns=lambda lines: lines[:8]),
     "record_count": lambda p: _rewrite_cache(p, header={"records": 15}),
-    "old_jsonl_only": lambda p: p.rename(p.with_name("corpus.jsonl")),
 }
+
+
+def _cache_readers(out_dir):
+    """The commands that read the corpus cache of ``out_dir``."""
+    return [
+        ["index", "--out-dir", str(out_dir)],
+        ["grade", "--mode", "vote", "--k", "3", "--out-dir", str(out_dir)],
+        ["optimize", "--endpoint", "http://127.0.0.1:9", "--out-dir", str(out_dir)],
+    ]
 
 
 @pytest.mark.parametrize("corruption", sorted(_CACHE_CORRUPTIONS))
@@ -61,18 +71,25 @@ def test_bad_corpus_cache_exits_1_with_reingest_message(corruption, corpus_path,
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     _CACHE_CORRUPTIONS[corruption](out_dir / "corpus.cache")
-    name = "corpus.jsonl" if corruption == "old_jsonl_only" else "corpus.cache"
     capsys.readouterr()
-    commands = [
-        ["index", "--out-dir", str(out_dir)],
-        ["grade", "--mode", "vote", "--k", "3", "--out-dir", str(out_dir)],
-        ["optimize", "--endpoint", "http://127.0.0.1:9", "--out-dir", str(out_dir)],
-    ]
-    for argv in commands:
+    for argv in _cache_readers(out_dir):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == (
-            f"error: {out_dir / name} is not a current corpus cache; re-run `ragrade ingest`\n"
+            f"error: {out_dir / 'corpus.cache'} is not a current corpus cache; re-run `ragrade ingest`\n"
+        )
+
+
+def test_out_dir_without_corpus_cache_exits_1_with_ingest_message(corpus_path, tmp_path, capsys):
+    # a corpus.jsonl in the out dir (what ingest wrote before the cache) is not read
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    (out_dir / "corpus.cache").rename(out_dir / "corpus.jsonl")
+    capsys.readouterr()
+    for argv in _cache_readers(out_dir):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: no corpus given; pass --corpus or run `ragrade ingest <path>` first\n"
         )
 
 
@@ -387,42 +404,36 @@ def test_grade_null_content_writes_manifest(corpus_path, tmp_path, stub_server_f
     assert _parse_paths(manifest) == {"failed": 3}
 
 
-def test_rag_outputs_identical_over_list_and_base64_embeddings(
-    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+def test_index_and_grade_refuse_a_list_embedding_reply(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, capsys
 ):
-    # one embedding server; in "list" mode it drops the client's encoding_format
+    # an embedding service that ignores the client's encoding_format replies
+    # with JSON lists of rows; ragrade refuses them instead of decoding them
     mirror = mirror_embedding_app(32)
-    state = {"format": None, "replies": set()}
+    state = {"format": "base64"}
 
     def embed_app(path, body):
         if state["format"] == "list":
             body = {k: v for k, v in body.items() if k != "encoding_format"}
-        status, payload = mirror(path, body)
-        state["replies"].update(type(e).__name__ for e in payload["embeddings"])
-        return status, payload
+        return mirror(path, body)
 
     embed = stub_server_factory(embed_app)
     chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
     remote = ["--embed-backend", "remote", "--embed-endpoint", embed.url]
-    outputs = {}
-    for fmt in ("list", "base64"):
-        state["format"], state["replies"] = fmt, set()
-        out_dir = tmp_path / fmt
-        manifest_path = out_dir / "m.json"
-        assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
-        assert main(["index", "--split", "train", "--out-dir", str(out_dir), *remote]) == 0
-        flags = ["--mode", "rag", "--k", "3", "--split", "test_ua", "--endpoint", chat.url, *remote]
-        assert _grade(out_dir, manifest_path, *flags) == 0
-        assert main(["evaluate", str(manifest_path), "--out-dir", str(out_dir)]) == 0
-        manifest = json.loads(manifest_path.read_text())
-        manifest["created_at"] = "masked"
-        outputs[fmt] = (
-            (out_dir / "index.rgix").read_bytes(),
-            json.dumps(manifest),
-            (out_dir / "m.report.json").read_bytes(),
-        )
-        assert state["replies"] == {"list" if fmt == "list" else "str"}
-    assert outputs["list"] == outputs["base64"]
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir), *remote]) == 0
+    index_bytes = (out_dir / "index.rgix").read_bytes()
+
+    state["format"] = "list"
+    capsys.readouterr()
+    assert main(["index", "--out-dir", str(out_dir), *remote]) == 2
+    assert '"encoding_format": "base64"' in capsys.readouterr().err
+    assert (out_dir / "index.rgix").read_bytes() == index_bytes
+    flags = ["--mode", "rag", "--k", "3", "--split", "test_ua", "--endpoint", chat.url, *remote]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 2  # every item failed
+    assert _parse_paths(json.loads((out_dir / "m.json").read_text())) == {"failed": 3}
+    assert chat.requests == []
 
 
 @pytest.mark.parametrize("reply", ["wrong_shape", "zero_norm", "ragged"])
@@ -437,10 +448,13 @@ def test_grade_rag_malformed_embedding_reply_fails_items(
         if not state["bad"]:
             return mirror(path, body)
         n = len(body["texts"])
+        zero_row = base64.b64encode(bytes(8 * 32)).decode("ascii")
+        # three values, where two tokens of 32 need 64
+        ragged = base64.b64encode(struct.pack("<3d", 1.0, 0.0, 1.0)).decode("ascii")
         return 200, {
             "wrong_shape": {"embeddings": 5, "tokens": 5},
-            "zero_norm": {"embeddings": [[[0.0] * 32]] * n, "tokens": [["x"]] * n},
-            "ragged": {"embeddings": [[[1.0, 0.0], [1.0]]] * n, "tokens": [["x", "y"]] * n},
+            "zero_norm": {"embeddings": [zero_row] * n, "tokens": [["x"]] * n},
+            "ragged": {"embeddings": [ragged] * n, "tokens": [["x", "y"]] * n},
         }[reply]
 
     embed = stub_server_factory(embed_app)
@@ -511,8 +525,81 @@ def test_grade_temperature_nan_exits_1_before_any_request(
     assert server.requests == [] and not (out_dir / "m.json").exists()
 
 
+_CUSTOM_SIGNATURE = {
+    "input_fields": [
+        {"name": "question"}, {"name": "reference_answer"}, {"name": "student_answer"},
+    ],
+    "output_fields": [
+        {"name": "grade", "type": "real01"},
+        {"name": "category", "type": "label3"},
+        {"name": "comment", "type": "freetext"},
+    ],
+}
+
+
+def test_custom_named_signature_recovers_through_the_relaxed_reask(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    # every typed reply is prose; the relaxed re-ask is answered in the lines
+    # its prompt asks for, under the signature's own field names
+    gold = gold_by_answer(fixture_corpus.records)
+    echo = echo_gold_chat_app(gold, malform_answers=set(gold))
+
+    def app(path, body):
+        status, payload = echo(path, body)
+        text = payload["choices"][0]["message"]["content"]
+        for old, new in (("Score:", "Grade:"), ("Label:", "Category:"), ("Feedback:", "Comment:")):
+            text = text.replace(old, new)
+        payload["choices"][0]["message"]["content"] = text
+        return status, payload
+
+    server = stub_server_factory(app)
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(_CUSTOM_SIGNATURE), encoding="utf-8")
+    out_dir = tmp_path / "runs"
+    flags = ["--corpus", str(corpus_path), "--mode", "zero-shot", "--split", "test_ua",
+             "--endpoint", server.url, "--signature", str(sig_path)]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 0
+    items = json.loads((out_dir / "m.json").read_text())["items"]
+    assert [item["judgment"]["parse_path"] for item in items] == ["fallback"] * 3
+    for item in items:
+        judgment = item["judgment"]
+        assert (judgment["score"], judgment["label"], judgment["feedback"]) == (
+            item["gold_score"], item["gold_label"], item["gold_feedback"],
+        )
+    assert len(server.requests) == 6  # one typed ask and one re-ask per item
+
+
+def test_grade_with_a_signature_without_a_label_field_exits_1_before_any_request(
+    corpus_path, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("unused"))
+    spec = dict(_CUSTOM_SIGNATURE)
+    spec["output_fields"] = [f for f in spec["output_fields"] if f["type"] != "label3"]
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(spec), encoding="utf-8")
+    out_dir = tmp_path / "runs"
+    flags = ["--corpus", str(corpus_path), "--mode", "zero-shot", "--endpoint", server.url,
+             "--signature", str(sig_path)]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "no label3 field" in capsys.readouterr().err
+    assert server.requests == [] and not (out_dir / "m.json").exists()
+
+
+def test_grade_max_tokens_0_exits_1_before_any_request(
+    corpus_path, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("unused"))
+    out_dir = tmp_path / "runs"
+    flags = ["--corpus", str(corpus_path), "--mode", "zero-shot", "--endpoint", server.url,
+             "--max-tokens", "0"]
+    assert _grade(out_dir, out_dir / "m.json", *flags) == 1
+    assert "max_tokens" in capsys.readouterr().err
+    assert server.requests == [] and not (out_dir / "m.json").exists()
+
+
 def test_ingest_reads_a_csv_suffix_as_csv(fixture_corpus, tmp_path):
-    rows = [rec.to_row(fixture_corpus.split_assignment[rec.id]) for rec in fixture_corpus.records]
+    rows = [corpus_row(rec, fixture_corpus.split_assignment[rec.id]) for rec in fixture_corpus.records]
     source = tmp_path / "corpus.csv"
     with open(source, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -564,6 +651,38 @@ def test_grade_zero_shot_without_endpoint_exits_1(corpus_path, tmp_path, capsys)
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     assert main(["grade", "--mode", "zero-shot", "--out-dir", str(out_dir)]) == 1
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "out_dir_under_a_file"])
+def test_unusable_path_exits_1_with_one_line(case, corpus_path, tmp_path):
+    # no such corpus, a directory given as the corpus, or an out dir below a regular file
+    argv, reason = {
+        "missing": (["ingest", str(tmp_path / "nope.jsonl")], "No such file or directory"),
+        "directory": (["ingest", str(tmp_path), "--out-dir", str(tmp_path / "runs")],
+                      "Is a directory"),
+        "out_dir_under_a_file": (
+            ["ingest", str(corpus_path), "--out-dir", str(corpus_path / "runs")],
+            "Not a directory",
+        ),
+    }[case]
+    env = dict(os.environ)
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "ragrade.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert reason in out.stderr
+
+
+def test_unreadable_corpus_exits_1(corpus_path, tmp_path, monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(dataset, "open", refuse, raising=False)
+    assert main(["ingest", str(corpus_path), "--out-dir", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{corpus_path}'\n"
 
 
 def test_modules_without_arrays_load_no_numpy():

@@ -27,6 +27,8 @@ from ragrade.errors import (
     UnknownLabel,
 )
 
+from conftest import corpus_row
+
 
 def _row(
     row_id="a1",
@@ -184,6 +186,33 @@ def test_max_points_overshoot_still_rejected(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "max_points",
+    ["abc", "inf", "nan", float("inf"), float("nan"), 0, -4.0, True, [4],
+     pytest.param(10 ** 400, id="int_past_float")],
+)
+def test_bad_max_points_is_refused_with_its_row(tmp_path, max_points):
+    rows = [_row("a1", score=2.0, max_points=4.0), _row("a2", score=3.0, max_points=max_points)]
+    path = _write_jsonl(tmp_path / "c.jsonl", rows)
+    with pytest.raises(CorpusError, match=r"^row 2: max_points must be a finite number > 0"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("cell, error", [("", None), ("4", None), ("abc", "row 1: max_points"),
+                                         ("inf", "row 1: max_points")])
+def test_csv_max_points_cell(tmp_path, cell, error):
+    path = tmp_path / "c.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[*_row(), "max_points"])
+        writer.writeheader()
+        writer.writerow({**_row(score=1.0), "max_points": cell})
+    if error:
+        with pytest.raises(CorpusError, match=error):
+            load_corpus(path)
+    else:  # an empty cell means no max_points
+        assert load_corpus(path).records[0].gold_score == (0.25 if cell else 1.0)
+
+
 def test_empty_student_answer_is_legal(tmp_path):
     rows = [_row("a1", student_answer="")]
     corpus = load_corpus(_write_jsonl(tmp_path / "c.jsonl", rows))
@@ -234,7 +263,7 @@ def test_saf_train_proportion_near_published():
 
 
 def _write_source(corpus, path, fmt):
-    rows = [rec.to_row(corpus.split_assignment[rec.id]) for rec in corpus.records]
+    rows = [corpus_row(rec, corpus.split_assignment[rec.id]) for rec in corpus.records]
     if fmt == "jsonl":
         return _write_jsonl(path, rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -1,5 +1,4 @@
 import base64
-import json
 import random
 import sys
 import unicodedata
@@ -354,19 +353,12 @@ def _base64_rows(matrix):
         )
     )
 )
-def test_base64_and_list_embeddings_decode_bit_identically(case):
+def test_base64_embeddings_decode_bit_identically(case):
     d, rows = case
-    as_list = json.loads(json.dumps(rows))  # the list path's JSON round trip
-    as_base64 = _base64_rows(np.array(rows, dtype=np.float64).reshape(len(rows), d))
-    decoded = []
-    for entry in (as_list, as_base64):
-        try:
-            matrix = _token_rows(entry, len(rows), d)
-            assert matrix.shape == (len(rows), d) and matrix.dtype == np.float64
-            decoded.append(matrix.tobytes())
-        except InvalidEmbedding:  # a row of zeros, or one whose squares underflow
-            decoded.append(InvalidEmbedding)
-    assert decoded[0] == decoded[1]
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    decoded = _token_rows(_base64_rows(matrix), len(rows), d)
+    assert decoded.shape == (len(rows), d) and decoded.dtype == np.float64
+    assert decoded.tobytes() == matrix.tobytes()
 
 
 _ONE_TOKEN_ROW = _base64_rows([[3.0, 4.0]])
@@ -382,16 +374,14 @@ _ONE_TOKEN_ROW = _base64_rows([[3.0, 4.0]])
         ("*" + _ONE_TOKEN_ROW[1:], BackendUnavailable),  # not a base64 character
         (_ONE_TOKEN_ROW[:4] + "\n" + _ONE_TOKEN_ROW[4:], BackendUnavailable),
         ("\u00e9" * 4, BackendUnavailable),  # not ASCII
-        ([[3.0, 4.0, 0.0]], DimensionMismatch),  # list rows wider than the config
-        ([[3.0]], DimensionMismatch),
-        ([[3.0, {"x": 1}]], DimensionMismatch),
-        ([[3.0, 10 ** 400]], DimensionMismatch),
-        ([], DimensionMismatch),
         (5, BackendUnavailable),
         (None, BackendUnavailable),
-        ({"rows": [[3.0, 4.0]]}, BackendUnavailable),
-        ([[3.0, float("nan")]], InvalidEmbedding),
+        ("", DimensionMismatch),  # no bytes for one token
+        (True, BackendUnavailable),
+        (3.5, BackendUnavailable),
+        (_base64_rows([[3.0, float("nan")]]), InvalidEmbedding),
         (_base64_rows([[3.0, float("inf")]]), InvalidEmbedding),
+        ({"rows": [[3.0, 4.0]]}, BackendUnavailable),
     ],
 )
 def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, embedding, error):
@@ -400,5 +390,17 @@ def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, em
     )
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=2)
     with pytest.raises(error):
+        embed_tokens("hello", cfg)
+
+
+@pytest.mark.parametrize("rows", [[[3.0, 4.0]], [[3.0, 4.0, 0.0]], []])
+def test_remote_list_embedding_is_refused(stub_server_factory, rows):
+    # a service that ignores "encoding_format" sends rows as JSON lists,
+    # whatever their shape; the reply is refused, naming the format it must use
+    server = stub_server_factory(
+        lambda path, body: (200, {"embeddings": [rows], "tokens": [["hello"]]})
+    )
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=2)
+    with pytest.raises(BackendUnavailable, match='"encoding_format": "base64"'):
         embed_tokens("hello", cfg)
 

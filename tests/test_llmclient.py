@@ -692,7 +692,7 @@ def test_parse_typed_cot_requires_reasoning():
 
 def test_parse_relaxed_happy_path():
     raw = "Score: 0.5\nLabel: partially correct\nFeedback: decent work\non two lines"
-    judgment = parse_relaxed(raw)
+    judgment = parse_relaxed(raw, SCHEMA)
     assert judgment.score == 0.5
     assert judgment.label == "partially_correct"
     assert judgment.feedback == "decent work\non two lines"
@@ -707,7 +707,7 @@ def test_parse_relaxed_happy_path():
     ],
 )
 def test_parse_relaxed_reads_the_number_forms_float_reads(score_text, score):
-    judgment = parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok")
+    judgment = parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok", SCHEMA)
     assert judgment.score == score
 
 
@@ -715,14 +715,25 @@ def test_parse_relaxed_reads_the_number_forms_float_reads(score_text, score):
 def test_parse_relaxed_rejects_a_number_run_into_more_text(score_text):
     # the first number-like prefix of these is not what they say
     with pytest.raises(FallbackParseFailed):
-        parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok")
+        parse_relaxed(f"Score: {score_text}\nLabel: correct\nFeedback: ok", SCHEMA)
 
 
 def test_parse_relaxed_no_score_fails():
     from ragrade.errors import FallbackParseFailed
 
     with pytest.raises(FallbackParseFailed):
-        parse_relaxed("Label: correct\nFeedback: nice")
+        parse_relaxed("Label: correct\nFeedback: nice", SCHEMA)
+
+
+def test_parse_relaxed_reads_the_schema_own_field_names():
+    schema = (("comment", "freetext"), ("grade", "real01"), ("category", "label3"))
+    judgment = parse_relaxed("Comment: close enough\nGrade: 0.5\nCategory: Partially correct", schema)
+    # the feedback is not the last field asked for, so it is its line alone
+    assert (judgment.score, judgment.label, judgment.feedback) == (
+        0.5, "partially_correct", "close enough",
+    )
+    with pytest.raises(FallbackParseFailed):  # the default names are not asked for
+        parse_relaxed("Score: 0.5\nLabel: correct\nFeedback: ok", schema)
 
 
 def test_judge_fallback_recovers(stub_server_factory, fixture_corpus):
@@ -828,6 +839,9 @@ def test_temperature_validation():
         ModelConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ValueError):
         ModelConfig(endpoint="http://x", model="m", max_retries=0)
+    for max_tokens in (0, -1):
+        with pytest.raises(ValueError, match="max_tokens"):
+            ModelConfig(endpoint="http://x", model="m", max_tokens=max_tokens)
     # NaN cannot go into a JSON body, and a timeout outside (0, TIMEOUT_MAX]
     # fails every request or overflows the socket's
     for temperature in (float("nan"), float("inf")):
@@ -891,7 +905,7 @@ def test_parse_typed_raises_only_parse_errors_and_keeps_scores_in_range(raw):
 @given(_RELAXED_REPLIES)
 def test_parse_relaxed_raises_only_fallback_failures_and_keeps_scores_in_range(raw):
     try:
-        judgment = parse_relaxed(raw)
+        judgment = parse_relaxed(raw, SCHEMA)
     except FallbackParseFailed:
         return
     assert 0.0 <= judgment.score <= 1.0

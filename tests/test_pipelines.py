@@ -18,6 +18,7 @@ from ragrade.pipelines import (
     build_manifest,
     load_manifest,
     optimize_few_shot,
+    propose_instructions,
     run_split,
     write_manifest,
 )
@@ -592,6 +593,19 @@ def test_optimizer_never_selects_dev_records(fixture_corpus, stub_server_factory
     program = optimize_few_shot(train, dev, Signature(), budget=8, k_max=4, cfg=cfg)
     for entry in program.trace:
         assert not (set(entry["demo_record_ids"]) & dev_ids)
+
+
+def test_propose_instructions_strips_only_list_markers(stub_server_factory):
+    reply = (
+        "1. Grade strictly.\n2) Grade fairly.\n- Check the units.\n* Be brief.\n"
+        "3D shapes: grade the drawing.\n2023 rubric: apply it.\n-5 points per error.\n7.\n"
+    )
+    server = stub_server_factory(fixed_chat_app(reply))
+    proposals = propose_instructions("Grade.", ChatClient(_model_cfg(server.url)), n=8)
+    assert proposals == [
+        "Grade strictly.", "Grade fairly.", "Check the units.", "Be brief.",
+        "3D shapes: grade the drawing.", "2023 rubric: apply it.", "-5 points per error.",
+    ]
 
 
 @pytest.mark.parametrize("proposal_model, clients", [("stub-model", 1), ("other-model", 2)])

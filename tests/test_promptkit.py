@@ -15,7 +15,9 @@ from ragrade.promptkit import (
     Signature,
     compile_signature,
     demo_from_record,
+    judgment_fields,
     load_signature,
+    record_inputs,
     render_prompt,
 )
 
@@ -190,6 +192,52 @@ def test_signature_from_json_file(tmp_path):
     assert "Grade a translation." in template.system_text
     prompt = render_prompt(template, {"source": "a", "translation": "b"})
     assert "source: a" in prompt.user_text
+
+
+_CUSTOM_OUTPUTS = (
+    ("grade", "real01", "correctness"),
+    ("category", "label3", "verdict"),
+    ("comment", "freetext", "notes for the student"),
+)
+
+
+def test_judgment_fields_are_the_first_of_each_type_reasoning_aside():
+    schema = (
+        ("reasoning", "freetext"), ("grade", "real01"), ("note", "freetext"),
+        ("category", "label3"), ("second_grade", "real01"), ("comment", "freetext"),
+    )
+    assert judgment_fields(schema) == ("grade", "category", "note")
+    assert judgment_fields(_CUSTOM_OUTPUTS) == ("grade", "category", "comment")
+    with pytest.raises(ValueError, match="no freetext field"):  # reasoning is not feedback
+        Signature(output_fields=_CUSTOM_OUTPUTS[:2] + (("reasoning", "freetext", "why"),)).validate()
+
+
+@pytest.mark.parametrize("missing", ["real01", "label3", "freetext"])
+def test_signature_without_a_judgment_field_is_refused(missing, tmp_path):
+    outputs = [f for f in _CUSTOM_OUTPUTS if f[1] != missing]
+    with pytest.raises(ValueError, match=f"no {missing} field"):
+        compile_signature(Signature(output_fields=tuple(outputs)), "predict")
+    spec = {
+        "input_fields": [{"name": "student_answer"}],
+        "output_fields": [{"name": n, "type": t} for n, t, _ in outputs],
+    }
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"no {missing} field"):
+        load_signature(path)
+
+
+def test_demo_from_record_shows_gold_under_the_signature_own_names():
+    sig = Signature(output_fields=_CUSTOM_OUTPUTS)
+    record = _record("r03", "optional but only one allowed heron", 0.5, "partially_correct")
+    demo = demo_from_record(record, sig)
+    assert demo.inputs == tuple(record_inputs(record).items())
+    assert demo.outputs == (
+        ("grade", "0.5"), ("category", "partially_correct"), ("comment", record.gold_feedback),
+    )
+    extra = Signature(output_fields=_CUSTOM_OUTPUTS + (("hint", "freetext", "a hint"),))
+    with pytest.raises(DemoSchemaMismatch, match="hint"):
+        demo_from_record(record, extra)
 
 
 @pytest.mark.parametrize("name", sorted(golden_cases()))

@@ -35,7 +35,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
-from conftest import embed_tokens, rewrite_index_header
+from conftest import corpus_row, embed_tokens, rewrite_index_header
 from stub_servers import mirror_embedding_app
 
 
@@ -505,11 +505,16 @@ def test_load_rejects_truncated_file(tmp_path):
 
 
 def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
+    # and any other version but 2 and 3, with the same message
     path = tmp_path / "index.rgix"
     header = b'{"dim": 16}'
-    path.write_bytes(b"RGIX" + struct.pack("<II", 1, len(header)) + header)
-    with pytest.raises(ValueError, match="re-index"):
-        load_index(path, [])
+    for version in (1, 0, 4):
+        path.write_bytes(b"RGIX" + struct.pack("<II", version, len(header)) + header)
+        with pytest.raises(ValueError) as raised:
+            load_index(path, [])
+        assert str(raised.value) == (
+            f"index format v{version} is not supported; re-index with `ragrade index`"
+        )
 
 
 def _is_length_ordered(index):
@@ -534,18 +539,23 @@ def test_built_and_loaded_indexes_store_documents_in_length_order(tmp_path):
     assert _is_length_ordered(loaded)
 
 
-def _index_from_docs(docs):
-    """An index over ``docs`` (token-row arrays), in the order given."""
+def _index_from_docs(docs, length_order=True):
+    """An index over ``docs`` (token-row arrays), document ``i`` with id
+    ``d{i:03d}``: in stable ascending length, as ``build_index`` lays
+    documents out, or in the order given."""
+    order = range(len(docs))
+    if length_order:
+        order = sorted(order, key=lambda i: len(docs[i]))
     offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-    np.cumsum([len(doc) for doc in docs], out=offsets[1:])
-    record_ids = [f"d{i:03d}" for i in range(len(docs))]
+    np.cumsum([len(docs[i]) for i in order], out=offsets[1:])
+    record_ids = [f"d{i:03d}" for i in order]
     return MaxSimIndex(
         dim=docs[0].shape[1],
         fingerprint="",
         config=EmbedderConfig(dimension=docs[0].shape[1]),
         record_ids=record_ids,
         offsets=offsets,
-        vectors=np.concatenate(docs).astype(np.float32),
+        vectors=np.concatenate([docs[i] for i in order]).astype(np.float32),
         payload={rid: _record(rid, "unused") for rid in record_ids},
     )
 
@@ -589,7 +599,7 @@ def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
     dim = 32
     docs = [normalize_rows(rng.normal(size=(n, dim))) for n in lengths]
     query = normalize_rows(rng.normal(size=(n_query, dim)))
-    index = _index_from_docs(docs)
+    index = _index_from_docs(docs, length_order=False)
     exact = {
         f"d{i:03d}": np.max(doc.astype(np.float32).astype(np.float64) @ query.T, axis=0).sum()
         for i, doc in enumerate(docs)
@@ -616,7 +626,7 @@ def _write_v2_in_corpus_order(index, order, path):
                    "dimension": index.config.dimension},
     }, sort_keys=True).encode("utf-8")
     payload = json.dumps(
-        {"records": [rec.to_row("train") for rec in index.payload.values()]},
+        {"records": [corpus_row(rec, "train") for rec in index.payload.values()]},
         sort_keys=True, ensure_ascii=False,
     ).encode("utf-8")
     path.write_bytes(
@@ -626,7 +636,7 @@ def _write_v2_in_corpus_order(index, order, path):
     )
 
 
-def test_corpus_ordered_v2_file_loads_in_length_order_and_ranks_identically(tmp_path):
+def test_corpus_ordered_v2_file_loads_and_ranks_identically(tmp_path):
     rng = random.Random(404)
     cfg = EmbedderConfig(dimension=32)
     records = _small_vocab_records(rng, 600, _VOCAB40)
@@ -636,16 +646,38 @@ def test_corpus_ordered_v2_file_loads_in_length_order_and_ranks_identically(tmp_
     _write_v2_in_corpus_order(built, corpus_order, tmp_path / "index.rgix")
 
     loaded = load_index(tmp_path / "index.rgix", records, cfg)
-    assert _is_length_ordered(loaded)
-    assert loaded.record_ids == built.record_ids
+    # loaded as written: in corpus order, not put back into length order
+    assert loaded.record_ids == [r.id for r in records]
+    assert not _is_length_ordered(loaded)
     assert loaded.payload == built.payload
-    assert np.array_equal(loaded.offsets, built.offsets)
-    assert loaded.vectors.tobytes() == built.vectors.tobytes()
+    for rid, doc in _stored_docs(loaded):
+        row = built.row_of[rid]
+        stored = built.vectors[built.offsets[row] : built.offsets[row + 1]]
+        assert doc.vectors.tobytes() == stored.astype(np.float64).tobytes()
     for _ in range(100):
         query = " ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12)))
         exclude = {r.id for r in rng.sample(records, 5)}
         assert [(r.record.id, r.relevance) for r in top_k(loaded, query, 8, exclude)] == [
             (r.record.id, r.relevance) for r in top_k(built, query, 8, exclude)
+        ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_index_out_of_length_order_ranks_as_the_ordered_one(seed):
+    # document order only sets a scan's speed: the same documents out of
+    # length order give the same ids, relevances and ranks
+    rng = random.Random(seed)
+    built = build_index(_small_vocab_records(rng, 300, _VOCAB40), EmbedderConfig(dimension=32))
+    docs = [built.vectors[built.offsets[i] : built.offsets[i + 1]] for i in range(len(built))]
+    rng.shuffle(docs)
+    ordered, unordered = _index_from_docs(docs), _index_from_docs(docs, length_order=False)
+    assert not _is_length_ordered(unordered)
+    queries = [" ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12))) for _ in range(60)]
+    excludes = [set(rng.sample(unordered.record_ids, 5)) for _ in queries]
+    for k in (1, 8):
+        assert [_hits(h) for h in top_k_batch(unordered, queries, k, excludes)] == [
+            _hits(h) for h in top_k_batch(ordered, queries, k, excludes)
         ]
 
 
