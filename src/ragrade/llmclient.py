@@ -2,10 +2,11 @@
 
 The strict path sends a rendered ``PromptTemplate``'s system and user text,
 asks for a single JSON object and parses it under the prompt's output
-schema. When that fails, a second request goes out with the relaxed
-plain-text prompt, which asks for one labelled line per output field under
-the field's own name, and the response is recovered by line-anchored
-matching. ``promptkit.judgment_fields`` names the fields that hold the
+schema. When the reply breaks that schema, and only then, a second request
+goes out with the relaxed plain-text prompt, which asks for one labelled
+line per output field under the field's own name, and the response is
+recovered by line-anchored matching. A request that fails after
+``post_json``'s attempts, or with a reply refused at once, fails its item. ``promptkit.judgment_fields`` names the fields that hold the
 judgment's score, label and feedback on either path. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
@@ -580,41 +581,33 @@ def parse_relaxed(raw: str, schema) -> Judgment:
 
 
 def fallback_parse(
-    prompt: PromptTemplate, client: ChatClient, first_raw: Optional[str]
+    prompt: PromptTemplate, client: ChatClient, first_raw: str
 ) -> Judgment:
-    """Second request with the relaxed prompt after a typed-parse failure.
-
-    The first raw response stays on the judgment for audit either way.
-    """
-    relaxed_raw = client.complete(prompt, relaxed=True)
+    """Second request, with the relaxed prompt, after a typed reply that broke
+    the output schema. A relaxed send that fails, or a reply that does not
+    parse, gives a failed judgment; the raw replies stay on it for audit."""
+    relaxed_raw = None
     try:
+        relaxed_raw = client.complete(prompt, relaxed=True)
         judgment = parse_relaxed(relaxed_raw, prompt.output_schema)
-    except FallbackParseFailed:
-        return Judgment(
-            score=None,
-            label=None,
-            feedback=None,
-            parse_path=PARSE_FAILED,
-            raw_text=first_raw,
-            fallback_raw_text=relaxed_raw,
-        )
+    except (TransportError, FallbackParseFailed):
+        judgment = Judgment(None, None, None, parse_path=PARSE_FAILED)
     judgment.raw_text = first_raw
     judgment.fallback_raw_text = relaxed_raw
     return judgment
 
 
 def judge(prompt: PromptTemplate, client: ChatClient) -> Judgment:
-    """Typed attempt, then fallback; the judgment's parse path is the item's outcome."""
-    first_raw: Optional[str] = None
+    """The typed ask, re-asked relaxed only if its reply breaks the schema; the
+    judgment's parse path is the item's outcome. A send that fails (after
+    ``post_json``'s attempts) fails the item."""
     try:
-        first_raw = client.complete(prompt)
-        return parse_typed(first_raw, prompt.output_schema)
-    except (ParseError, TransportError) as exc:
-        logger.debug("typed path failed (%s); trying fallback", exc)
-
+        raw = client.complete(prompt)
+    except TransportError as exc:
+        logger.debug("typed ask failed (%s)", exc)
+        return Judgment(None, None, None, parse_path=PARSE_FAILED)
     try:
-        return fallback_parse(prompt, client, first_raw)
-    except TransportError:
-        return Judgment(
-            score=None, label=None, feedback=None, parse_path=PARSE_FAILED, raw_text=first_raw
-        )
+        return parse_typed(raw, prompt.output_schema)
+    except ParseError as exc:
+        logger.debug("typed parse failed (%s); re-asking relaxed", exc)
+        return fallback_parse(prompt, client, raw)

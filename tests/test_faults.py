@@ -6,8 +6,10 @@ remote-embedded index, optimized from a hand-written program). A fault hits
 the chat requests of one live item, r10, and is keyed on that item's answer
 in the request, so no cell depends on which thread sends first; the other
 items are answered with their gold fields. Connection refused hits every
-item, and the embedding outage (rag only) the whole query group. Backoff is
-patched to 0 in every row but the `Retry-After` one.
+item, and the embedding outage (rag only) the whole query group. The last
+row is no transport fault but a typed reply that breaks the schema, the one
+failure that is re-asked with the relaxed prompt. Backoff is patched to 0 in
+every row but the `Retry-After` one.
 
 Each cell checks the exit code, that the manifest lists the split's records
 in order, that its ledger is the tally of parse paths, the exact number of
@@ -58,19 +60,22 @@ def _slow(n):
 
 
 _ROWS = {
-    "refused": Row(None, 6, "failed", everyone=True),
-    "reset": Row(None, 6, "failed"),
+    "refused": Row(None, 3, "failed", everyone=True),
+    "reset": Row(None, 3, "failed"),
     "503-then-200": Row(lambda n: (503, {"error": "busy"}) if n == 1 else None, 2, "typed"),
-    "429-run": Row(lambda n: (429, {"error": "slow down"}), 6, "failed"),
-    # waits of max(backoff, min(Retry-After, --timeout)): 1 s, then 1 s, per path
+    "429-run": Row(lambda n: (429, {"error": "slow down"}), 3, "failed"),
+    # waits of max(backoff, min(Retry-After, --timeout)): 1 s, then 1 s
     "429-retry-after": Row(lambda n: (429, {"error": "slow down"}, {"Retry-After": "30"}),
-                           6, "failed", ("--timeout", "1"), min_s=2.0),
-    "not-json": Row(lambda n: (200, b"<html>busy</html>"), 2, "failed"),
+                           3, "failed", ("--timeout", "1"), min_s=2.0),
+    "not-json": Row(lambda n: (200, b"<html>busy</html>"), 1, "failed"),
     "null-content": Row(lambda n: (200, {"choices": [{"message": {"content": None}}]}),
-                        2, "failed"),
-    "past-cap": Row(lambda n: (200, _chat_payload("x" * 2 * CAP)), 2, "failed"),
-    "timeout": Row(_slow, 6, "failed", ("--timeout", "0.3")),
+                        1, "failed"),
+    "past-cap": Row(lambda n: (200, _chat_payload("x" * 2 * CAP)), 1, "failed"),
+    "timeout": Row(_slow, 3, "failed", ("--timeout", "0.3")),
     "embedding-503": Row(None, 0, "failed", everyone=True),
+    # not a transport fault: a typed reply that breaks the schema is re-asked relaxed
+    "prose": Row(lambda n: (200, _chat_payload("Looks fine to me.")) if n == 1 else None,
+                 2, "fallback"),
 }
 _MODES = ("zero-shot", "rag", "optimized")
 _CELLS = [(row, mode) for row in _ROWS for mode in _MODES

@@ -789,7 +789,7 @@ def test_judge_malformed_completion_is_hard_failure(stub_server_factory, payload
         client.complete(_prompt())
     judgment = judge(_prompt(), client)
     assert judgment.parse_path == "failed"
-    assert len(server.requests) == 3  # complete, then judge's typed and relaxed asks
+    assert len(server.requests) == 2  # complete, then judge's typed ask alone
 
 
 def test_judge_deeply_nested_reply_takes_the_relaxed_path(stub_server_factory):

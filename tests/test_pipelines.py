@@ -229,9 +229,9 @@ def test_oversized_reply_fails_its_own_item_only(fixture_corpus, stub_server_fac
     cfg = PipelineConfig(mode=MODE_ZERO_SHOT, model=_model_cfg(server.url, concurrency=2))
     judgments = run_split(records, cfg)
     assert [j.parse_path for j in judgments] == ["typed", "failed", "typed"]
-    # one send on each path, typed then relaxed: a reply past the cap is not sent again
+    # one send, and no relaxed re-ask: a reply past the cap is not sent again
     huge = [r for r in server.requests if huge_answer in r["body"]["messages"][-1]["content"]]
-    assert len(huge) == 2 and len(server.requests) == 4
+    assert len(huge) == 1 and len(server.requests) == 3
 
 
 def test_shared_client_bound_holds_across_concurrent_run_splits(
