@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from . import dataset, metrics, pipelines, promptkit, retrieval
 from .embedding import EmbedderConfig
 from .errors import BackendUnavailable, RagradeError, TransportError
-from .llmclient import ModelConfig
+from .llmclient import PARSE_FAILED, ModelConfig
 
 logger = logging.getLogger(__name__)
 
@@ -262,7 +262,7 @@ def _cmd_grade(args) -> int:
         Path(cfg.get("out_dir")) / f"manifest_{mode}_k{k}_{split}_{_timestamp()}.json"
     )
     pipelines.write_manifest(manifest, out_path)
-    failed = sum(1 for j in judgments if j.parse_path == "failed")
+    failed = sum(1 for j in judgments if j.parse_path == PARSE_FAILED)
     print(f"graded {len(judgments)} records ({failed} failed) -> {out_path}")
     if failed == len(judgments):
         print(

@@ -127,10 +127,15 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
         if row[key] is None and key not in _NULLABLE_TEXT:
             raise MissingField(row_no, key)
 
-    try:
-        score = float(row["score"])  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    raw_score = row["score"]
+    if isinstance(raw_score, str) and not raw_score.strip():  # an empty CSV cell
         raise MissingField(row_no, "score")
+    try:
+        score = float(raw_score)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        score = None
+    if score is None or isinstance(raw_score, bool):
+        raise CorpusError(f"row {row_no}: score must be a number, not {raw_score!r}")
 
     max_points = row.get("max_points")
     if max_points is not None and str(max_points).strip() != "":  # an empty CSV cell is absent
@@ -172,7 +177,7 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
 
 def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM, as Excel writes, is read past
             lines = (line for line in fh if line.strip())
             for row_no, line in enumerate(lines, start=1):
                 try:
@@ -181,7 +186,7 @@ def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
                     raise CorpusError(f"row {row_no}: malformed JSON: {exc}") from exc
                 yield row
     elif fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 yield dict(row)

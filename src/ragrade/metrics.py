@@ -24,7 +24,7 @@ from .errors import (
     LengthMismatch,
     SchemaMismatch,
 )
-from .llmclient import Judgment
+from .llmclient import PARSE_FAILED, Judgment
 
 BLEU_SIGNATURE = "bleu-4|tok:punct-split-lower|smooth:exp|bp:closest-ratio"
 MACRO_F1_CONVENTION = "labels present in golds or predictions"
@@ -249,7 +249,7 @@ def manifest_metrics(
         raise SchemaMismatch("manifest missing items/config sections")
 
     try:
-        evaluable = [it for it in items if it["judgment"]["parse_path"] != "failed"]
+        evaluable = [it for it in items if it["judgment"]["parse_path"] != PARSE_FAILED]
         judgments = [Judgment(**it["judgment"]) for it in evaluable]
         for j in judgments:
             if isinstance(j.score, bool) or not isinstance(j.score, (int, float)):

@@ -68,16 +68,30 @@ class Signature:
 
 
 def signature_from_dict(data: Dict) -> Signature:
-    """Build a signature from a JSON-style dict (see README for the schema)."""
+    """Build a signature from a JSON-style dict (see README for the schema); a
+    malformed one is refused with a ``ValueError`` that names its key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a signature must be a JSON object, not {type(data).__name__}")
+
+    def fields(key, *strings):
+        entries = data.get(key)
+        if not isinstance(entries, list) or not all(
+            isinstance(f, dict) and all(isinstance(f.get(k), str) for k in strings)
+            for f in entries
+        ):
+            raise ValueError(f"signature {key!r} must be a list of objects, each with a "
+                             f"string {' and '.join(map(repr, strings))}")
+        return entries
+
     sig = Signature(
         task_description=data.get("task_description", DEFAULT_TASK_DESCRIPTION),
         scoring_criteria=data.get("scoring_criteria", DEFAULT_SCORING_CRITERIA),
         input_fields=tuple(
-            (f["name"], f.get("description", "")) for f in data["input_fields"]
+            (f["name"], f.get("description", "")) for f in fields("input_fields", "name")
         ),
         output_fields=tuple(
             (f["name"], f["type"], f.get("description", ""))
-            for f in data["output_fields"]
+            for f in fields("output_fields", "name", "type")
         ),
     )
     sig.validate()

@@ -7,7 +7,7 @@ the highest-relevance neighbor among the tied labels.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from .errors import EmptyNeighborSet
 from .retrieval import RetrievedExample
@@ -17,8 +17,6 @@ from .retrieval import RetrievedExample
 class VoteResult:
     label: str
     score: float
-    support: Dict[str, int]
-    neighbor_ids: List[str]
 
 
 def vote_classify(neighbors: Sequence[RetrievedExample]) -> VoteResult:
@@ -35,9 +33,4 @@ def vote_classify(neighbors: Sequence[RetrievedExample]) -> VoteResult:
         label = next(n.record.gold_label for n in neighbors if n.record.gold_label in tied)
 
     score = sum(n.record.gold_score for n in neighbors) / len(neighbors)
-    return VoteResult(
-        label=label,
-        score=score,
-        support=dict(support),
-        neighbor_ids=[n.record.id for n in neighbors],
-    )
+    return VoteResult(label=label, score=score)

@@ -586,6 +586,31 @@ def test_grade_with_a_signature_without_a_label_field_exits_1_before_any_request
     assert server.requests == [] and not (out_dir / "m.json").exists()
 
 
+_FIELDS = _CUSTOM_SIGNATURE["input_fields"]
+
+
+@pytest.mark.parametrize("command", ["grade", "optimize"])
+@pytest.mark.parametrize("spec, key", [
+    ([_CUSTOM_SIGNATURE], "JSON object, not list"),
+    ({"output_fields": _CUSTOM_SIGNATURE["output_fields"]}, "'input_fields'"),
+    ({"input_fields": _FIELDS, "output_fields": [{"type": "real01"}]}, "'output_fields'"),
+    ({**_CUSTOM_SIGNATURE, "input_fields": [["question", "the question"]]}, "'input_fields'"),
+], ids=["list", "no_input_fields", "field_without_name", "field_as_list"])
+def test_malformed_signature_exits_1_before_any_request(
+    command, spec, key, corpus_path, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("unused"))
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "runs" / "out.json"
+    code = main([command, "--corpus", str(corpus_path), "--endpoint", server.url,
+                 "--signature", str(sig_path), "--out-dir", str(out.parent), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert server.requests == [] and not out.exists()
+
+
 def test_grade_max_tokens_0_exits_1_before_any_request(
     corpus_path, tmp_path, stub_server_factory, capsys
 ):

@@ -274,6 +274,52 @@ def _write_source(corpus, path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_file_that_starts_with_a_utf8_bom_loads_as_without(fixture_corpus, tmp_path, fmt):
+    # Excel's "CSV UTF-8" export writes one
+    source = _write_source(fixture_corpus, tmp_path / f"corpus.{fmt}", fmt)
+    bom = tmp_path / f"bom.{fmt}"
+    bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    loaded = load_corpus(bom)
+    assert loaded.records == fixture_corpus.records
+    assert loaded.split_assignment == fixture_corpus.split_assignment
+
+
+@pytest.mark.parametrize("score", [True, False, "abc", "1/2", pytest.param([1.0], id="list"),
+                                   pytest.param({"points": 1}, id="object"),
+                                   pytest.param(10 ** 400, id="int_past_float")])
+def test_a_score_that_is_not_a_number_is_refused_with_its_row(tmp_path, score):
+    rows = [_row("a1"), _row("a2", score=score)]
+    path = _write_jsonl(tmp_path / "c.jsonl", rows)
+    with pytest.raises(CorpusError, match=re.escape(f"row 2: score must be a number, not {score!r}")):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("cell, error", [("", MissingField), ("  ", MissingField),
+                                         ("abc", "row 1: score must be a number, not 'abc'"),
+                                         ("0.5", None)])
+def test_csv_score_cell(tmp_path, cell, error):
+    path = tmp_path / "c.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(_row()))
+        writer.writeheader()
+        writer.writerow(_row(score=cell, label="partially_correct"))
+    if error is MissingField:  # an empty cell is a missing score, as JSON's null is
+        with pytest.raises(MissingField, match="row 1: missing field 'score'"):
+            load_corpus(path)
+    elif error:
+        with pytest.raises(CorpusError, match=re.escape(error)):
+            load_corpus(path)
+    else:
+        assert load_corpus(path).records[0].gold_score == 0.5
+
+
+def test_a_null_score_is_a_missing_field(tmp_path):
+    path = _write_jsonl(tmp_path / "c.jsonl", [_row(score=None)])
+    with pytest.raises(MissingField, match="row 1: missing field 'score'"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_round_trip(fixture_corpus, tmp_path, fmt):
     # A corpus ingested from either source format survives the cache unchanged,
     # and re-saving what the cache gave back reproduces it byte for byte.
