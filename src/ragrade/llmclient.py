@@ -6,8 +6,9 @@ schema. When the reply breaks that schema, and only then, a second request
 goes out with the relaxed plain-text prompt, which asks for one labelled
 line per output field under the field's own name, and the response is
 recovered by line-anchored matching. A request that fails after
-``post_json``'s attempts, or with a reply refused at once, fails its item. ``promptkit.judgment_fields`` names the fields that hold the
-judgment's score, label and feedback on either path. Each judgment's
+``post_json``'s attempts, or with a reply refused at once, fails its item.
+``promptkit.judgment_fields`` names the fields that hold the judgment's
+score, label and feedback on either path. Each judgment's
 ``parse_path`` (typed, fallback or failed) is the only record of its item's
 outcome; ``LedgerEntry.of`` tallies a run's judgments into the ledger counts.
 
