@@ -19,13 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional
 
-from .errors import (
-    CorpusError,
-    MissingField,
-    ScoreOutOfRange,
-    SplitViolation,
-    UnknownLabel,
-)
+from .errors import RagradeError
 
 LABELS = ("correct", "incorrect", "partially_correct")
 SPLITS = ("train", "test_ua", "test_uq")
@@ -90,52 +84,48 @@ class Corpus:
         split_qids: Dict[str, set] = defaultdict(set)
         for rec in self.records:
             if rec.id in seen_ids:
-                raise CorpusError(f"duplicate record id {rec.id!r}")
+                raise RagradeError(f"duplicate record id {rec.id!r}")
             seen_ids.add(rec.id)
             if not rec.question_id:
-                raise CorpusError(f"record {rec.id!r}: empty question_id")
+                raise RagradeError(f"record {rec.id!r}: empty question_id")
             prior = question_to_qid.get(rec.question)
             if prior is not None and prior != rec.question_id:
-                raise CorpusError(
+                raise RagradeError(
                     f"question text maps to both {prior!r} and {rec.question_id!r}"
                 )
             question_to_qid[rec.question] = rec.question_id
             if rec.id not in self.split_assignment:
-                raise CorpusError(f"record {rec.id!r} has no split assignment")
+                raise RagradeError(f"record {rec.id!r} has no split assignment")
             split_qids[self.split_assignment[rec.id]].add(rec.question_id)
 
         train_qids, ua_qids, uq_qids = (split_qids[split] for split in SPLITS)
 
         leaked = uq_qids & train_qids
         if leaked:
-            raise SplitViolation(sorted(leaked)[0], "appears in both train and test_uq")
+            raise RagradeError(f"question {min(leaked)!r}: appears in both train and test_uq")
         orphaned = ua_qids - train_qids
         if orphaned:
-            raise SplitViolation(
-                sorted(orphaned)[0], "in test_ua but has no train records"
-            )
+            raise RagradeError(f"question {min(orphaned)!r}: in test_ua but has no train records")
 
 
 def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
     """Validate one corpus row, a JSONL object or a CSV row keyed by
     ``_REQUIRED_KEYS`` and an optional ``max_points``, into a record and its split."""
     if not isinstance(row, dict):
-        raise CorpusError(f"row {row_no}: not a JSON object")
+        raise RagradeError(f"row {row_no}: not a JSON object")
     for key in _REQUIRED_KEYS:
-        if key not in row:
-            raise MissingField(row_no, key)
-        if row[key] is None and key not in _NULLABLE_TEXT:
-            raise MissingField(row_no, key)
+        if key not in row or (row[key] is None and key not in _NULLABLE_TEXT):
+            raise RagradeError(f"row {row_no}: missing field {key!r}")
 
     raw_score = row["score"]
     if isinstance(raw_score, str) and not raw_score.strip():  # an empty CSV cell
-        raise MissingField(row_no, "score")
+        raise RagradeError(f"row {row_no}: missing field 'score'")
     try:
         score = float(raw_score)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):
         score = None
     if score is None or isinstance(raw_score, bool):
-        raise CorpusError(f"row {row_no}: score must be a number, not {raw_score!r}")
+        raise RagradeError(f"row {row_no}: score must be a number, not {raw_score!r}")
 
     max_points = row.get("max_points")
     if max_points is not None and str(max_points).strip() != "":  # an empty CSV cell is absent
@@ -144,23 +134,23 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
         except (TypeError, ValueError, OverflowError):
             denom = float("nan")
         if isinstance(max_points, bool) or not 0 < denom < float("inf"):
-            raise CorpusError(
+            raise RagradeError(
                 f"row {row_no}: max_points must be a finite number > 0, not {max_points!r}"
             )
         score = score / denom
 
     if not (0.0 <= score <= 1.0):
-        raise ScoreOutOfRange(row_no, score)
+        raise RagradeError(f"row {row_no}: score {score!r} outside [0, 1]")
 
     try:
         label = canonical_label(str(row["label"]))
     except ValueError:
-        raise UnknownLabel(row_no, row["label"])
+        raise RagradeError(f"row {row_no}: unknown label {row['label']!r}")
 
     try:
         split = canonical_split(str(row["split"]))
     except ValueError:
-        raise CorpusError(f"row {row_no}: unknown split {row['split']!r}")
+        raise RagradeError(f"row {row_no}: unknown split {row['split']!r}")
 
     record = AnswerRecord(
         id=str(row["id"]),
@@ -183,7 +173,7 @@ def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
                 try:
                     row = json.loads(line)
                 except (ValueError, RecursionError) as exc:
-                    raise CorpusError(f"row {row_no}: malformed JSON: {exc}") from exc
+                    raise RagradeError(f"row {row_no}: malformed JSON: {exc}") from exc
                 yield row
     elif fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -241,7 +231,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def _load_cache(path: Path) -> Corpus:
-    stale = CorpusError(f"{path} is not a current corpus cache; re-run `ragrade ingest`")
+    stale = RagradeError(f"{path} is not a current corpus cache; re-run `ragrade ingest`")
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding, TransportError
+from .errors import BackendUnavailable, InvalidEmbedding, TransportError
 from .llmclient import post_json
 
 ROLE_QUERY = "query"
@@ -248,7 +248,7 @@ def _token_rows(rows, n_tokens: int, dimension: int) -> np.ndarray:
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise BackendUnavailable(f"embedding is not valid base64: {exc}") from exc
     if len(raw) != n_tokens * dimension * 8:
-        raise DimensionMismatch(
+        raise InvalidEmbedding(
             f"{len(raw)} embedding bytes for {n_tokens} tokens of dimension {dimension}"
         )
     return np.frombuffer(raw, dtype="<f8").reshape(n_tokens, dimension)

@@ -1,167 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per way a caller
+reacts to a failure. A failure's message, not its class, says which check
+failed."""
 
 
 class RagradeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``cli.main`` exits 1 on it."""
 
-
-# --- corpus loading / validation ---
-
-class CorpusError(RagradeError):
-    pass
-
-
-class MissingField(CorpusError):
-    def __init__(self, row, field):
-        super().__init__(f"row {row}: missing field {field!r}")
-        self.row = row
-        self.field = field
-
-
-class ScoreOutOfRange(CorpusError):
-    def __init__(self, row, score):
-        super().__init__(f"row {row}: score {score!r} outside [0, 1]")
-        self.row = row
-        self.score = score
-
-
-class UnknownLabel(CorpusError):
-    def __init__(self, row, label):
-        super().__init__(f"row {row}: unknown label {label!r}")
-        self.row = row
-        self.label = label
-
-
-class SplitViolation(CorpusError):
-    def __init__(self, question_id, detail):
-        super().__init__(f"question {question_id!r}: {detail}")
-        self.question_id = question_id
-
-
-# --- embedding backends ---
-
-class BackendUnavailable(RagradeError):
-    pass
-
-
-class DimensionMismatch(RagradeError):
-    pass
-
-
-class InvalidEmbedding(RagradeError):
-    pass
-
-
-# --- retrieval ---
-
-class EmptyMatrix(RagradeError):
-    pass
-
-
-class EmptyIndex(RagradeError):
-    pass
-
-
-class FingerprintMismatch(RagradeError):
-    pass
-
-
-# --- vote grading ---
-
-class EmptyNeighborSet(RagradeError):
-    pass
-
-
-# --- prompt compilation ---
-
-class DuplicateField(RagradeError):
-    pass
-
-
-class EmptySignature(RagradeError):
-    pass
-
-
-class MissingInput(RagradeError):
-    def __init__(self, field):
-        super().__init__(f"missing input field {field!r}")
-        self.field = field
-
-
-class DemoSchemaMismatch(RagradeError):
-    pass
-
-
-# --- model client / typed-output parsing ---
 
 class TransportError(RagradeError):
-    pass
+    """A request that failed; ``judge`` fails its item, ``cli.main`` exits 2."""
 
 
 class Timeout(TransportError):
-    pass
+    """A request that timed out; handled as a ``TransportError``, named as its cause."""
 
 
 class RateLimited(TransportError):
-    pass
+    """A request answered 429; handled as a ``TransportError``, named as its cause."""
 
 
-class Stopped(RagradeError):
-    """A request's stop predicate held when it was granted its slot, so it was
-    not sent; neither a transport nor a parse failure, so nothing re-asks."""
+class BackendUnavailable(RagradeError):
+    """The embedding service failed; ``pipelines`` fails its query group, ``cli.main`` exits 2."""
+
+
+class InvalidEmbedding(RagradeError):
+    """An embedding row that no scan can use; ``pipelines`` fails its query group."""
 
 
 class ParseError(RagradeError):
-    """Typed-output parsing failed; triggers the fallback predictor."""
+    """A reply that breaks its output schema; ``judge`` re-asks relaxed, then fails the item."""
 
 
-class NoJsonFound(ParseError):
-    pass
-
-
-class MissingOutputField(ParseError):
-    def __init__(self, field):
-        super().__init__(f"missing output field {field!r}")
-        self.field = field
-
-
-class TypeMismatch(ParseError):
-    pass
-
-
-class ScoreValueOutOfRange(ParseError):
-    def __init__(self, value):
-        super().__init__(f"score {value!r} outside [0, 1]")
-        self.value = value
-
-
-class FallbackParseFailed(RagradeError):
-    pass
-
-
-# --- pipelines ---
-
-class GoldLeakage(RagradeError):
-    """Live item's gold fields reached a prompt; must be impossible."""
-
-
-class BudgetExhaustedWithoutValidCandidate(RagradeError):
-    pass
-
-
-# --- metrics / reporting ---
-
-class LengthMismatch(RagradeError):
-    pass
-
-
-class EmptyEvaluationSet(RagradeError):
-    pass
-
-
-class AllEmptyReferences(RagradeError):
-    pass
-
-
-class SchemaMismatch(RagradeError):
-    pass
+class Stopped(RagradeError):
+    """A request whose stop predicate held at its slot grant, so it was not
+    sent; ``optimize``'s race leaves its item ungraded."""

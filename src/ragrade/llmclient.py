@@ -55,18 +55,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .dataset import canonical_label
-from .errors import (
-    FallbackParseFailed,
-    MissingOutputField,
-    NoJsonFound,
-    ParseError,
-    RateLimited,
-    ScoreValueOutOfRange,
-    Stopped,
-    Timeout,
-    TransportError,
-    TypeMismatch,
-)
+from .errors import ParseError, RateLimited, Stopped, Timeout, TransportError
 from .promptkit import PromptTemplate, TYPE_LABEL3, TYPE_REAL01, judgment_fields
 
 logger = logging.getLogger(__name__)
@@ -476,36 +465,36 @@ def _first_json_object(raw: str) -> Dict:
         if isinstance(obj, dict):
             return obj
         idx = raw.find("{", idx + 1)
-    raise NoJsonFound("no JSON object in model output")
+    raise ParseError("no JSON object in model output")
 
 
 def _coerce_score(value) -> float:
     if isinstance(value, bool):
-        raise TypeMismatch(f"score has wrong type {type(value).__name__}")
+        raise ParseError(f"score has wrong type {type(value).__name__}")
     if isinstance(value, (int, float)):
         try:
             score = float(value)
         except OverflowError:  # an int too large for a float
-            raise ScoreValueOutOfRange(value)
+            raise ParseError(f"score {value!r} outside [0, 1]")
     elif isinstance(value, str):
         try:
             score = float(value.strip())
         except ValueError:
-            raise TypeMismatch(f"score {value!r} is not numeric")
+            raise ParseError(f"score {value!r} is not numeric")
     else:
-        raise TypeMismatch(f"score has wrong type {type(value).__name__}")
+        raise ParseError(f"score has wrong type {type(value).__name__}")
     if not (0.0 <= score <= 1.0):
-        raise ScoreValueOutOfRange(score)
+        raise ParseError(f"score {score!r} outside [0, 1]")
     return score
 
 
 def _coerce_label(value) -> str:
     if not isinstance(value, str):
-        raise TypeMismatch(f"label has wrong type {type(value).__name__}")
+        raise ParseError(f"label has wrong type {type(value).__name__}")
     try:
         return canonical_label(value)
     except ValueError:
-        raise TypeMismatch(f"unknown label {value!r}")
+        raise ParseError(f"unknown label {value!r}")
 
 
 def parse_typed(raw: str, schema) -> Judgment:
@@ -518,7 +507,7 @@ def parse_typed(raw: str, schema) -> Judgment:
     values: Dict[str, object] = {}
     for name, tag in schema:
         if name not in obj:
-            raise MissingOutputField(name)
+            raise ParseError(f"missing output field {name!r}")
         value = obj[name]
         if tag == TYPE_REAL01:
             values[name] = _coerce_score(value)
@@ -526,7 +515,7 @@ def parse_typed(raw: str, schema) -> Judgment:
             values[name] = _coerce_label(value)
         else:
             if not isinstance(value, str):
-                raise TypeMismatch(f"field {name!r} must be a string")
+                raise ParseError(f"field {name!r} must be a string")
             values[name] = value
     score, label, feedback = (values[name] for name in judgment_fields(schema))
     return Judgment(
@@ -562,20 +551,15 @@ def parse_relaxed(raw: str, schema) -> Judgment:
     label_text = _relaxed_field(raw, label_name)
     feedback_text = _relaxed_field(raw, feedback_name, take_rest=feedback_name == schema[-1][0])
     if score_text is None or label_text is None:
-        raise FallbackParseFailed(f"missing {score_name} or {label_name} line in relaxed output")
+        raise ParseError(f"missing {score_name} or {label_name} line in relaxed output")
 
     number = _NUMBER_RE.search(score_text)
     if not number or _NUMBER_CUT_RE.match(score_text, number.end()):
-        raise FallbackParseFailed(f"no plain numeric score in {score_text!r}")
-    try:
-        score = _coerce_score(number.group())
-        label = _coerce_label(label_text)
-    except ParseError as exc:
-        raise FallbackParseFailed(f"relaxed output: {exc}") from exc
+        raise ParseError(f"no plain numeric score in {score_text!r}")
 
     return Judgment(
-        score=score,
-        label=label,
+        score=_coerce_score(number.group()),
+        label=_coerce_label(label_text),
         feedback=feedback_text or "",
         parse_path=PARSE_FALLBACK,
     )
@@ -591,7 +575,7 @@ def fallback_parse(
     try:
         relaxed_raw = client.complete(prompt, relaxed=True)
         judgment = parse_relaxed(relaxed_raw, prompt.output_schema)
-    except (TransportError, FallbackParseFailed):
+    except (TransportError, ParseError):
         judgment = Judgment(None, None, None, parse_path=PARSE_FAILED)
     judgment.raw_text = first_raw
     judgment.fallback_raw_text = relaxed_raw

@@ -18,12 +18,7 @@ import numpy as np
 
 from .dataset import atomic_write
 from .embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_texts, tokenize
-from .errors import (
-    AllEmptyReferences,
-    EmptyEvaluationSet,
-    LengthMismatch,
-    SchemaMismatch,
-)
+from .errors import RagradeError
 from .llmclient import PARSE_FAILED, Judgment
 
 BLEU_SIGNATURE = "bleu-4|tok:punct-split-lower|smooth:exp|bp:closest-ratio"
@@ -82,9 +77,9 @@ def scoring_metrics(
     filtered out and counted in ``n_excluded``.
     """
     if len(judgments) != len(golds):
-        raise LengthMismatch(f"{len(judgments)} judgments vs {len(golds)} golds")
+        raise RagradeError(f"{len(judgments)} judgments vs {len(golds)} golds")
     if not judgments:
-        raise EmptyEvaluationSet("no evaluable judgments")
+        raise RagradeError("no evaluable judgments")
 
     pred_labels = [j.label for j in judgments]
     gold_labels = [g[0] for g in golds]
@@ -126,9 +121,9 @@ def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
     shorter than the reference corpus.
     """
     if len(candidates) != len(references):
-        raise LengthMismatch(f"{len(candidates)} candidates vs {len(references)} references")
+        raise RagradeError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
-        raise LengthMismatch("empty corpus")
+        raise RagradeError("empty corpus")
 
     correct = [0] * 5
     total = [0] * 5
@@ -147,7 +142,7 @@ def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
             total[n] += sum(cand_grams.values())
             correct[n] += sum(min(c, ref_grams.get(g, 0)) for g, c in cand_grams.items())
     if not any_ref_tokens:
-        raise AllEmptyReferences("every reference tokenized to nothing")
+        raise RagradeError("every reference tokenized to nothing")
     if cand_len == 0:
         return 0.0
 
@@ -242,11 +237,11 @@ def manifest_metrics(
 ) -> ReportRow:
     """Recompute the metric row for one run manifest."""
     if not isinstance(manifest, dict):
-        raise SchemaMismatch("manifest is not a JSON object")
+        raise RagradeError("manifest is not a JSON object")
     items = manifest.get("items")
     config = manifest.get("config")
     if items is None or config is None:
-        raise SchemaMismatch("manifest missing items/config sections")
+        raise RagradeError("manifest missing items/config sections")
 
     try:
         evaluable = [it for it in items if it["judgment"]["parse_path"] != PARSE_FAILED]
@@ -260,10 +255,10 @@ def manifest_metrics(
         refs = [it["gold_feedback"] or "" for it in evaluable] if text_metrics else None
         mode = config["mode"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"malformed manifest item or config: {exc!r}") from exc
+        raise RagradeError(f"malformed manifest item or config: {exc!r}") from exc
     excluded = len(items) - len(evaluable)
     if not evaluable:
-        raise EmptyEvaluationSet("manifest has no evaluable items")
+        raise RagradeError("manifest has no evaluable items")
 
     text = None
     if text_metrics:
@@ -285,11 +280,11 @@ def build_report(
     embed_cfg: Optional[EmbedderConfig] = None,
 ) -> List[ReportRow]:
     if not manifests:
-        raise SchemaMismatch("need at least one manifest")
+        raise RagradeError("need at least one manifest")
     # a manifest that is not an object is left to manifest_metrics to reject
     versions = {m.get("manifest_version") for m in manifests if isinstance(m, dict)}
     if len(versions) > 1:
-        raise SchemaMismatch(f"mixed manifest versions: {sorted(map(str, versions))}")
+        raise RagradeError(f"mixed manifest versions: {sorted(map(str, versions))}")
     return [manifest_metrics(m, text_metrics, embed_cfg) for m in manifests]
 
 

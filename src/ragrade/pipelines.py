@@ -20,16 +20,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .dataset import AnswerRecord, atomic_write
-from .errors import (
-    BackendUnavailable,
-    BudgetExhaustedWithoutValidCandidate,
-    DimensionMismatch,
-    GoldLeakage,
-    InvalidEmbedding,
-    RagradeError,
-    Stopped,
-    TransportError,
-)
+from .errors import BackendUnavailable, InvalidEmbedding, RagradeError, Stopped, TransportError
 from .llmclient import (
     ChatClient,
     Judgment,
@@ -64,7 +55,7 @@ MODE_VOTE = "votegrader"
 MODE_OPTIMIZED = "optimized"
 _MODES = (MODE_ZERO_SHOT, MODE_RAG, MODE_VOTE, MODE_OPTIMIZED)
 # what retrieval raises when the embedding backend is down or replies garbage
-_RETRIEVAL_FAILURES = (BackendUnavailable, DimensionMismatch, InvalidEmbedding)
+_RETRIEVAL_FAILURES = (BackendUnavailable, InvalidEmbedding)
 
 
 @dataclass
@@ -164,7 +155,7 @@ def grade_item(
     only other records' gold outputs.
     """
     if any(demo.source_record_id == record.id for demo in demos):
-        raise GoldLeakage(f"live record {record.id} selected as its own demo")
+        raise RagradeError(f"live record {record.id} selected as its own demo")
     return judge(render_prompt(template, record_inputs(record), demos), client)
 
 
@@ -207,7 +198,7 @@ def run_split(
     if cfg.mode == MODE_OPTIMIZED:
         leaked = sorted({r.id for r in demo_records} & {r.id for r in records})
         if leaked:
-            raise GoldLeakage(f"records {leaked} are graded and also demos")
+            raise RagradeError(f"records {leaked} are graded and also demos")
         fixed = [demo_from_record(r, sig) for r in demo_records]
         demos: List[Optional[List[Demo]]] = [fixed] * len(records)
     else:
@@ -382,7 +373,7 @@ def optimize_few_shot(
         order = sorted(dev, key=lambda r: r.id in race.right)
 
     if best is None:
-        raise BudgetExhaustedWithoutValidCandidate(
+        raise RagradeError(
             f"all {budget} candidates failed on every dev item"
         )
     correct, scored, instruction, demo_ids = best

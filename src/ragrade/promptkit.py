@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dataset import AnswerRecord, LABELS
-from .errors import DemoSchemaMismatch, DuplicateField, EmptySignature, MissingInput
+from .errors import RagradeError
 
 STYLE_PREDICT = "predict"
 STYLE_CHAIN_OF_THOUGHT = "chain_of_thought"
@@ -51,10 +51,10 @@ class Signature:
 
     def validate(self) -> None:
         if not self.input_fields or not self.output_fields:
-            raise EmptySignature("need at least one input and one output field")
+            raise RagradeError("need at least one input and one output field")
         names = [n for n, _ in self.input_fields] + [n for n, _, _ in self.output_fields]
         if len(names) != len(set(names)):
-            raise DuplicateField(f"duplicate field names in {names}")
+            raise RagradeError(f"duplicate field names in {names}")
         for _, tag, _ in self.output_fields:
             if tag not in _TYPE_TAGS:
                 raise ValueError(f"unknown output type tag {tag!r}")
@@ -142,7 +142,7 @@ def demo_from_record(record: AnswerRecord, sig: Optional[Signature] = None) -> D
             source_record_id=record.id,
         )
     except KeyError as exc:
-        raise DemoSchemaMismatch(f"record has no value for field {exc}") from exc
+        raise RagradeError(f"record has no value for field {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -275,17 +275,17 @@ def render_prompt(
     sig = template.signature
     for name in sig.input_names():
         if name not in inputs:
-            raise MissingInput(name)
+            raise RagradeError(f"missing input field {name!r}")
 
     expected_inputs = tuple(sig.input_names())
     expected_outputs = tuple(sig.output_names())
     for demo in demos:
         if tuple(n for n, _ in demo.inputs) != expected_inputs:
-            raise DemoSchemaMismatch(
+            raise RagradeError(
                 f"demo inputs {[n for n, _ in demo.inputs]} != signature {list(expected_inputs)}"
             )
         if tuple(n for n, _ in demo.outputs) != expected_outputs:
-            raise DemoSchemaMismatch(
+            raise RagradeError(
                 f"demo outputs {[n for n, _ in demo.outputs]} != signature {list(expected_outputs)}"
             )
 

@@ -44,7 +44,7 @@ from .embedding import (
     config_fingerprint,
     embed_texts,
 )
-from .errors import DimensionMismatch, EmptyIndex, EmptyMatrix, FingerprintMismatch
+from .errors import InvalidEmbedding, RagradeError
 
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 3
@@ -107,9 +107,9 @@ class RetrievedExample:
 def maxsim_score(query: TokenEmbeddingMatrix, doc: TokenEmbeddingMatrix) -> float:
     """Sum over query tokens of the max dot product against document tokens."""
     if query.n_tokens == 0 or doc.n_tokens == 0:
-        raise EmptyMatrix("maxsim requires at least one token on each side")
+        raise RagradeError("maxsim requires at least one token on each side")
     if query.dim != doc.dim:
-        raise DimensionMismatch(f"query dim {query.dim} != doc dim {doc.dim}")
+        raise InvalidEmbedding(f"query dim {query.dim} != doc dim {doc.dim}")
     return _maxsim(query.vectors, doc.vectors)
 
 
@@ -126,18 +126,18 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     row table lays the rows out in the index's length order.
     """
     if not records:
-        raise EmptyIndex("no records to index")
+        raise RagradeError("no records to index")
 
     indexable = [r for r in records if r.student_answer.strip()]
     if not indexable:
-        raise EmptyIndex(f"all {len(records)} records had empty student answers")
+        raise RagradeError(f"all {len(records)} records had empty student answers")
 
     embedded = embed_texts([r.student_answer for r in indexable], cfg, role=ROLE_DOCUMENT)
     order, offsets, rows = _length_order(embedded.offsets)
     # answers without tokens sort first, and are skipped
     empty = int(np.count_nonzero(offsets[1:] == 0))
     if empty == len(indexable):
-        raise EmptyIndex("no record produced any tokens")
+        raise RagradeError("no record produced any tokens")
     indexed = [indexable[i] for i in order[empty:].tolist()]
     return MaxSimIndex(
         dim=embedded.dim,
@@ -239,7 +239,7 @@ def _retrieve(
     if k < 1:
         raise ValueError("k must be >= 1")
     if not len(index):
-        raise EmptyIndex("index has no entries")
+        raise RagradeError("index has no entries")
     excludes = excludes or [None] * len(query_texts)
     if len(excludes) != len(query_texts):
         raise ValueError("one exclusion set per query")
@@ -249,7 +249,7 @@ def _retrieve(
         embedded = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
         live = np.flatnonzero(np.diff(embedded.offsets)).tolist()
         if live and embedded.dim != index.dim:
-            raise DimensionMismatch(f"query dim {embedded.dim} != doc dim {index.dim}")
+            raise InvalidEmbedding(f"query dim {embedded.dim} != doc dim {index.dim}")
         # each query's float64 rows are gathered when used, so the group's
         # rows are held once, in the embedding's table
         rows = [embedded[j].vectors.astype(np.float32) for j in live]
@@ -288,7 +288,7 @@ def top_k(
     """
     (hits,) = _retrieve(index, [query_text], k, [exclude])
     if hits is None:
-        raise EmptyMatrix("query produced no tokens")
+        raise RagradeError("query produced no tokens")
     return hits
 
 
@@ -375,14 +375,14 @@ def load_index(
             raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
         if cfg is not None and config_fingerprint(cfg) != fingerprint:
             if not force:
-                raise FingerprintMismatch(
+                raise RagradeError(
                     f"index built with fingerprint {fingerprint}, "
                     f"current config is {config_fingerprint(cfg)} (use force to override)"
                 )
             # a forced load can point at a moved backend, but the stored vectors
             # pin the geometry; a different dimension can never work
             if cfg.dimension != dim:
-                raise DimensionMismatch(
+                raise RagradeError(
                     f"index stores {dim}-dim vectors; config asks for "
                     f"{cfg.dimension} (force cannot reconcile dimensions)"
                 )

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyNeighborSet
+from .errors import RagradeError
 from .retrieval import RetrievedExample
 
 
@@ -21,7 +21,7 @@ class VoteResult:
 
 def vote_classify(neighbors: Sequence[RetrievedExample]) -> VoteResult:
     if not neighbors:
-        raise EmptyNeighborSet("vote requires at least one neighbor")
+        raise RagradeError("vote requires at least one neighbor")
 
     support = Counter(n.record.gold_label for n in neighbors)
     best_count = max(support.values())

@@ -19,13 +19,7 @@ from ragrade.dataset import (
     save_corpus,
     split_view,
 )
-from ragrade.errors import (
-    CorpusError,
-    MissingField,
-    ScoreOutOfRange,
-    SplitViolation,
-    UnknownLabel,
-)
+from ragrade.errors import RagradeError
 
 from conftest import corpus_row
 
@@ -74,13 +68,13 @@ def test_three_row_fixture_loads(tmp_path):
 
 def test_score_out_of_range_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(score=1.25)])
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(RagradeError, match=re.escape("row 1: score 1.25 outside [0, 1]")):
         load_corpus(path)
 
 
 def test_negative_score_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(score=-0.1)])
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(RagradeError, match=re.escape("row 1: score -0.1 outside [0, 1]")):
         load_corpus(path)
 
 
@@ -90,13 +84,13 @@ def test_uq_question_in_train_is_split_violation(tmp_path):
         _row("a2", question_id="q9", split="test_uq"),
     ]
     path = _write_jsonl(tmp_path / "c.jsonl", rows)
-    with pytest.raises(SplitViolation):
+    with pytest.raises(RagradeError, match="question 'q9': appears in both train and test_uq"):
         load_corpus(path)
 
 
 def test_ua_question_without_train_records_is_split_violation(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row("a1", split="test_ua")])
-    with pytest.raises(SplitViolation):
+    with pytest.raises(RagradeError, match="question 'q1': in test_ua but has no train records"):
         load_corpus(path)
 
 
@@ -104,19 +98,19 @@ def test_missing_field(tmp_path):
     row = _row()
     del row["reference_answer"]
     path = _write_jsonl(tmp_path / "c.jsonl", [row])
-    with pytest.raises(MissingField):
+    with pytest.raises(RagradeError, match="row 1: missing field 'reference_answer'"):
         load_corpus(path)
 
 
 def test_unknown_label(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(label="excellent")])
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(RagradeError, match="row 1: unknown label 'excellent'"):
         load_corpus(path)
 
 
 def test_duplicate_id_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row("a1"), _row("a1")])
-    with pytest.raises(CorpusError):
+    with pytest.raises(RagradeError, match="duplicate record id 'a1'"):
         load_corpus(path)
 
 
@@ -124,7 +118,7 @@ def test_duplicate_id_rejected(tmp_path):
 def test_a_row_that_is_not_a_json_object_names_its_row(tmp_path, bad_line):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(_row()) + "\n\n" + bad_line + "\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=r"^row 2: "):
+    with pytest.raises(RagradeError, match=r"^row 2: (not a JSON object|malformed JSON)"):
         load_corpus(path)
 
 
@@ -182,7 +176,7 @@ def test_max_points_normalization(tmp_path):
 
 def test_max_points_overshoot_still_rejected(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(score=5.0, max_points=4.0)])
-    with pytest.raises(ScoreOutOfRange):
+    with pytest.raises(RagradeError, match=re.escape("row 1: score 1.25 outside [0, 1]")):
         load_corpus(path)
 
 
@@ -194,7 +188,7 @@ def test_max_points_overshoot_still_rejected(tmp_path):
 def test_bad_max_points_is_refused_with_its_row(tmp_path, max_points):
     rows = [_row("a1", score=2.0, max_points=4.0), _row("a2", score=3.0, max_points=max_points)]
     path = _write_jsonl(tmp_path / "c.jsonl", rows)
-    with pytest.raises(CorpusError, match=r"^row 2: max_points must be a finite number > 0"):
+    with pytest.raises(RagradeError, match=r"^row 2: max_points must be a finite number > 0"):
         load_corpus(path)
 
 
@@ -207,7 +201,7 @@ def test_csv_max_points_cell(tmp_path, cell, error):
         writer.writeheader()
         writer.writerow({**_row(score=1.0), "max_points": cell})
     if error:
-        with pytest.raises(CorpusError, match=error):
+        with pytest.raises(RagradeError, match=error):
             load_corpus(path)
     else:  # an empty cell means no max_points
         assert load_corpus(path).records[0].gold_score == (0.25 if cell else 1.0)
@@ -290,11 +284,13 @@ def test_a_file_that_starts_with_a_utf8_bom_loads_as_without(fixture_corpus, tmp
 def test_a_score_that_is_not_a_number_is_refused_with_its_row(tmp_path, score):
     rows = [_row("a1"), _row("a2", score=score)]
     path = _write_jsonl(tmp_path / "c.jsonl", rows)
-    with pytest.raises(CorpusError, match=re.escape(f"row 2: score must be a number, not {score!r}")):
+    with pytest.raises(RagradeError, match=re.escape(f"row 2: score must be a number, not {score!r}")):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("cell, error", [("", MissingField), ("  ", MissingField),
+# an empty cell is a missing score, as JSON's null is
+@pytest.mark.parametrize("cell, error", [("", "row 1: missing field 'score'"),
+                                         ("  ", "row 1: missing field 'score'"),
                                          ("abc", "row 1: score must be a number, not 'abc'"),
                                          ("0.5", None)])
 def test_csv_score_cell(tmp_path, cell, error):
@@ -303,11 +299,8 @@ def test_csv_score_cell(tmp_path, cell, error):
         writer = csv.DictWriter(fh, fieldnames=list(_row()))
         writer.writeheader()
         writer.writerow(_row(score=cell, label="partially_correct"))
-    if error is MissingField:  # an empty cell is a missing score, as JSON's null is
-        with pytest.raises(MissingField, match="row 1: missing field 'score'"):
-            load_corpus(path)
-    elif error:
-        with pytest.raises(CorpusError, match=re.escape(error)):
+    if error:
+        with pytest.raises(RagradeError, match=re.escape(error)):
             load_corpus(path)
     else:
         assert load_corpus(path).records[0].gold_score == 0.5
@@ -315,7 +308,7 @@ def test_csv_score_cell(tmp_path, cell, error):
 
 def test_a_null_score_is_a_missing_field(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(score=None)])
-    with pytest.raises(MissingField, match="row 1: missing field 'score'"):
+    with pytest.raises(RagradeError, match="row 1: missing field 'score'"):
         load_corpus(path)
 
 

@@ -17,7 +17,7 @@ from ragrade.embedding import (
     _hash_rows,
     _token_rows,
 )
-from ragrade.errors import BackendUnavailable, DimensionMismatch, InvalidEmbedding
+from ragrade.errors import BackendUnavailable, InvalidEmbedding
 
 from conftest import embed_tokens
 from stub_servers import fixed_embedding_app, mirror_embedding_app
@@ -303,7 +303,7 @@ def test_remote_backend_inconsistent_dimension(stub_server_factory):
     payload = {"bad text": (["bad", "text"], [[1.0, 0.0], [1.0, 0.0, 0.0]])}
     server = stub_server_factory(fixed_embedding_app(payload))
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidEmbedding, match="40 embedding bytes for 2 tokens of dimension 2"):
         embed_tokens("bad text", cfg)
 
 
@@ -362,26 +362,30 @@ def test_base64_embeddings_decode_bit_identically(case):
 
 
 _ONE_TOKEN_ROW = _base64_rows([[3.0, 4.0]])
+_WIDTH = (InvalidEmbedding, "embedding bytes for 1 tokens of dimension 2")
+_BASE64 = (BackendUnavailable, "embedding is not valid base64")
+_NOT_A_STRING = (BackendUnavailable, "an embedding must be a base64 string")
+_NON_FINITE = (InvalidEmbedding, "non-finite embedding value")
 
 
 @pytest.mark.parametrize(
     "embedding, error",
     [
-        (_base64_rows([[3.0, 4.0, 0.0]]), DimensionMismatch),  # 24 bytes, not 16
-        (_base64_rows([[3.0, 4.0], [1.0, 0.0]]), DimensionMismatch),  # two rows, one token
-        (_ONE_TOKEN_ROW[:-4], DimensionMismatch),  # whole base64 quanta cut off
-        (_ONE_TOKEN_ROW[:-1], BackendUnavailable),  # padding cut off
-        ("*" + _ONE_TOKEN_ROW[1:], BackendUnavailable),  # not a base64 character
-        (_ONE_TOKEN_ROW[:4] + "\n" + _ONE_TOKEN_ROW[4:], BackendUnavailable),
-        ("\u00e9" * 4, BackendUnavailable),  # not ASCII
-        (5, BackendUnavailable),
-        (None, BackendUnavailable),
-        ("", DimensionMismatch),  # no bytes for one token
-        (True, BackendUnavailable),
-        (3.5, BackendUnavailable),
-        (_base64_rows([[3.0, float("nan")]]), InvalidEmbedding),
-        (_base64_rows([[3.0, float("inf")]]), InvalidEmbedding),
-        ({"rows": [[3.0, 4.0]]}, BackendUnavailable),
+        (_base64_rows([[3.0, 4.0, 0.0]]), _WIDTH),  # 24 bytes, not 16
+        (_base64_rows([[3.0, 4.0], [1.0, 0.0]]), _WIDTH),  # two rows, one token
+        (_ONE_TOKEN_ROW[:-4], _WIDTH),  # whole base64 quanta cut off
+        (_ONE_TOKEN_ROW[:-1], _BASE64),  # padding cut off
+        ("*" + _ONE_TOKEN_ROW[1:], _BASE64),  # not a base64 character
+        (_ONE_TOKEN_ROW[:4] + "\n" + _ONE_TOKEN_ROW[4:], _BASE64),
+        ("\u00e9" * 4, _BASE64),  # not ASCII
+        (5, _NOT_A_STRING),
+        (None, _NOT_A_STRING),
+        ("", _WIDTH),  # no bytes for one token
+        (True, _NOT_A_STRING),
+        (3.5, _NOT_A_STRING),
+        (_base64_rows([[3.0, float("nan")]]), _NON_FINITE),
+        (_base64_rows([[3.0, float("inf")]]), _NON_FINITE),
+        ({"rows": [[3.0, 4.0]]}, _NOT_A_STRING),
     ],
 )
 def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, embedding, error):
@@ -389,7 +393,8 @@ def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, em
         lambda path, body: (200, {"embeddings": [embedding], "tokens": [["hello"]]})
     )
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=2)
-    with pytest.raises(error):
+    error_type, message = error
+    with pytest.raises(error_type, match=message):
         embed_tokens("hello", cfg)
 
 

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ragrade.embedding import EmbedderConfig
-from ragrade.errors import (
-    AllEmptyReferences,
-    EmptyEvaluationSet,
-    LengthMismatch,
-    SchemaMismatch,
-)
+from ragrade.errors import RagradeError
 from ragrade.llmclient import Judgment
 from ragrade.metrics import (
     bleu,
@@ -94,9 +89,9 @@ def test_macro_f1_relabel_invariance():
 
 
 def test_scoring_metrics_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(RagradeError, match="1 judgments vs 0 golds"):
         scoring_metrics(_judgments(["correct"], [1.0]), [])
-    with pytest.raises(EmptyEvaluationSet):
+    with pytest.raises(RagradeError, match="no evaluable judgments"):
         scoring_metrics([], [])
 
 
@@ -128,9 +123,9 @@ def test_bleu_corpus_permutation_invariance():
 
 
 def test_bleu_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(RagradeError, match="1 candidates vs 2 references"):
         bleu(["a"], ["a", "b"])
-    with pytest.raises(AllEmptyReferences):
+    with pytest.raises(RagradeError, match="every reference tokenized to nothing"):
         bleu(["something here"], [""])
 
 
@@ -201,7 +196,8 @@ def test_bleu_stays_in_0_100(pairs):
     candidates, references = zip(*pairs)
     try:
         score = bleu(list(candidates), list(references))
-    except AllEmptyReferences:
+    except RagradeError as exc:
+        assert str(exc) == "every reference tokenized to nothing"
         return
     assert 0.0 <= score <= 100.0
 
@@ -351,7 +347,7 @@ def test_report_csv_round_trip(tmp_path):
 def test_build_report_version_mismatch():
     bad = _manifest()
     bad["manifest_version"] = 2
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(RagradeError, match=r"mixed manifest versions: \['1', '2'\]"):
         build_report([_manifest(), bad])
 
 
@@ -366,5 +362,5 @@ def test_manifest_metrics_all_failed():
             "judgment": {"score": None, "label": None, "feedback": None, "parse_path": "failed"},
         }
     ]
-    with pytest.raises(EmptyEvaluationSet):
+    with pytest.raises(RagradeError, match="manifest has no evaluable items"):
         manifest_metrics(_manifest(items=items))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ragrade.dataset import split_view
 from ragrade.embedding import EmbedderConfig
 from ragrade import pipelines
-from ragrade.errors import BudgetExhaustedWithoutValidCandidate, GoldLeakage
+from ragrade.errors import RagradeError
 from ragrade.llmclient import ChatClient, LedgerEntry, ModelConfig
 from ragrade.pipelines import (
     MODE_OPTIMIZED,
@@ -844,7 +844,8 @@ def test_optimize_race_picks_the_program_full_grading_picks(fixture_corpus):
         )
         try:
             program = optimize_few_shot(train, dev, Signature(), budget, k_max, cfg, instructions)
-        except BudgetExhaustedWithoutValidCandidate:
+        except RagradeError as exc:
+            assert "candidates failed on every dev item" in str(exc)
             # no trial ever scored an item, so none was cut short: every reply failed
             assert seen and set(seen) == {"fail"}
             return
@@ -885,7 +886,7 @@ def test_optimize_all_candidates_fail(fixture_corpus, stub_server_factory):
     train = split_view(fixture_corpus, "train")
     dev = split_view(fixture_corpus, "test_ua")
     cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=1)
-    with pytest.raises(BudgetExhaustedWithoutValidCandidate):
+    with pytest.raises(RagradeError, match="all 2 candidates failed on every dev item"):
         optimize_few_shot(train, dev, Signature(), budget=2, k_max=2, cfg=cfg)
 
 
@@ -902,7 +903,7 @@ def test_optimized_mode_refuses_a_graded_record_as_demo(fixture_corpus, stub_ser
     server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
     train = split_view(fixture_corpus, "train")
     cfg = PipelineConfig(mode=MODE_OPTIMIZED, k=2, model=_model_cfg(server.url))
-    with pytest.raises(GoldLeakage, match="'r01', 'r02'"):
+    with pytest.raises(RagradeError, match=r"records \['r01', 'r02'\] are graded and also demos"):
         run_split(train[:3], cfg, demo_records=train[:2])
     assert server.requests == []  # refused before any request
 

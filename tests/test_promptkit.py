@@ -4,12 +4,7 @@ from pathlib import Path
 import pytest
 
 from ragrade.dataset import AnswerRecord
-from ragrade.errors import (
-    DemoSchemaMismatch,
-    DuplicateField,
-    EmptySignature,
-    MissingInput,
-)
+from ragrade.errors import RagradeError
 from ragrade.promptkit import (
     Demo,
     Signature,
@@ -108,12 +103,12 @@ def test_duplicate_field_rejected():
     sig = Signature(
         input_fields=(("question", "q"), ("question", "again")),
     )
-    with pytest.raises(DuplicateField):
+    with pytest.raises(RagradeError, match="duplicate field names in"):
         compile_signature(sig, "predict")
 
 
 def test_empty_signature_rejected():
-    with pytest.raises(EmptySignature):
+    with pytest.raises(RagradeError, match="need at least one input and one output field"):
         compile_signature(Signature(input_fields=()), "predict")
 
 
@@ -145,14 +140,14 @@ def test_render_deterministic():
 
 def test_missing_input():
     template = compile_signature(Signature(), "predict")
-    with pytest.raises(MissingInput):
+    with pytest.raises(RagradeError, match="missing input field 'reference_answer'"):
         render_prompt(template, {"question": "q"})
 
 
 def test_demo_schema_mismatch():
     template = compile_signature(Signature(), "predict")
     bad = Demo(inputs=(("question", "q"),), outputs=(("score", "1.0"),), source_record_id="x")
-    with pytest.raises(DemoSchemaMismatch):
+    with pytest.raises(RagradeError, match=r"demo inputs \['question'\] != signature"):
         render_prompt(template, _LIVE_INPUTS, [bad])
 
 
@@ -236,7 +231,7 @@ def test_demo_from_record_shows_gold_under_the_signature_own_names():
         ("grade", "0.5"), ("category", "partially_correct"), ("comment", record.gold_feedback),
     )
     extra = Signature(output_fields=_CUSTOM_OUTPUTS + (("hint", "freetext", "a hint"),))
-    with pytest.raises(DemoSchemaMismatch, match="hint"):
+    with pytest.raises(RagradeError, match="record has no value for field 'hint'"):
         demo_from_record(record, extra)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ragrade.dataset import AnswerRecord
-from ragrade.errors import EmptyNeighborSet
+from ragrade.errors import RagradeError
 from ragrade.retrieval import RetrievedExample
 from ragrade.votegrader import vote_classify
 
@@ -57,7 +57,7 @@ def test_tie_break_skips_untied_rank1_label():
 
 
 def test_empty_neighbors():
-    with pytest.raises(EmptyNeighborSet):
+    with pytest.raises(RagradeError, match="vote requires at least one neighbor"):
         vote_classify([])
 
 
