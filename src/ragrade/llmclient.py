@@ -25,9 +25,10 @@ the first https request, trusting the CA file that ``REQUESTS_CA_BUNDLE`` or
 loaded ``requests``, each request is passed through ``requests.Session.post``
 on its way to the pool, so hooks on that method (tracers, HTTP mocks) keep
 seeing it. A reply longer than ``_MAX_REPLY_BYTES`` fails at once.
-A request that times out, fails in transport, or gets a 5xx or a 429
-is sent again, up to ``max_retries`` attempts in all (always 3 for
-embedding), after ``_BACKOFF * 2**n`` seconds, 0.5 s first (no jitter). A
+A request that times out, fails in transport (a reply cut short of its
+``Content-Length`` too), or gets a 5xx or a 429 is sent again, up to
+``max_retries`` attempts in all (always 3 for embedding), after
+``_BACKOFF * 2**n`` seconds, 0.5 s first (no jitter). A
 429 or 503 whose ``Retry-After`` gives a delay in seconds longer than that
 waits the header's delay instead, capped at ``timeout``; the HTTP-date form
 is ignored. The wait applies to that request only. A ``ChatClient`` bounds
@@ -251,7 +252,10 @@ class _ConnectionPool:
 
     def send(self, url: str, payload: bytes, headers: Dict[str, str], timeout: float) -> _Reply:
         """POST ``payload`` to ``url``; the reply's body is read to at most
-        ``_MAX_REPLY_BYTES + 1`` bytes."""
+        ``_MAX_REPLY_BYTES + 1`` bytes. A body that ends before its
+        ``Content-Length`` raises ``IncompleteRead``, as a cut chunk does."""
+        import http.client
+
         route = _route(url)
         conn = self._take(route.key) or self._connect(route, timeout)
         if route.tunnel is None:  # to the server itself, or in plain http to its proxy
@@ -262,6 +266,8 @@ class _ConnectionPool:
             conn.request("POST", route.target, body=payload, headers={**_HEADERS, **headers})
             resp = conn.getresponse()
             body = resp.read(_MAX_REPLY_BYTES + 1)
+            if resp.length and len(body) <= _MAX_REPLY_BYTES:  # closed before its length
+                raise http.client.IncompleteRead(body, resp.length)
         except BaseException:
             conn.close()
             raise

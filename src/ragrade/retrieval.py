@@ -22,9 +22,7 @@ over the stored rows. ``top_k`` is its one-query case. The index persists to
 a single binary file (format v3) of record ids and token rows, not records:
 loading takes the records from the caller's corpus and keeps the file's
 document order. It refuses to load under a different embedder fingerprint
-unless forced. A v2 file loads without its record payload being read. Order
-changes no ranking, only a scan's speed: a v2 file written in corpus order
-has far more equal-length runs to scan; ``ragrade index`` rewrites it.
+unless forced. Order changes no ranking, only a scan's speed.
 """
 
 import json
@@ -353,8 +351,7 @@ def load_index(
         if fh.read(4) != _MAGIC:
             raise ValueError("not an index file")
         (version,) = struct.unpack("<I", _read_bytes(fh, 4))
-        # v2 is v3 followed by a record payload, which is never read
-        if version not in (2, _FORMAT_VERSION):
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"index format v{version} is not supported; re-index with `ragrade index`"
             )

@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from ragrade import dataset
 from ragrade.cli import main
+from ragrade.promptkit import DEFAULT_TASK_DESCRIPTION
 
 from conftest import corpus_row, gold_by_answer, rewrite_index_header
 from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
@@ -932,6 +934,50 @@ def test_optimize_subcommand(corpus_path, fixture_corpus, tmp_path, stub_server_
     )
     assert code == 0
     assert json.loads(manifest_path.read_text())["config"]["mode"] == "optimized"
+
+
+def _optimize(out_dir, chat_url, *flags):
+    """``optimize`` over the ingested fixture; the program's trial trace."""
+    program_path = out_dir / "program.json"
+    code = main(["optimize", "--budget", "12", "--k-max", "2", "--dev-count", "3",
+                 "--endpoint", chat_url, "--seed", "9", *flags,
+                 "--out-dir", str(out_dir), "--out", str(program_path)])
+    assert code == 0
+    return json.loads(program_path.read_text())["trace"]
+
+
+def test_optimize_searches_the_instructions_file_and_proposes_none(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory
+):
+    out_dir = tmp_path / "runs"
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    proposer = stub_server_factory(fixed_chat_app("1. Grade as a proposer would."))
+    instructions = tmp_path / "instructions.txt"
+    instructions.write_text("  Grade strictly.  \n\n   \nGrade kindly.\n", encoding="utf-8")
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    trace = _optimize(out_dir, chat.url, "--instructions-file", str(instructions),
+                      "--proposal-endpoint", proposer.url)
+    # the file's non-blank lines, stripped, are the candidates beside the base one
+    assert {entry["instruction"] for entry in trace} == {
+        DEFAULT_TASK_DESCRIPTION, "Grade strictly.", "Grade kindly."
+    }
+    assert proposer.requests == []
+    assert not any("Rewrite this instruction" in json.dumps(r["body"]) for r in chat.requests)
+
+
+def test_optimize_with_its_proposal_endpoint_down_searches_the_base_instruction(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, monkeypatch, caplog
+):
+    monkeypatch.setattr("ragrade.llmclient._BACKOFF", 0.0)
+    out_dir = tmp_path / "runs"
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    with socket.socket() as sock:  # a port that nothing listens on once it is closed
+        sock.bind(("127.0.0.1", 0))
+        down = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    trace = _optimize(out_dir, chat.url, "--proposal-endpoint", down)
+    assert {entry["instruction"] for entry in trace} == {DEFAULT_TASK_DESCRIPTION}
+    assert "proposal model unavailable" in caplog.text
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ Each row is a fault, each column a `grade` mode (zero-shot, rag over a
 remote-embedded index, optimized from a hand-written program). A fault hits
 the chat requests of one live item, r10, and is keyed on that item's answer
 in the request, so no cell depends on which thread sends first; the other
-items are answered with their gold fields. Connection refused hits every
-item, and the embedding outage (rag only) the whole query group. The last
-row is no transport fault but a typed reply that breaks the schema, the one
-failure that is re-asked with the relaxed prompt. Backoff is patched to 0 in
-every row but the `Retry-After` one.
+items are answered with their gold fields. Connection refused, 401 and 404
+hit every item, and the embedding outage (rag only) the whole query group.
+Three rows cut r10's reply short on the wire: a `Content-Length` reply cut
+by a reset or by a clean close (FIN), and a chunked reply cut mid-chunk. The
+last row is no transport fault but a typed reply that breaks the schema, the
+one failure that is re-asked with the relaxed prompt. Backoff is patched to 0
+in every row but the `Retry-After` one.
 
 Each cell checks the exit code, that the manifest lists the split's records
 in order, that its ledger is the tally of parse paths, the exact number of
@@ -61,7 +63,12 @@ def _slow(n):
 
 _ROWS = {
     "refused": Row(None, 3, "failed", everyone=True),
+    "401": Row(lambda n: (401, {"error": "bad key"}), 1, "failed", everyone=True),
+    "404": Row(lambda n: (404, {"error": "no such route"}), 1, "failed", everyone=True),
+    # replies cut short on the wire (_CutServer)
     "reset": Row(None, 3, "failed"),
+    "fin": Row(None, 3, "failed"),
+    "chunk-cut": Row(None, 3, "failed"),
     "503-then-200": Row(lambda n: (503, {"error": "busy"}) if n == 1 else None, 2, "typed"),
     "429-run": Row(lambda n: (429, {"error": "slow down"}), 3, "failed"),
     # waits of max(backoff, min(Retry-After, --timeout)): 1 s, then 1 s
@@ -82,12 +89,21 @@ _CELLS = [(row, mode) for row in _ROWS for mode in _MODES
           if row != "embedding-503" or mode == "rag"]
 
 
-class _ResetServer:
-    """Answers each request on a connection of its own as ``app`` does, except
-    that a request for ``answer`` gets the head of a reply and then a TCP reset."""
+# what a request for the faulted answer gets before its connection closes
+_CUT_REPLIES = {
+    "reset": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": [",
+    "fin": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": [",
+    "chunk-cut": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000\r\n{\"choices\": [",
+}
 
-    def __init__(self, app, answer):
-        self._app, self._answer = app, answer
+
+class _CutServer:
+    """Answers each request on a connection of its own as ``app`` does, except
+    that a request for ``answer`` gets the head and first bytes of a reply
+    (``_CUT_REPLIES[cut]``) and then a TCP reset (``reset``) or a FIN."""
+
+    def __init__(self, app, answer, cut):
+        self._app, self._answer, self._cut = app, answer, cut
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._sock.settimeout(0.05)
         self._stop = threading.Event()
@@ -105,9 +121,10 @@ class _ResetServer:
                 conn.settimeout(5)
                 body = _read_request(conn)
                 if self._answer in body["messages"][-1]["content"]:
-                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": [")
-                    # closing with a zero linger time sends a reset, not a FIN
-                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    conn.sendall(_CUT_REPLIES[self._cut])
+                    if self._cut == "reset":  # a zero linger time sends a reset, not a FIN
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        struct.pack("ii", 1, 0))
                     continue
                 status, payload = self._app("/v1/chat/completions", body)
                 raw = json.dumps(payload).encode("utf-8")
@@ -147,18 +164,18 @@ def test_fault_matrix(row_name, mode, corpus_path, fixture_corpus, tmp_path,
     if row_name != "429-retry-after":
         monkeypatch.setattr(llmclient, "_BACKOFF", 0.0)
 
-    numbers = itertools.count(1)  # numbers the faulted item's chat requests
+    numbers = itertools.count(1)  # numbers the faulted items' chat requests
 
     def chat_app(path, body):
-        if answers[FAULTED] not in body["messages"][-1]["content"]:
+        if not (row.everyone or answers[FAULTED] in body["messages"][-1]["content"]):
             return echo(path, body)
-        reply = row.reply(next(numbers))
+        reply = row.reply and row.reply(next(numbers))
         return echo(path, body) if reply is None else reply
 
     if row_name == "refused":
         chat_url = _refusing_url()
-    elif row_name == "reset":
-        server = _ResetServer(echo, answers[FAULTED])
+    elif row_name in _CUT_REPLIES:
+        server = _CutServer(echo, answers[FAULTED], row_name)
         request.addfinalizer(server.close)
         chat_url = server.url
     else:

@@ -76,6 +76,13 @@ def test_complete_returns_stub_body(stub_server_factory):
     assert [m["role"] for m in request["body"]["messages"]] == ["system", "user"]
 
 
+@pytest.mark.parametrize("path", ["/chat/completions", "/openai/chat/completions/"])
+def test_an_endpoint_that_names_the_chat_path_is_used_as_given(stub_server_factory, path):
+    server = stub_server_factory(fixed_chat_app("ok"))
+    assert ChatClient(_cfg(server.url + path)).complete(_prompt()) == "ok"
+    assert [r["path"] for r in server.requests] == [path.rstrip("/")]
+
+
 def test_retry_succeeds_after_two_failures(stub_server_factory):
     server = stub_server_factory(fail_n_then(2, fixed_chat_app("recovered")))
     client = ChatClient(_cfg(server.url, max_retries=3))

@@ -1,11 +1,11 @@
 import functools
-import json
 import os
 import random
 import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
-from conftest import corpus_row, embed_tokens, rewrite_index_header
+from conftest import embed_tokens, rewrite_index_header
 from stub_servers import mirror_embedding_app
 
 
@@ -501,10 +501,10 @@ def test_load_rejects_truncated_file(tmp_path):
 
 
 def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
-    # and any other version but 2 and 3, with the same message
+    # and any other version but 3, with the same message
     path = tmp_path / "index.rgix"
     header = b'{"dim": 16}'
-    for version in (1, 0, 4):
+    for version in (1, 0, 2, 4):
         path.write_bytes(b"RGIX" + struct.pack("<II", version, len(header)) + header)
         with pytest.raises(ValueError) as raised:
             load_index(path, [])
@@ -606,40 +606,25 @@ def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
         assert abs(score - exact[rid]) <= bound
 
 
-def _write_v2_in_corpus_order(index, order, path):
-    """A format v2 file whose blocks list the documents in ``order`` (row
-    numbers of ``index``): the layout of files written before the index was
-    kept in length order."""
+def _save_in_order(index, order, path):
+    """Save ``index`` with its documents listed in ``order`` (row numbers of
+    ``index``) rather than in the length order ``build_index`` lays out."""
     docs = [index.vectors[index.offsets[row] : index.offsets[row + 1]] for row in order]
-    offsets = np.zeros(len(docs) + 1, dtype="<i8")
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([len(doc) for doc in docs], out=offsets[1:])
-    header = json.dumps({
-        "dim": index.dim,
-        "fingerprint": index.fingerprint,
-        "record_ids": [index.record_ids[row] for row in order],
-        "skipped_empty": index.skipped_empty,
-        "config": {"backend": index.config.backend, "endpoint": index.config.endpoint,
-                   "dimension": index.config.dimension},
-    }, sort_keys=True).encode("utf-8")
-    payload = json.dumps(
-        {"records": [corpus_row(rec, "train") for rec in index.payload.values()]},
-        sort_keys=True, ensure_ascii=False,
-    ).encode("utf-8")
-    path.write_bytes(
-        b"RGIX" + struct.pack("<II", 2, len(header)) + header + offsets.tobytes()
-        + np.concatenate(docs).astype("<f4").tobytes()
-        + struct.pack("<Q", len(payload)) + payload
-    )
+    record_ids = [index.record_ids[row] for row in order]
+    save_index(replace(index, record_ids=record_ids, offsets=offsets,
+                       vectors=np.concatenate(docs)), path)
 
 
-def test_corpus_ordered_v2_file_loads_and_ranks_identically(tmp_path):
+def test_corpus_ordered_file_loads_and_ranks_identically(tmp_path):
     rng = random.Random(404)
     cfg = EmbedderConfig(dimension=32)
     records = _small_vocab_records(rng, 600, _VOCAB40)
     built = build_index(records, cfg)
     corpus_order = [built.row_of[r.id] for r in records]
     assert corpus_order != sorted(corpus_order)
-    _write_v2_in_corpus_order(built, corpus_order, tmp_path / "index.rgix")
+    _save_in_order(built, corpus_order, tmp_path / "index.rgix")
 
     loaded = load_index(tmp_path / "index.rgix", records, cfg)
     # loaded as written: in corpus order, not put back into length order
