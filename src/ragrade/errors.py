@@ -12,11 +12,11 @@ class TransportError(RagradeError):
 
 
 class Timeout(TransportError):
-    """A request that timed out; handled as a ``TransportError``, named as its cause."""
+    """A request that timed out; caught as a ``TransportError``, its type names the cause."""
 
 
 class RateLimited(TransportError):
-    """A request answered 429; handled as a ``TransportError``, named as its cause."""
+    """A request answered 429; caught as a ``TransportError``, its type names the cause."""
 
 
 class BackendUnavailable(RagradeError):
@@ -24,7 +24,7 @@ class BackendUnavailable(RagradeError):
 
 
 class InvalidEmbedding(RagradeError):
-    """An embedding row that no scan can use; ``pipelines`` fails its query group."""
+    """A non-finite, zero or wrong-width embedding; ``pipelines`` fails its query group."""
 
 
 class ParseError(RagradeError):
@@ -32,5 +32,4 @@ class ParseError(RagradeError):
 
 
 class Stopped(RagradeError):
-    """A request whose stop predicate held at its slot grant, so it was not
-    sent; ``optimize``'s race leaves its item ungraded."""
+    """A request not sent as its stop predicate held; ``optimize``'s race leaves its item ungraded."""

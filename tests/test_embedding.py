@@ -387,6 +387,8 @@ _NON_FINITE = (InvalidEmbedding, "non-finite embedding value")
         (_base64_rows([[3.0, float("inf")]]), _NON_FINITE),
         ({"rows": [[3.0, 4.0]]}, _NOT_A_STRING),
     ],
+    # a case's id names the error class it expects, not its message
+    ids=lambda value: value[0].__name__ if isinstance(value, tuple) else None,
 )
 def test_remote_malformed_embedding_raises_ragrade_error(stub_server_factory, embedding, error):
     server = stub_server_factory(

@@ -90,9 +90,10 @@ _CELLS = [(row, mode) for row in _ROWS for mode in _MODES
 
 
 # what a request for the faulted answer gets before its connection closes
+_LENGTH_CUT = b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": ["
 _CUT_REPLIES = {
-    "reset": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": [",
-    "fin": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"choices\": [",
+    "reset": _LENGTH_CUT,
+    "fin": _LENGTH_CUT,
     "chunk-cut": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000\r\n{\"choices\": [",
 }
 
