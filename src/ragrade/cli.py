@@ -162,7 +162,7 @@ def _cmd_index(args) -> int:
     retrieval.save_index(index, index_path)
     print(
         f"indexed {len(index)} records (skipped {index.skipped_empty} empty) "
-        f"dim={index.dim} fingerprint={index.fingerprint} -> {index_path}"
+        f"dim={index.config.dimension} fingerprint={index.fingerprint} -> {index_path}"
     )
     return 0
 

@@ -70,12 +70,12 @@ class AnswerRecord:
     gold_score: float
     gold_label: str
     gold_feedback: str
+    split: Optional[str] = None  # None for a record built outside a corpus
 
 
 @dataclass
 class Corpus:
     records: List[AnswerRecord] = field(default_factory=list)
-    split_assignment: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         """Check structural invariants; raises on violation."""
@@ -94,9 +94,9 @@ class Corpus:
                     f"question text maps to both {prior!r} and {rec.question_id!r}"
                 )
             question_to_qid[rec.question] = rec.question_id
-            if rec.id not in self.split_assignment:
+            if rec.split not in SPLITS:
                 raise RagradeError(f"record {rec.id!r} has no split assignment")
-            split_qids[self.split_assignment[rec.id]].add(rec.question_id)
+            split_qids[rec.split].add(rec.question_id)
 
         train_qids, ua_qids, uq_qids = (split_qids[split] for split in SPLITS)
 
@@ -108,9 +108,9 @@ class Corpus:
             raise RagradeError(f"question {min(orphaned)!r}: in test_ua but has no train records")
 
 
-def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]":
+def parse_row(row: Dict[str, object], row_no: int) -> AnswerRecord:
     """Validate one corpus row, a JSONL object or a CSV row keyed by
-    ``_REQUIRED_KEYS`` and an optional ``max_points``, into a record and its split."""
+    ``_REQUIRED_KEYS`` and an optional ``max_points``, into a record."""
     if not isinstance(row, dict):
         raise RagradeError(f"row {row_no}: not a JSON object")
     for key in _REQUIRED_KEYS:
@@ -152,7 +152,7 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
     except ValueError:
         raise RagradeError(f"row {row_no}: unknown split {row['split']!r}")
 
-    record = AnswerRecord(
+    return AnswerRecord(
         id=str(row["id"]),
         question=str(row["question"]),
         question_id=str(row["question_id"]),
@@ -161,8 +161,8 @@ def parse_row(row: Dict[str, object], row_no: int) -> "tuple[AnswerRecord, str]"
         gold_score=score,
         gold_label=label,
         gold_feedback=str(row.get("feedback") or ""),
+        split=split,
     )
-    return record, split
 
 
 def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
@@ -197,27 +197,23 @@ def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
     corpus = Corpus()
     fmt = fmt or ("csv" if path.suffix == ".csv" else "jsonl")
     for row_no, row in enumerate(_iter_rows(path, fmt), start=1):
-        record, split = parse_row(row, row_no)
-        corpus.records.append(record)
-        corpus.split_assignment[record.id] = split
+        corpus.records.append(parse_row(row, row_no))
     corpus.validate()
     return corpus
 
 
 # The corpus cache: a JSON header line, then one JSON array per field of
-# AnswerRecord and one of splits, in corpus order. The header's crc32 covers
+# AnswerRecord, the split last, in corpus order. The header's crc32 covers
 # every byte after the header line.
 CACHE_FORMAT = "ragrade-corpus"
 CACHE_VERSION = 1
 _RECORD_FIELDS = tuple(f.name for f in fields(AnswerRecord))
-_CACHE_COLUMNS = len(_RECORD_FIELDS) + 1  # the last column is the split
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a validated ``corpus`` as a cache that ``load_corpus(path, "cache")`` reads."""
     records = corpus.records
     columns = [list(map(attrgetter(name), records)) for name in _RECORD_FIELDS]
-    columns.append([corpus.split_assignment[r.id] for r in records])
     body = "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in columns).encode("utf-8")
     header = {
         "format": CACHE_FORMAT,
@@ -255,14 +251,11 @@ def _load_cache(path: Path) -> Corpus:
         except (ValueError, RecursionError):
             raise stale from None
     n = header.get("records")
-    if len(columns) != _CACHE_COLUMNS or not all(
+    if len(columns) != len(_RECORD_FIELDS) or not all(
         isinstance(c, list) and len(c) == n for c in columns
     ):
         raise stale
-    return Corpus(
-        records=list(map(AnswerRecord, *columns[:-1])),
-        split_assignment=dict(zip(columns[0], columns[-1])),
-    )
+    return Corpus(records=list(map(AnswerRecord, *columns)))
 
 
 @contextmanager
@@ -289,4 +282,4 @@ def atomic_write(path) -> Iterator[BinaryIO]:
 def split_view(corpus: Corpus, split: str) -> List[AnswerRecord]:
     """Records of one split, in corpus (input) order."""
     split = canonical_split(split)
-    return [r for r in corpus.records if corpus.split_assignment[r.id] == split]
+    return [r for r in corpus.records if r.split == split]

@@ -103,7 +103,7 @@ def _exclusions(record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex) -
     exclude: Set[str] = {record.id}
     if cfg.exclude_same_question:
         rows = index.question_rows.get(record.question_id, ())
-        exclude.update(index.record_ids[row] for row in rows)
+        exclude.update(index.records[row].id for row in rows)
     return exclude
 
 
@@ -268,7 +268,7 @@ class _Race:
     """
 
     def __init__(self, items: int, incumbent: Optional[Tuple[int, int]]):
-        self.correct = self.scored = 0
+        self.scored = 0
         self.left = items
         self.right: Set[str] = set()  # ids of the items graded correctly
         self.incumbent = incumbent  # (correct, scored), or None: nothing to beat
@@ -279,7 +279,7 @@ class _Race:
             return False
         correct, scored = self.incumbent
         with self._lock:
-            return (self.correct + self.left) * scored <= correct * (self.scored + self.left)
+            return (len(self.right) + self.left) * scored <= correct * (self.scored + self.left)
 
     def __call__(self, record: AnswerRecord, grade: Callable[[], Judgment]) -> Optional[Judgment]:
         token = stop_when.set(self.lost)
@@ -294,7 +294,6 @@ class _Race:
             if judgment.parse_path != PARSE_FAILED:
                 self.scored += 1
                 if judgment.label == record.gold_label:
-                    self.correct += 1
                     self.right.add(record.id)
         return judgment
 
@@ -366,10 +365,10 @@ def optimize_few_shot(
             entry["stopped"] = True
             continue
         # not lost: every item was sent, and the trial beats the incumbent if any
-        entry["dev_accuracy"] = race.correct / race.scored if race.scored else None
+        entry["dev_accuracy"] = len(race.right) / race.scored if race.scored else None
         if not race.scored:
             continue
-        best = (race.correct, race.scored, instruction, demo_ids)
+        best = (len(race.right), race.scored, instruction, demo_ids)
         order = sorted(dev, key=lambda r: r.id in race.right)
 
     if best is None:

@@ -22,7 +22,8 @@ over the stored rows. ``top_k`` is its one-query case. The index persists to
 a single binary file (format v3) of record ids and token rows, not records:
 loading takes the records from the caller's corpus and keeps the file's
 document order. It refuses to load under a different embedder fingerprint
-unless forced. Order changes no ranking, only a scan's speed.
+unless forced, and refuses a header whose ``dim`` is not its config's
+``dimension``. Order changes no ranking, only a scan's speed.
 """
 
 import json
@@ -56,30 +57,28 @@ _SCORE_BLOCK_BYTES = 4 << 20
 
 @dataclass(eq=False)
 class MaxSimIndex:
-    """Document ``i`` is ``record_ids[i]``; its token rows are
+    """Document ``i`` is ``records[i]``; its token rows are
     ``vectors[offsets[i]:offsets[i + 1]]``, at least one per document.
     Documents may come in any order; a scan is fastest in ascending token
     count, the order ``build_index`` lays them out in."""
 
-    dim: int
     fingerprint: str
     config: EmbedderConfig
-    record_ids: List[str]
-    offsets: np.ndarray  # int64, len(record_ids) + 1, offsets[0] == 0
-    vectors: np.ndarray  # float32 (offsets[-1], dim), C-contiguous unit rows
-    payload: Dict[str, AnswerRecord]
+    records: List[AnswerRecord]
+    offsets: np.ndarray  # int64, len(records) + 1, offsets[0] == 0
+    vectors: np.ndarray  # float32 (offsets[-1], config.dimension), C-contiguous unit rows
     skipped_empty: int = 0
     row_of: Dict[str, int] = field(init=False, repr=False)
     question_rows: Dict[str, List[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.row_of = {rid: row for row, rid in enumerate(self.record_ids)}
+        self.row_of = {rec.id: row for row, rec in enumerate(self.records)}
         self.question_rows = {}
-        for row, rid in enumerate(self.record_ids):
-            self.question_rows.setdefault(self.payload[rid].question_id, []).append(row)
+        for row, rec in enumerate(self.records):
+            self.question_rows.setdefault(rec.question_id, []).append(row)
 
     def __len__(self) -> int:
-        return len(self.record_ids)
+        return len(self.records)
 
 
 def _length_order(offsets: np.ndarray):
@@ -138,13 +137,11 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
         raise RagradeError("no record produced any tokens")
     indexed = [indexable[i] for i in order[empty:].tolist()]
     return MaxSimIndex(
-        dim=embedded.dim,
         fingerprint=config_fingerprint(cfg),
         config=cfg,
-        record_ids=[r.id for r in indexed],
+        records=indexed,
         offsets=offsets[empty:],
         vectors=embedded.table.astype(np.float32)[embedded.row_ids[rows]],
-        payload={r.id: r for r in indexed},
         skipped_empty=len(records) - len(indexed),
     )
 
@@ -211,18 +208,18 @@ def _select(
         # k, ties included, then scans at least kth - 2 * bound - 1e-9; one
         # more 1e-9 covers float64 rounding.
         kth = np.partition(scores, -k)[-k]
-        bound = query.n_tokens * index.dim * 2.0**-23
+        bound = query.n_tokens * index.config.dimension * 2.0**-23
         kept = np.flatnonzero(scores >= kth - 2 * bound - 2e-9)
 
     exact = []
     for row in kept:
         rows = index.vectors[index.offsets[row] : index.offsets[row + 1]]
         score = _maxsim(query.vectors, rows.astype(np.float64))
-        exact.append((-round(score, 9), index.record_ids[row], score))
+        exact.append((-round(score, 9), index.records[row].id, score, row))
     exact.sort()
     return [
-        RetrievedExample(record=index.payload[rid], relevance=score, rank=rank)
-        for rank, (_, rid, score) in enumerate(exact[:k], start=1)
+        RetrievedExample(record=index.records[row], relevance=score, rank=rank)
+        for rank, (_, _, score, row) in enumerate(exact[:k], start=1)
     ]
 
 
@@ -246,8 +243,6 @@ def _retrieve(
     for first in range(0, len(query_texts), step):
         embedded = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
         live = np.flatnonzero(np.diff(embedded.offsets)).tolist()
-        if live and embedded.dim != index.dim:
-            raise InvalidEmbedding(f"query dim {embedded.dim} != doc dim {index.dim}")
         # each query's float64 rows are gathered when used, so the group's
         # rows are held once, in the embedding's table
         rows = [embedded[j].vectors.astype(np.float32) for j in live]
@@ -295,9 +290,9 @@ def save_index(index: MaxSimIndex, path) -> None:
     ``<i8`` offsets block and one ``<f4`` vectors block. Records are not
     stored; ``load_index`` takes them from the corpus."""
     header = {
-        "dim": index.dim,
+        "dim": index.config.dimension,
         "fingerprint": index.fingerprint,
-        "record_ids": index.record_ids,
+        "record_ids": [r.id for r in index.records],
         "skipped_empty": index.skipped_empty,
         "config": {
             "backend": index.config.backend,
@@ -364,7 +359,9 @@ def load_index(
             endpoint=_field(stored, "endpoint", (str, type(None))),
             dimension=_field(stored, "dimension", int),
         )
-        dim = _field(header, "dim", int)
+        dim = stored_cfg.dimension
+        if _field(header, "dim", int) != dim:
+            raise ValueError(f"corrupt index file: header field 'dim' is not the config's {dim}")
         fingerprint = _field(header, "fingerprint", str)
         record_ids = _field(header, "record_ids", list)
         skipped_empty = _field(header, "skipped_empty", int)
@@ -396,13 +393,11 @@ def load_index(
         raise ValueError(f"index ids {missing[:5]} not in the corpus; rebuild with `ragrade index`")
 
     index = MaxSimIndex(
-        dim=dim,
         fingerprint=fingerprint,
         config=stored_cfg,
-        record_ids=record_ids,
+        records=[by_id[rid] for rid in record_ids],
         offsets=offsets,
         vectors=vectors,
-        payload={rid: by_id[rid] for rid in record_ids},
         skipped_empty=skipped_empty,
     )
     if len(index.row_of) != len(index):

@@ -48,7 +48,7 @@ _ROWS = [
 ]
 
 
-def _record(row_id, qid, answer, score, label):
+def _record(row_id, qid, answer, score, label, split=None):
     question, reference = _QUESTIONS[qid]
     return AnswerRecord(
         id=row_id,
@@ -59,15 +59,13 @@ def _record(row_id, qid, answer, score, label):
         gold_score=score,
         gold_label=label,
         gold_feedback=f"SENTINEL-FEEDBACK-{row_id}-x93k the answer is {label}.",
+        split=split,
     )
 
 
 @pytest.fixture
 def fixture_corpus() -> Corpus:
-    corpus = Corpus()
-    for row_id, qid, answer, score, label, split in _ROWS:
-        corpus.records.append(_record(row_id, qid, answer, score, label))
-        corpus.split_assignment[row_id] = split
+    corpus = Corpus(records=[_record(*row) for row in _ROWS])
     corpus.validate()
     return corpus
 
@@ -77,14 +75,12 @@ def corpus_path(fixture_corpus, tmp_path) -> Path:
     path = tmp_path / "corpus.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for rec in fixture_corpus.records:
-            fh.write(
-                json.dumps(corpus_row(rec, fixture_corpus.split_assignment[rec.id])) + "\n"
-            )
+            fh.write(json.dumps(corpus_row(rec)) + "\n")
     return path
 
 
-def corpus_row(record, split):
-    """``record`` as a corpus row in ``split``, the input ``dataset.parse_row`` reads."""
+def corpus_row(record):
+    """``record`` as a corpus row, the input ``dataset.parse_row`` reads."""
     return {
         "id": record.id,
         "question": record.question,
@@ -94,7 +90,7 @@ def corpus_row(record, split):
         "score": record.gold_score,
         "label": record.gold_label,
         "feedback": record.gold_feedback,
-        "split": split,
+        "split": record.split,
     }
 
 

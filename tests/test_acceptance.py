@@ -266,9 +266,9 @@ def _synthetic_corpus(n_train=10, n_ua=40):
                 gold_score=scores[label],
                 gold_label=label,
                 gold_feedback=f"SENTINEL-FEEDBACK-{rid}-z41c because it is {label}.",
+                split=split,
             )
         )
-        corpus.split_assignment[rid] = split
     corpus.validate()
     return corpus
 
@@ -276,7 +276,7 @@ def _synthetic_corpus(n_train=10, n_ua=40):
 def _write_corpus(corpus, path):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
-            fh.write(json.dumps(corpus_row(rec, corpus.split_assignment[rec.id])) + "\n")
+            fh.write(json.dumps(corpus_row(rec)) + "\n")
 
 
 def _grade_rag(corpus_file, out_dir, server_url, manifest_path, extra=()):
@@ -332,7 +332,7 @@ def test_acceptance_5_mock_llm_end_to_end(tmp_path):
         clean_server.close()
 
     # 5% injected malformed responses: 2 of 40 items, deterministic by item
-    ua = [r for r in corpus.records if corpus.split_assignment[r.id] == "test_ua"]
+    ua = [r for r in corpus.records if r.split == "test_ua"]
     malform = {ua[4].student_answer, ua[19].student_answer}
     faulty_server = StubServer(echo_gold_chat_app(gold, malform_answers=malform))
     try:
@@ -418,7 +418,7 @@ def test_acceptance_7_no_leakage_audit(tmp_path):
         manifest_path = out_dir / "manifest.json"
         _grade_rag(corpus_file, out_dir, server.url, manifest_path)
 
-        ua_ids = {r.id for r in corpus.records if corpus.split_assignment[r.id] == "test_ua"}
+        ua_ids = {r.id for r in corpus.records if r.split == "test_ua"}
         scanned = 0
         for request in server.requests:
             prompt_text = "\n".join(

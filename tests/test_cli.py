@@ -626,7 +626,7 @@ def test_grade_max_tokens_0_exits_1_before_any_request(
 
 
 def test_ingest_reads_a_csv_suffix_as_csv(fixture_corpus, tmp_path):
-    rows = [corpus_row(rec, fixture_corpus.split_assignment[rec.id]) for rec in fixture_corpus.records]
+    rows = [corpus_row(rec) for rec in fixture_corpus.records]
     source = tmp_path / "corpus.csv"
     with open(source, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

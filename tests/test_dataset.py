@@ -63,7 +63,7 @@ def test_three_row_fixture_loads(tmp_path):
     ]
     corpus = load_corpus(_write_jsonl(tmp_path / "c.jsonl", rows))
     assert len(corpus.records) == 3
-    assert corpus.split_assignment == {"a1": "train", "a2": "train", "a3": "test_ua"}
+    assert [r.split for r in corpus.records] == ["train", "train", "test_ua"]
 
 
 def test_score_out_of_range_rejected(tmp_path):
@@ -257,7 +257,7 @@ def test_saf_train_proportion_near_published():
 
 
 def _write_source(corpus, path, fmt):
-    rows = [corpus_row(rec, corpus.split_assignment[rec.id]) for rec in corpus.records]
+    rows = [corpus_row(rec) for rec in corpus.records]
     if fmt == "jsonl":
         return _write_jsonl(path, rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -275,7 +275,6 @@ def test_a_file_that_starts_with_a_utf8_bom_loads_as_without(fixture_corpus, tmp
     bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
     loaded = load_corpus(bom)
     assert loaded.records == fixture_corpus.records
-    assert loaded.split_assignment == fixture_corpus.split_assignment
 
 
 @pytest.mark.parametrize("score", [True, False, "abc", "1/2", pytest.param([1.0], id="list"),
@@ -319,13 +318,11 @@ def test_round_trip(fixture_corpus, tmp_path, fmt):
     source = _write_source(fixture_corpus, tmp_path / f"corpus.{fmt}", fmt)
     ingested = load_corpus(source, fmt)
     assert ingested.records == fixture_corpus.records
-    assert ingested.split_assignment == fixture_corpus.split_assignment
     first = tmp_path / "c1.cache"
     second = tmp_path / "c2.cache"
     save_corpus(ingested, first)
     loaded = load_corpus(first, "cache")
     assert loaded.records == fixture_corpus.records
-    assert loaded.split_assignment == fixture_corpus.split_assignment
     save_corpus(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 
@@ -344,7 +341,7 @@ def test_cache_layout(fixture_corpus, tmp_path):
     assert len(columns) == 9
     assert columns[0] == [r.id for r in fixture_corpus.records]
     assert columns[5] == [r.gold_score for r in fixture_corpus.records]
-    assert columns[8] == [fixture_corpus.split_assignment[r.id] for r in fixture_corpus.records]
+    assert columns[8] == [r.split for r in fixture_corpus.records]
 
 
 # text that a line-per-column format must keep on its line
@@ -400,7 +397,7 @@ def test_cache_loads_what_the_source_loads(rows):
         cached = load_corpus(Path(tmp) / "corpus.cache", "cache")
     assert cached.records == source.records
     assert [type(r.gold_score) for r in cached.records] == [float] * len(rows)
-    assert list(cached.split_assignment.items()) == list(source.split_assignment.items())
+    assert [r.split for r in cached.records] == [row["split"] for row in rows]
 
 
 def test_atomic_write_that_raises_keeps_the_old_file(tmp_path):

@@ -107,17 +107,15 @@ def test_rag_prompt_demo_provenance(fixture_corpus, train_index, stub_server_fac
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url, concurrency=1))
     records = split_view(fixture_corpus, "test_ua")
     run_split(records, cfg, train_index)
-    indexed_answers = set(train_index.record_ids)
     for request, record in zip(server.requests, records):
         user_text = next(
             m["content"] for m in request["body"]["messages"] if m["role"] == "user"
         )
         demo_section = user_text.split("Grade the following item.")[0]
         # every demo's student answer belongs to an indexed record != live id
-        for rid in indexed_answers:
-            rec = train_index.payload[rid]
+        for rec in train_index.records:
             if rec.student_answer in demo_section:
-                assert rid != record.id
+                assert rec.id != record.id
 
 
 def test_run_split_preserves_order_under_concurrency(fixture_corpus, stub_server_factory):
@@ -414,7 +412,7 @@ def test_exclude_same_question_flag(fixture_corpus, train_index, stub_server_fac
         if m["role"] == "user"
     )
     demo_section = user_text.split("Grade the following item.")[0]
-    for rid, rec in train_index.payload.items():
+    for rec in train_index.records:
         if rec.question_id == record.question_id:
             assert rec.student_answer not in demo_section
 
@@ -428,7 +426,7 @@ def test_exclude_same_question_matches_payload_filter(fixture_corpus, train_inde
         got = _batch_neighbors(fixture_corpus.records, cfg, train_index)
         for record, hits in zip(fixture_corpus.records, got):
             same_question = {
-                rid for rid, rec in train_index.payload.items()
+                rec.id for rec in train_index.records
                 if rec.question_id == record.question_id
             }
             reference = top_k(train_index, record.student_answer, k,

@@ -56,8 +56,8 @@ def _naive_maxsim(query, doc):
 def _stored_docs(index):
     """(record id, stored token rows) for every indexed document."""
     return [
-        (rid, _matrix(index.vectors[index.offsets[i] : index.offsets[i + 1]]))
-        for i, rid in enumerate(index.record_ids)
+        (rec.id, _matrix(index.vectors[index.offsets[i] : index.offsets[i + 1]]))
+        for i, rec in enumerate(index.records)
     ]
 
 
@@ -142,7 +142,7 @@ def test_build_index_counts():
     records = [_record(f"r{i:02d}", f"answer number {i}") for i in range(10)]
     index = build_index(records, EmbedderConfig(dimension=32))
     assert len(index) == 10
-    assert index.dim == 32
+    assert index.vectors.shape[1] == 32
     assert index.skipped_empty == 0
 
 
@@ -190,7 +190,7 @@ def _assert_build_equals_reference(texts, cfg):
     assert index.vectors.tobytes() == vectors.tobytes()
     assert index.vectors.dtype == np.float32 and index.vectors.flags.c_contiguous
     assert index.offsets.dtype == np.int64 and index.offsets.tolist() == offsets.tolist()
-    assert index.record_ids == record_ids
+    assert [r.id for r in index.records] == record_ids
     assert index.skipped_empty == skipped
 
 
@@ -296,13 +296,11 @@ def test_top_k_tie_break_by_record_id():
 def test_empty_index_error():
     cfg = EmbedderConfig(dimension=16)
     index = MaxSimIndex(
-        dim=16,
         fingerprint="",
         config=cfg,
-        record_ids=[],
+        records=[],
         offsets=np.zeros(1, dtype=np.int64),
         vectors=np.zeros((0, 16), dtype=np.float32),
-        payload={},
     )
     with pytest.raises(RagradeError, match="index has no entries"):
         top_k(index, "an answer", 1)
@@ -317,11 +315,10 @@ def test_save_load_round_trip(tmp_path):
     save_index(index, path)
     loaded = load_index(path, records, cfg)
 
-    assert loaded.dim == index.dim
+    assert loaded.config == index.config
     assert loaded.fingerprint == index.fingerprint
     assert loaded.skipped_empty == index.skipped_empty
-    assert loaded.record_ids == index.record_ids
-    assert loaded.payload == index.payload
+    assert loaded.records == index.records
     assert np.array_equal(loaded.offsets, index.offsets)
     assert loaded.vectors.dtype == np.float32 and loaded.vectors.flags.c_contiguous
     assert loaded.vectors.tobytes() == index.vectors.tobytes()
@@ -523,15 +520,15 @@ def test_built_and_loaded_indexes_store_documents_in_length_order(tmp_path):
     cfg = EmbedderConfig(dimension=16)
     index = build_index(records, cfg)
     # ascending token count; equal counts keep the input order
-    assert index.record_ids == ["r1", "r4", "r2", "r3", "r6", "r5", "r0"]
+    assert [r.id for r in index.records] == ["r1", "r4", "r2", "r3", "r6", "r5", "r0"]
     assert _is_length_ordered(index)
     for rid, doc in _stored_docs(index):
         expected = embed_tokens(answers[int(rid[1:])], cfg).vectors.astype(np.float32)
         assert np.array_equal(doc.vectors, expected)
-    assert index.row_of == {rid: row for row, rid in enumerate(index.record_ids)}
+    assert index.row_of == {rec.id: row for row, rec in enumerate(index.records)}
     save_index(index, tmp_path / "index.rgix")
     loaded = load_index(tmp_path / "index.rgix", records, cfg)
-    assert loaded.record_ids == index.record_ids
+    assert loaded.records == index.records
     assert _is_length_ordered(loaded)
 
 
@@ -544,15 +541,12 @@ def _index_from_docs(docs, length_order=True):
         order = sorted(order, key=lambda i: len(docs[i]))
     offsets = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([len(docs[i]) for i in order], out=offsets[1:])
-    record_ids = [f"d{i:03d}" for i in order]
     return MaxSimIndex(
-        dim=docs[0].shape[1],
         fingerprint="",
         config=EmbedderConfig(dimension=docs[0].shape[1]),
-        record_ids=record_ids,
+        records=[_record(f"d{i:03d}", "unused") for i in order],
         offsets=offsets,
         vectors=np.concatenate([docs[i] for i in order]).astype(np.float32),
-        payload={rid: _record(rid, "unused") for rid in record_ids},
     )
 
 
@@ -580,7 +574,7 @@ def test_scan_scores_equal_per_document_reference(lengths, n_query, seed):
         for i, doc in enumerate(docs)
     }
     got = _scan_scores(index, [query])[0]
-    assert [float(s) for s in got] == [float(expected[rid]) for rid in index.record_ids]
+    assert [float(s) for s in got] == [float(expected[r.id]) for r in index.records]
 
 
 @settings(max_examples=20, deadline=None)
@@ -602,8 +596,8 @@ def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
     }
     got = _scan_scores(index, [query.astype(np.float32)])[0]
     bound = n_query * dim * 2.0**-23
-    for rid, score in zip(index.record_ids, got):
-        assert abs(score - exact[rid]) <= bound
+    for rec, score in zip(index.records, got):
+        assert abs(score - exact[rec.id]) <= bound
 
 
 def _save_in_order(index, order, path):
@@ -612,8 +606,8 @@ def _save_in_order(index, order, path):
     docs = [index.vectors[index.offsets[row] : index.offsets[row + 1]] for row in order]
     offsets = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([len(doc) for doc in docs], out=offsets[1:])
-    record_ids = [index.record_ids[row] for row in order]
-    save_index(replace(index, record_ids=record_ids, offsets=offsets,
+    records = [index.records[row] for row in order]
+    save_index(replace(index, records=records, offsets=offsets,
                        vectors=np.concatenate(docs)), path)
 
 
@@ -628,9 +622,9 @@ def test_corpus_ordered_file_loads_and_ranks_identically(tmp_path):
 
     loaded = load_index(tmp_path / "index.rgix", records, cfg)
     # loaded as written: in corpus order, not put back into length order
-    assert loaded.record_ids == [r.id for r in records]
+    assert [r.id for r in loaded.records] == [r.id for r in records]
     assert not _is_length_ordered(loaded)
-    assert loaded.payload == built.payload
+    assert {r.id: r for r in loaded.records} == {r.id: r for r in built.records}
     for rid, doc in _stored_docs(loaded):
         row = built.row_of[rid]
         stored = built.vectors[built.offsets[row] : built.offsets[row + 1]]
@@ -655,7 +649,7 @@ def test_index_out_of_length_order_ranks_as_the_ordered_one(seed):
     ordered, unordered = _index_from_docs(docs), _index_from_docs(docs, length_order=False)
     assert not _is_length_ordered(unordered)
     queries = [" ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12))) for _ in range(60)]
-    excludes = [set(rng.sample(unordered.record_ids, 5)) for _ in queries]
+    excludes = [set(rng.sample([r.id for r in unordered.records], 5)) for _ in queries]
     for k in (1, 8):
         assert [_hits(h) for h in top_k_batch(unordered, queries, k, excludes)] == [
             _hits(h) for h in top_k_batch(ordered, queries, k, excludes)
@@ -723,7 +717,7 @@ def test_top_k_batch_equals_per_query_top_k(queries, k, same_question):
         record = records[live]
         excluded = {record.id} if exclude else None
         if exclude and same_question:
-            excluded |= {index.record_ids[row] for row in index.question_rows[record.question_id]}
+            excluded |= {index.records[row].id for row in index.question_rows[record.question_id]}
         texts.append(text)
         excludes.append(excluded)
     batch = top_k_batch(index, texts, k, excludes)
@@ -793,7 +787,7 @@ def test_load_rejects_record_id_not_among_records(tmp_path):
 def test_load_rejects_duplicated_record_id(tmp_path):
     records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
     index = build_index(records, EmbedderConfig(dimension=16))
-    index.record_ids[3] = index.record_ids[0]
+    index.records[3] = index.records[0]
     save_index(index, tmp_path / "index.rgix")
     with pytest.raises(ValueError, match="corrupt index file: a record id is listed twice"):
         load_index(tmp_path / "index.rgix", records)
