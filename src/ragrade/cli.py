@@ -48,6 +48,8 @@ _DEFAULTS = {
 
 # written by `ingest` into the out dir, read by `index`, `grade` and `optimize`
 CORPUS_CACHE = "corpus.cache"
+# the index `index` writes into the out dir and `grade` reads, unless --index-path
+INDEX_FILE = "index.rgix"
 
 # the numeric keys and their types; flags are typed by argparse, a config
 # file's values by _number
@@ -158,7 +160,7 @@ def _cmd_index(args) -> int:
     records = dataset.split_view(corpus, args.split or "train")
     embed_cfg = _embedder_config(cfg)
     index = retrieval.build_index(records, embed_cfg)
-    index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / "index.rgix")
+    index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / INDEX_FILE)
     retrieval.save_index(index, index_path)
     print(
         f"indexed {len(index)} records (skipped {index.skipped_empty} empty) "
@@ -192,7 +194,7 @@ def _cmd_grade(args) -> int:
 
     index = None
     if mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
-        index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / "index.rgix")
+        index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / INDEX_FILE)
         if not Path(index_path).exists():
             raise RagradeError(
                 f"mode {mode_name!r} needs a retrieval index but {index_path} does "
@@ -325,8 +327,7 @@ def _cmd_optimize(args) -> int:
 
     instructions = None
     if args.instructions_file:
-        text = Path(args.instructions_file).read_text(encoding="utf-8")
-        instructions = [line.strip() for line in text.splitlines() if line.strip()]
+        instructions = Path(args.instructions_file).read_text(encoding="utf-8").splitlines()
 
     pipe_cfg = pipelines.PipelineConfig(
         mode=pipelines.MODE_OPTIMIZED,

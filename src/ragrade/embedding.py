@@ -88,10 +88,6 @@ class EmbeddedTexts(Sequence[TokenEmbeddingMatrix]):
         rows = self.row_ids[self.offsets[i] : self.offsets[i + 1]]
         return TokenEmbeddingMatrix(self.tokens[i], self.table[rows])
 
-    @property
-    def dim(self) -> int:
-        return int(self.table.shape[1])
-
 
 def tokenize(text: str) -> List[str]:
     """Lowercase, split on whitespace, and break punctuation into its own tokens."""

@@ -301,12 +301,10 @@ def report_to_csv(rows: Sequence[ReportRow]) -> str:
 
 
 def report_line(row: ReportRow) -> str:
-    """One-line summary: identity, the scoring columns, then any text columns."""
+    """One-line summary: identity, then each column in ``to_dict``'s key order."""
+    cells = {key: f"{column}={fmt}" for column, key, fmt, _ in _COLUMNS}
     parts = [row.model, f"mode={row.mode}", f"k={row.k}", f"split={row.split}"]
-    for report in (row.scores, row.text):
-        if report is not None:
-            values = asdict(report)
-            parts += [f"{c}={fmt % values[key]}" for c, key, fmt, _ in _COLUMNS if key in values]
+    parts += [cells[key] % value for key, value in row.to_dict().items() if key in cells]
     return " ".join(parts)
 
 

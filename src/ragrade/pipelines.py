@@ -309,8 +309,8 @@ def optimize_few_shot(
 ) -> OptimizedProgram:
     """Budgeted random search over (instruction, demo subset) candidates.
 
-    Each candidate pairs an instruction (the base one, a supplied one, or a
-    proposal-model paraphrase) with a random train-only demo subset of size
+    Each candidate pairs an instruction (the base one, a supplied one,
+    stripped, or a proposal-model paraphrase) with a random train-only demo subset of size
     <= k_max, and is scored by label accuracy on the dev items. Only a
     strictly better trial replaces the incumbent, so trials are raced: once
     a trial cannot beat the incumbent (``_Race``), none of its requests
@@ -333,8 +333,9 @@ def optimize_few_shot(
 
     client = ChatClient(cfg.model)  # one client for every trial
     candidates = [sig.task_description]
-    if instructions:
-        candidates += [i for i in instructions if i.strip()]
+    supplied = [i for i in map(str.strip, instructions or ()) if i]
+    if supplied:
+        candidates += supplied
     elif cfg.proposal_model is not None:
         proposer = client if cfg.proposal_model == cfg.model else ChatClient(cfg.proposal_model)
         candidates += propose_instructions(sig.task_description, proposer)

@@ -185,6 +185,8 @@ _INDEX_CORRUPTIONS = {
     "id_not_in_corpus": "not in the corpus; rebuild with `ragrade index`",
     "id_twice": "corrupt index file: a record id is listed twice",
     "config_missing": "corrupt index file: header field 'config' is missing",
+    # its vectors would load as 16-dim rows, and every query group then fail
+    "dim_not_config": "corrupt index file: header field 'dim' is not the config's 32",
 }
 
 
@@ -199,6 +201,8 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
             header["record_ids"][1] = "not-in-corpus"
         elif corruption == "id_twice":
             header["record_ids"][1] = header["record_ids"][0]
+        elif corruption == "dim_not_config":
+            header["dim"] = header["config"]["dimension"] // 2
         else:
             del header["config"]
 
@@ -206,7 +210,8 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
     capsys.readouterr()
     flags = ["--mode", "vote", "--k", "3", "--split", "test_ua"]
     assert _grade(out_dir, out_dir / "m.json", *flags) == 1
-    assert _INDEX_CORRUPTIONS[corruption] in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and _INDEX_CORRUPTIONS[corruption] in line
     assert not (out_dir / "m.json").exists()
 
 
@@ -1025,6 +1030,35 @@ def test_config_file_with_flag_override(
     manifest = json.loads(manifest_path.read_text())
     assert manifest["config"]["model_id"] == "from-flag"
     assert manifest["config"]["split"] == "test_ua"  # from file
+
+
+@pytest.mark.parametrize("case, message", [
+    ("mode_in_config_file", "unknown mode 'bogus'"),
+    ("empty_split", "split 'test_ua' has no records"),
+    ("optimized_without_program", "optimized mode needs --program from `ragrade optimize`"),
+    ("optimize_one_train_record", "optimizer needs at least 2 train records"),
+    ("optimize_without_endpoint", "optimize calls a model; pass --endpoint (and --model)"),
+])
+def test_usage_error_exits_1_with_one_line_and_sends_no_request(
+    case, message, corpus_path, fixture_corpus, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("{}"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "bogus"}), encoding="utf-8")
+    one_train = tmp_path / "one_train.jsonl"  # r01 alone: one train record, no other split
+    one_train.write_text(json.dumps(corpus_row(fixture_corpus.records[0])) + "\n", encoding="utf-8")
+    corpus, endpoint = ["--corpus", str(corpus_path)], ["--endpoint", server.url]
+    argv = {
+        "mode_in_config_file": ["grade", *corpus, "--config", str(config), *endpoint],
+        "empty_split": ["grade", "--corpus", str(one_train), "--split", "test_ua", *endpoint],
+        "optimized_without_program": ["grade", *corpus, "--mode", "optimized", *endpoint],
+        "optimize_one_train_record": ["optimize", "--corpus", str(one_train), *endpoint],
+        "optimize_without_endpoint": ["optimize", *corpus],
+    }[case]
+    out_dir = tmp_path / "runs"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert server.requests == [] and not out_dir.exists()
 
 
 def test_usage_errors_exit_1(capsys):

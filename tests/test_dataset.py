@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from ragrade.dataset import (
     LABELS,
     SPLITS,
+    AnswerRecord,
+    Corpus,
     atomic_write,
     canonical_label,
     canonical_split,
@@ -106,6 +108,27 @@ def test_unknown_label(tmp_path):
     path = _write_jsonl(tmp_path / "c.jsonl", [_row(label="excellent")])
     with pytest.raises(RagradeError, match="row 1: unknown label 'excellent'"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([_row(question_id="")], "record 'a1': empty question_id"),
+    ([_row("a1"), _row("a2", question_id="q2")], "question text maps to both 'q1' and 'q2'"),
+    ([_row(split="dev")], "row 1: unknown split 'dev'"),
+], ids=["empty_question_id", "one_question_two_ids", "unknown_split"])
+def test_a_row_that_breaks_a_corpus_rule_is_refused(tmp_path, rows, error):
+    path = _write_jsonl(tmp_path / "c.jsonl", rows)
+    with pytest.raises(RagradeError, match=f"^{re.escape(error)}$"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("split", [None, "dev"])
+def test_a_corpus_record_without_a_known_split_is_refused(split):
+    # a record built outside a corpus has no split; a corpus does not take it
+    record = AnswerRecord(id="a1", question="What is X?", question_id="q1",
+                          reference_answer="X is Y.", student_answer="X.", gold_score=1.0,
+                          gold_label="correct", gold_feedback="Fine.", split=split)
+    with pytest.raises(RagradeError, match="^record 'a1' has no split assignment$"):
+        Corpus(records=[record]).validate()
 
 
 def test_duplicate_id_rejected(tmp_path):

@@ -586,6 +586,13 @@ def test_malformed_endpoint_or_proxy_is_a_transport_error(proxy_env, endpoint, p
         ChatClient(_cfg(endpoint, max_retries=1)).complete(_prompt())
 
 
+def test_a_request_body_holding_nan_is_a_transport_error_and_is_not_sent(stub_server_factory):
+    server = stub_server_factory(fixed_chat_app("ok"))
+    with pytest.raises(TransportError, match="request body is not JSON"):
+        llmclient.post_json(server.url + "/v1/chat/completions", {"temperature": float("nan")})
+    assert server.requests == []
+
+
 def test_unreachable_endpoint_raises_transport_error():
     client = ChatClient(_cfg("http://127.0.0.1:9", max_retries=2))
     with pytest.raises(TransportError):

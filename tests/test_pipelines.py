@@ -487,6 +487,19 @@ def test_whitespace_answer_fails_in_vote_mode_and_is_typed_in_rag_mode(
     assert (graded.parse_path, graded.label) == ("typed", "incorrect")
 
 
+def test_vote_fails_an_item_whose_every_neighbour_is_excluded(fixture_corpus, caplog):
+    # an index of q1's answers only: with its question excluded, r09 (q1) has
+    # no neighbour left, while r11 (q2) keeps all of them
+    train = [r for r in split_view(fixture_corpus, "train") if r.question_id == "q1"]
+    index = build_index(train, EmbedderConfig(dimension=32))
+    live = [r for r in split_view(fixture_corpus, "test_ua") if r.id in ("r09", "r11")]
+    cfg = PipelineConfig(mode=MODE_VOTE, k=3, exclude_same_question=True)
+    excluded, graded = run_split(live, cfg, index)
+    assert excluded.parse_path == "failed"
+    assert "vote failed for r09: vote requires at least one neighbor" in caplog.text
+    assert graded.parse_path == "typed" and graded.label is not None
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(mode="zero_shot", k=3).validate()
@@ -591,6 +604,20 @@ def test_optimizer_never_selects_dev_records(fixture_corpus, stub_server_factory
     program = optimize_few_shot(train, dev, Signature(), budget=8, k_max=4, cfg=cfg)
     for entry in program.trace:
         assert not (set(entry["demo_record_ids"]) & dev_ids)
+
+
+def test_optimize_strips_supplied_instructions_and_drops_blank_ones(
+    fixture_corpus, stub_server_factory
+):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    train = split_view(fixture_corpus, "train")
+    dev = split_view(fixture_corpus, "test_ua")
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg(server.url), seed=3)
+    program = optimize_few_shot(train, dev, Signature(), budget=8, k_max=2, cfg=cfg,
+                                instructions=["  Grade kindly.  ", "", " \t"])
+    assert {entry["instruction"] for entry in program.trace} == {
+        Signature().task_description, "Grade kindly."
+    }
 
 
 def test_propose_instructions_strips_only_list_markers(stub_server_factory):
