@@ -21,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,7 +74,7 @@ def executable_lines(path: Path) -> set:
     while stack:
         code = stack.pop()
         lines.update(line for _, line in dis.findlinestarts(code) if line)  # 0: no line
-        stack.extend(const for const in code.co_consts if hasattr(const, "co_code"))
+        stack.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
     return lines
 
 

@@ -309,15 +309,16 @@ def optimize_few_shot(
 ) -> OptimizedProgram:
     """Budgeted random search over (instruction, demo subset) candidates.
 
-    Each candidate pairs an instruction (the base one, a supplied one,
-    stripped, or a proposal-model paraphrase) with a random train-only demo subset of size
-    <= k_max, and is scored by label accuracy on the dev items. Only a
-    strictly better trial replaces the incumbent, so trials are raced: once
-    a trial cannot beat the incumbent (``_Race``), none of its requests
-    granted a chat slot from then on is sent. A trial sends the incumbent's
-    misses (wrong or failed dev items) first, then the rest, each in dev
-    order. A trial that cannot win is traced as ``stopped``, without an
-    accuracy. Deterministic given the seed and fixed model responses.
+    Each candidate pairs an instruction (the base one, a supplied one, which
+    is stripped and dropped if blank, or a proposal-model paraphrase) with a
+    random train-only demo subset of size <= k_max, and is scored by label
+    accuracy on the dev items. Only a strictly better trial replaces the
+    incumbent, so trials are raced: once a trial cannot beat the incumbent
+    (``_Race``), none of its requests granted a chat slot from then on is
+    sent. A trial sends the incumbent's misses (wrong or failed dev items)
+    first, then the rest, each in dev order. A trial that cannot win is
+    traced as ``stopped``, without an accuracy. Deterministic given the seed
+    and fixed model responses.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

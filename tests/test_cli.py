@@ -185,7 +185,7 @@ _INDEX_CORRUPTIONS = {
     "id_not_in_corpus": "not in the corpus; rebuild with `ragrade index`",
     "id_twice": "corrupt index file: a record id is listed twice",
     "config_missing": "corrupt index file: header field 'config' is missing",
-    # its vectors would load as 16-dim rows, and every query group then fail
+    # its vectors would load as 16-dim rows, and every query group would then fail
     "dim_not_config": "corrupt index file: header field 'dim' is not the config's 32",
 }
 
