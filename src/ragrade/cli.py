@@ -169,22 +169,17 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _resolve_k(cfg: Dict, mode: str) -> int:
-    k = cfg.get("k")
-    if k is not None:
-        return k
-    if mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
-        return 5
-    return 0
-
-
 def _cmd_grade(args) -> int:
     cfg = _run_config(args)
     mode_name = cfg.get("mode")
-    mode = _MODE_ALIASES.get(str(mode_name))
-    if mode is None:
-        raise RagradeError(f"unknown mode {mode_name!r}")
-    k = _resolve_k(cfg, mode)
+    pipe_cfg = pipelines.PipelineConfig(
+        mode=_MODE_ALIASES.get(str(mode_name), mode_name),
+        k=cfg.get("k"),
+        style=cfg.get("style"),
+        model=_model_config(cfg),
+        exclude_same_question=bool(cfg.get("exclude_same_question")),
+        seed=cfg.get("seed"),
+    )
     embed_cfg = _embedder_config(cfg)
     split = cfg.get("split")
     corpus = _load_corpus(cfg)
@@ -193,7 +188,7 @@ def _cmd_grade(args) -> int:
         raise RagradeError(f"split {split!r} has no records")
 
     index = None
-    if mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
+    if pipe_cfg.mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
         index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / INDEX_FILE)
         if not Path(index_path).exists():
             raise RagradeError(
@@ -204,15 +199,9 @@ def _cmd_grade(args) -> int:
             index_path, corpus.records, embed_cfg, force=bool(args.force)
         )
 
-    model_cfg = _model_config(cfg)
-    if mode != pipelines.MODE_VOTE and model_cfg is None:
-        raise RagradeError(
-            f"mode {mode_name!r} calls a model; pass --endpoint (and --model)"
-        )
-
     signature = _signature(cfg)
     demo_records: List[dataset.AnswerRecord] = []
-    if mode == pipelines.MODE_OPTIMIZED:
+    if pipe_cfg.mode == pipelines.MODE_OPTIMIZED:
         if not args.program:
             raise RagradeError("optimized mode needs --program from `ragrade optimize`")
         data = json.loads(Path(args.program).read_text(encoding="utf-8"))
@@ -226,43 +215,22 @@ def _cmd_grade(args) -> int:
             raise RagradeError(f"program demo ids not in the train pool: {missing}")
         demo_records = [by_id[rid] for rid in program.demo_record_ids]
         signature = dataclasses.replace(signature, task_description=program.instruction)
-        k = len(demo_records)
+        pipe_cfg = dataclasses.replace(pipe_cfg, k=len(demo_records))
 
-    pipe_cfg = pipelines.PipelineConfig(
-        mode=mode,
-        k=k,
-        style=cfg.get("style"),
-        model=model_cfg,
-        exclude_same_question=bool(cfg.get("exclude_same_question")),
-        seed=cfg.get("seed"),
-    )
     judgments = pipelines.run_split(
         records, pipe_cfg, index, signature=signature, demo_records=demo_records
     )
-
-    run_config = {
-        "mode": mode,
-        "k": k,
-        "split": split,
-        "style": cfg.get("style"),
-        "model_id": pipe_cfg.model_id,
-        "endpoint": model_cfg.endpoint if model_cfg else None,
-        "temperature": model_cfg.temperature if model_cfg else None,
-        "seed": pipe_cfg.seed,
-        "exclude_same_question": pipe_cfg.exclude_same_question,
-        "embed_backend": embed_cfg.backend,
-        "embed_dim": embed_cfg.dimension,
-    }
     manifest = pipelines.build_manifest(
-        run_config,
+        pipe_cfg,
+        split,
+        embed_cfg,
         records,
         judgments,
         index_fingerprint=index.fingerprint if index else None,
     )
 
-    out_path = args.out or (
-        Path(cfg.get("out_dir")) / f"manifest_{mode}_k{k}_{split}_{_timestamp()}.json"
-    )
+    name = f"manifest_{pipe_cfg.mode}_k{pipe_cfg.k}_{split}_{_timestamp()}.json"
+    out_path = args.out or (Path(cfg.get("out_dir")) / name)
     pipelines.write_manifest(manifest, out_path)
     failed = sum(1 for j in judgments if j.parse_path == PARSE_FAILED)
     print(f"graded {len(judgments)} records ({failed} failed) -> {out_path}")
@@ -300,12 +268,27 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _run_config(args)
+    seed = cfg.get("seed")
+    model_cfg = _model_config(cfg)
+    proposal_cfg = None
+    if args.proposal_endpoint and model_cfg:
+        proposal_cfg = dataclasses.replace(
+            model_cfg,
+            endpoint=args.proposal_endpoint,
+            model=args.proposal_model or model_cfg.model,
+        )
+    pipe_cfg = pipelines.PipelineConfig(
+        mode=pipelines.MODE_OPTIMIZED,
+        style=cfg.get("style"),
+        model=model_cfg,
+        proposal_model=proposal_cfg,
+        seed=seed,
+    )
     corpus = _load_corpus(cfg)
     train = dataset.split_view(corpus, "train")
     if len(train) < 2:
         raise RagradeError("optimizer needs at least 2 train records")
 
-    seed = cfg.get("seed")
     rng = random.Random(seed)
     shuffled = list(train)
     rng.shuffle(shuffled)
@@ -314,29 +297,10 @@ def _cmd_optimize(args) -> int:
         raise RagradeError("--dev-count must be >= 1")
     dev, train_pool = shuffled[:dev_count], shuffled[dev_count:]
 
-    model_cfg = _model_config(cfg)
-    if model_cfg is None:
-        raise RagradeError("optimize calls a model; pass --endpoint (and --model)")
-    proposal_cfg = None
-    if args.proposal_endpoint:
-        proposal_cfg = dataclasses.replace(
-            model_cfg,
-            endpoint=args.proposal_endpoint,
-            model=args.proposal_model or model_cfg.model,
-        )
-
     instructions = None
     if args.instructions_file:
         instructions = Path(args.instructions_file).read_text(encoding="utf-8").splitlines()
 
-    pipe_cfg = pipelines.PipelineConfig(
-        mode=pipelines.MODE_OPTIMIZED,
-        k=0,
-        style=cfg.get("style"),
-        model=model_cfg,
-        proposal_model=proposal_cfg,
-        seed=seed,
-    )
     program = pipelines.optimize_few_shot(
         train_pool,
         dev,

@@ -94,8 +94,10 @@ class Corpus:
                     f"question text maps to both {prior!r} and {rec.question_id!r}"
                 )
             question_to_qid[rec.question] = rec.question_id
-            if rec.split not in SPLITS:
+            if rec.split is None:
                 raise RagradeError(f"record {rec.id!r} has no split assignment")
+            if rec.split not in SPLITS:
+                raise RagradeError(f"record {rec.id!r} has unknown split {rec.split!r}")
             split_qids[rec.split].add(rec.question_id)
 
         train_qids, ua_qids, uq_qids = (split_qids[split] for split in SPLITS)

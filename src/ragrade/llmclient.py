@@ -464,13 +464,10 @@ def _first_json_object(raw: str) -> Dict:
     idx = raw.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(raw, idx)
+            # decoding from a "{" yields a dict or raises
+            return decoder.raw_decode(raw, idx)[0]
         except (ValueError, RecursionError):  # undecodable, or nested too deep
             idx = raw.find("{", idx + 1)
-            continue
-        if isinstance(obj, dict):
-            return obj
-        idx = raw.find("{", idx + 1)
     raise ParseError("no JSON object in model output")
 
 

@@ -5,8 +5,9 @@ Every run over a split produces one judgment per record (input order
 preserved regardless of execution order) and can be serialized into a
 manifest that is sufficient to reproduce and re-evaluate the run. rag and
 vote retrieve the whole split's neighbours in one batch pass before any item
-is graded. The manifest's error ledger is tallied from the judgments' parse
-paths.
+is graded. ``PipelineConfig`` settles what a mode takes, and
+``build_manifest`` writes that config into the manifest, whose error ledger
+is tallied from the judgments' parse paths.
 """
 
 import json
@@ -20,6 +21,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .dataset import AnswerRecord, atomic_write
+from .embedding import EmbedderConfig
 from .errors import BackendUnavailable, InvalidEmbedding, RagradeError, Stopped, TransportError
 from .llmclient import (
     ChatClient,
@@ -27,7 +29,6 @@ from .llmclient import (
     LedgerEntry,
     ModelConfig,
     PARSE_FAILED,
-    PARSE_TYPED,
     judge,
     stop_when,
 )
@@ -60,23 +61,32 @@ _RETRIEVAL_FAILURES = (BackendUnavailable, InvalidEmbedding)
 
 @dataclass
 class PipelineConfig:
+    """What one grading run takes, checked when built: ``k`` defaults to 5
+    for rag and vote and to 0 otherwise; zero_shot takes k=0, rag and vote
+    k >= 1. vote calls no model, so its ``model`` is always ``None``; every
+    other mode needs one."""
+
     mode: str
-    k: int = 0
+    k: Optional[int] = None
     style: str = STYLE_PREDICT
     model: Optional[ModelConfig] = None
     proposal_model: Optional[ModelConfig] = None
     exclude_same_question: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.k is None:
+            self.k = 5 if self.mode in (MODE_RAG, MODE_VOTE) else 0
         if self.mode == MODE_ZERO_SHOT and self.k != 0:
             raise ValueError("zero_shot requires k=0")
         if self.mode in (MODE_RAG, MODE_VOTE) and self.k < 1:
             raise ValueError(f"{self.mode} requires k >= 1")
-        if self.mode != MODE_VOTE and self.model is None:
-            raise ValueError(f"{self.mode} requires a model config")
+        if self.mode == MODE_VOTE:
+            self.model = None
+        elif self.model is None:
+            raise ValueError(f"{self.mode} calls a model; pass --endpoint (and --model)")
 
     @property
     def model_id(self) -> str:
@@ -139,11 +149,10 @@ def _vote(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgm
         logger.warning("vote failed for %s: the answer has no tokens", record.id)
         return Judgment(None, None, None, parse_path=PARSE_FAILED)
     try:
-        vote = vote_classify(hits)
+        return vote_classify(hits)
     except RagradeError as exc:
         logger.warning("vote failed for %s: %s", record.id, exc)
         return Judgment(None, None, None, parse_path=PARSE_FAILED)
-    return Judgment(score=vote.score, label=vote.label, feedback="", parse_path=PARSE_TYPED)
 
 
 def grade_item(
@@ -182,7 +191,6 @@ def run_split(
     stops an item once its trial has lost, at the next chat slot the item is
     granted. Without a gate no entry is ``None``.
     """
-    cfg.validate()
     sig = signature or Signature()
     # retrieval for the whole split, before any item; the items of a group
     # whose retrieval fails are failed judgments, with no request of their own
@@ -330,7 +338,6 @@ def optimize_few_shot(
         raise ValueError("train pool must be non-empty")
     if cfg.mode != MODE_OPTIMIZED:
         raise ValueError("optimize_few_shot needs an optimized-mode config")
-    cfg.validate()
 
     client = ChatClient(cfg.model)  # one client for every trial
     candidates = [sig.task_description]
@@ -392,13 +399,16 @@ def optimize_few_shot(
 
 
 def build_manifest(
-    run_config: Dict,
+    cfg: PipelineConfig,
+    split: str,
+    embed_cfg: EmbedderConfig,
     records: Sequence[AnswerRecord],
     judgments: Sequence[Judgment],
     index_fingerprint: Optional[str] = None,
     created_at: Optional[str] = None,
 ) -> Dict:
-    ledger_key = f"{run_config['model_id']}|{run_config['mode']}|{run_config['k']}"
+    """The manifest of the run ``cfg`` made over ``split``: its settings, one
+    item per record and the ledger of the judgments' parse paths."""
     items = [
         {
             "record_id": rec.id,
@@ -414,10 +424,22 @@ def build_manifest(
         "manifest_version": MANIFEST_VERSION,
         "created_at": created_at
         or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config": dict(run_config),
+        "config": {
+            "mode": cfg.mode,
+            "k": cfg.k,
+            "split": split,
+            "style": cfg.style,
+            "model_id": cfg.model_id,
+            "endpoint": cfg.model.endpoint if cfg.model else None,
+            "temperature": cfg.model.temperature if cfg.model else None,
+            "seed": cfg.seed,
+            "exclude_same_question": cfg.exclude_same_question,
+            "embed_backend": embed_cfg.backend,
+            "embed_dim": embed_cfg.dimension,
+        },
         "index_fingerprint": index_fingerprint,
         "items": items,
-        "ledger": {ledger_key: asdict(LedgerEntry.of(judgments))},
+        "ledger": {f"{cfg.model_id}|{cfg.mode}|{cfg.k}": asdict(LedgerEntry.of(judgments))},
     }
 
 

@@ -2,24 +2,19 @@
 
 The label is the mode of the neighbors' gold labels and the numeric score is
 the mean of their gold scores. A tie on the mode resolves to the label of
-the highest-relevance neighbor among the tied labels.
+the highest-relevance neighbor among the tied labels. The vote is the item's
+typed ``Judgment``, with empty feedback.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import RagradeError
+from .llmclient import PARSE_TYPED, Judgment
 from .retrieval import RetrievedExample
 
 
-@dataclass
-class VoteResult:
-    label: str
-    score: float
-
-
-def vote_classify(neighbors: Sequence[RetrievedExample]) -> VoteResult:
+def vote_classify(neighbors: Sequence[RetrievedExample]) -> Judgment:
     if not neighbors:
         raise RagradeError("vote requires at least one neighbor")
 
@@ -33,4 +28,4 @@ def vote_classify(neighbors: Sequence[RetrievedExample]) -> VoteResult:
         label = next(n.record.gold_label for n in neighbors if n.record.gold_label in tied)
 
     score = sum(n.record.gold_score for n in neighbors) / len(neighbors)
-    return VoteResult(label=label, score=score)
+    return Judgment(score=score, label=label, feedback="", parse_path=PARSE_TYPED)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ragrade import dataset
+from ragrade import cli, dataset
 from ragrade.cli import main
 from ragrade.promptkit import DEFAULT_TASK_DESCRIPTION
 
@@ -55,6 +55,7 @@ _CACHE_CORRUPTIONS = {
     "other_version": lambda p: _rewrite_cache(p, header={"version": 2}),
     "other_format": lambda p: _rewrite_cache(p, header={"format": "jsonl"}),
     "eight_columns": lambda p: _rewrite_cache(p, columns=lambda lines: lines[:8]),
+    "body_not_json_lines": lambda p: _rewrite_cache(p, columns=lambda lines: [b"corpus\n"] * 9),
     "record_count": lambda p: _rewrite_cache(p, header={"records": 15}),
 }
 
@@ -181,13 +182,46 @@ def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
     assert manifest["index_fingerprint"]
 
 
+def test_vote_manifest_names_no_model_whatever_the_config_file_holds(corpus_path, tmp_path):
+    # vote calls no model: a config file's endpoint and model must not reach its manifest
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(
+        json.dumps({"endpoint": "http://127.0.0.1:9", "model": "mistral:7b"}), encoding="utf-8"
+    )
+    flags = ["--mode", "vote", "--k", "3"]
+    assert _grade(out_dir, out_dir / "with.json", *flags, "--config", str(config_path)) == 0
+    assert _grade(out_dir, out_dir / "without.json", *flags) == 0
+    with_cfg, without_cfg = (
+        json.loads((out_dir / name).read_text()) for name in ("with.json", "without.json")
+    )
+    config = with_cfg["config"]
+    assert (config["model_id"], config["endpoint"], config["temperature"]) == ("vote", None, None)
+    assert list(with_cfg["ledger"]) == ["vote|votegrader|3"]
+    with_cfg["created_at"] = without_cfg["created_at"]
+    assert with_cfg == without_cfg
+
+
 _INDEX_CORRUPTIONS = {
     "id_not_in_corpus": "not in the corpus; rebuild with `ragrade index`",
     "id_twice": "corrupt index file: a record id is listed twice",
     "config_missing": "corrupt index file: header field 'config' is missing",
     # its vectors would load as 16-dim rows, and every query group would then fail
     "dim_not_config": "corrupt index file: header field 'dim' is not the config's 32",
+    "bad_magic": "not an index file",
+    "falling_offsets": "corrupt index file: offsets must rise from 0",
 }
+
+
+def _swap_first_offsets(path):
+    """Swap the index's second and third offsets, so that they fall."""
+    data = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", data[8:12])
+    at = 12 + header_len + 8  # the offsets start at 0, and offsets[0] stays
+    data[at : at + 16] = data[at + 8 : at + 16] + data[at : at + 8]
+    path.write_bytes(bytes(data))
 
 
 @pytest.mark.parametrize("corruption", sorted(_INDEX_CORRUPTIONS))
@@ -206,7 +240,13 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
         else:
             del header["config"]
 
-    rewrite_index_header(out_dir / "index.rgix", corrupt)
+    index_path = out_dir / "index.rgix"
+    if corruption == "bad_magic":
+        index_path.write_bytes(b"RGIY" + index_path.read_bytes()[4:])
+    elif corruption == "falling_offsets":
+        _swap_first_offsets(index_path)
+    else:
+        rewrite_index_header(index_path, corrupt)
     capsys.readouterr()
     flags = ["--mode", "vote", "--k", "3", "--split", "test_ua"]
     assert _grade(out_dir, out_dir / "m.json", *flags) == 1
@@ -441,6 +481,20 @@ def test_index_and_grade_refuse_a_list_embedding_reply(
     assert _grade(out_dir, out_dir / "m.json", *flags) == 2  # every item failed
     assert _parse_paths(json.loads((out_dir / "m.json").read_text())) == {"failed": 3}
     assert chat.requests == []
+
+
+def test_index_of_answers_without_any_token_exits_1(corpus_path, tmp_path, stub_server_factory, capsys):
+    # an embedding service that finds no token in any answer
+    embed = stub_server_factory(
+        lambda path, body: (200, {"embeddings": [""] * len(body["texts"]),
+                                  "tokens": [[]] * len(body["texts"])})
+    )
+    out_dir = tmp_path / "runs"
+    argv = ["index", "--corpus", str(corpus_path), "--embed-backend", "remote",
+            "--embed-endpoint", embed.url, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: no record produced any tokens"]
+    assert len(embed.requests) == 1 and not out_dir.exists()
 
 
 @pytest.mark.parametrize("reply", ["wrong_shape", "zero_norm", "ragged"])
@@ -1032,33 +1086,76 @@ def test_config_file_with_flag_override(
     assert manifest["config"]["split"] == "test_ua"  # from file
 
 
+_MODEL_MESSAGE = "optimized calls a model; pass --endpoint (and --model)"
+
+
 @pytest.mark.parametrize("case, message", [
     ("mode_in_config_file", "unknown mode 'bogus'"),
     ("empty_split", "split 'test_ua' has no records"),
     ("optimized_without_program", "optimized mode needs --program from `ragrade optimize`"),
     ("optimize_one_train_record", "optimizer needs at least 2 train records"),
-    ("optimize_without_endpoint", "optimize calls a model; pass --endpoint (and --model)"),
+    ("optimize_without_endpoint", _MODEL_MESSAGE),
+    ("optimize_proposal_without_endpoint", _MODEL_MESSAGE),
+    ("optimize_budget_0", "budget must be >= 1"),
+    ("format_in_config_file", "unknown corpus format 'xml'"),
+    ("embed_backend_in_config_file", "unknown backend 'bogus'"),
+    ("style_in_config_file", "unknown style 'socratic'"),
+    ("signature_output_type", "unknown output type tag 'percent'"),
+    ("index_remote_without_endpoint", "remote backend requires an endpoint"),
+    ("index_empty_split", "no records to index"),
+    ("evaluate_manifest_without_items", "manifest missing items/config sections"),
 ])
 def test_usage_error_exits_1_with_one_line_and_sends_no_request(
     case, message, corpus_path, fixture_corpus, tmp_path, stub_server_factory, capsys
 ):
     server = stub_server_factory(fixed_chat_app("{}"))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mode": "bogus"}), encoding="utf-8")
+
+    def json_file(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    def with_config(data):
+        return ["grade", *corpus, "--config", json_file(f"{case}.json", data), *endpoint]
+
     one_train = tmp_path / "one_train.jsonl"  # r01 alone: one train record, no other split
     one_train.write_text(json.dumps(corpus_row(fixture_corpus.records[0])) + "\n", encoding="utf-8")
     corpus, endpoint = ["--corpus", str(corpus_path)], ["--endpoint", server.url]
+    percent = [{"name": "grade", "type": "percent"}, *_CUSTOM_SIGNATURE["output_fields"][1:]]
     argv = {
-        "mode_in_config_file": ["grade", *corpus, "--config", str(config), *endpoint],
-        "empty_split": ["grade", "--corpus", str(one_train), "--split", "test_ua", *endpoint],
-        "optimized_without_program": ["grade", *corpus, "--mode", "optimized", *endpoint],
-        "optimize_one_train_record": ["optimize", "--corpus", str(one_train), *endpoint],
-        "optimize_without_endpoint": ["optimize", *corpus],
-    }[case]
+        "mode_in_config_file": lambda: with_config({"mode": "bogus"}),
+        "empty_split": lambda: ["grade", "--corpus", str(one_train), "--split", "test_ua", *endpoint],
+        "optimized_without_program": lambda: ["grade", *corpus, "--mode", "optimized", *endpoint],
+        "optimize_one_train_record": lambda: ["optimize", "--corpus", str(one_train), *endpoint],
+        "optimize_without_endpoint": lambda: ["optimize", *corpus],
+        "optimize_proposal_without_endpoint":
+            lambda: ["optimize", *corpus, "--proposal-endpoint", server.url],
+        "optimize_budget_0": lambda: ["optimize", *corpus, *endpoint, "--budget", "0"],
+        "format_in_config_file": lambda: with_config({"format": "xml"}),
+        "embed_backend_in_config_file": lambda: with_config({"embed_backend": "bogus"}),
+        "style_in_config_file": lambda: with_config({"style": "socratic"}),
+        "signature_output_type": lambda: [
+            "grade", *corpus, *endpoint, "--signature",
+            json_file("sig.json", {**_CUSTOM_SIGNATURE, "output_fields": percent}),
+        ],
+        "index_remote_without_endpoint": lambda: ["index", *corpus, "--embed-backend", "remote"],
+        "index_empty_split": lambda: ["index", "--corpus", str(one_train), "--split", "test_uq"],
+        "evaluate_manifest_without_items":
+            lambda: ["evaluate", json_file("m.json", {"manifest_version": 1, "config": {}})],
+    }[case]()
     out_dir = tmp_path / "runs"
     assert main([*argv, "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert server.requests == [] and not out_dir.exists()
+
+
+def test_a_command_failing_unexpectedly_exits_2_with_one_line(monkeypatch, capsys):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_report", fail)
+    assert main(["report", "m.json"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: boom"]
 
 
 def test_usage_errors_exit_1(capsys):

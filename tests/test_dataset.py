@@ -121,13 +121,16 @@ def test_a_row_that_breaks_a_corpus_rule_is_refused(tmp_path, rows, error):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("split", [None, "dev"])
-def test_a_corpus_record_without_a_known_split_is_refused(split):
+@pytest.mark.parametrize("split, error", [
+    (None, "record 'a1' has no split assignment"),
+    ("dev", "record 'a1' has unknown split 'dev'"),
+], ids=["None", "dev"])
+def test_a_corpus_record_without_a_known_split_is_refused(split, error):
     # a record built outside a corpus has no split; a corpus does not take it
     record = AnswerRecord(id="a1", question="What is X?", question_id="q1",
                           reference_answer="X is Y.", student_answer="X.", gold_score=1.0,
                           gold_label="correct", gold_feedback="Fine.", split=split)
-    with pytest.raises(RagradeError, match="^record 'a1' has no split assignment$"):
+    with pytest.raises(RagradeError, match=f"^{re.escape(error)}$"):
         Corpus(records=[record]).validate()
 
 

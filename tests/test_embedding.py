@@ -321,6 +321,19 @@ def test_remote_backend_non_object_reply(stub_server_factory, payload):
         embed_tokens("hello", cfg)
 
 
+def test_remote_reply_one_embedding_short_is_refused(stub_server_factory):
+    mirror = mirror_embedding_app(dimension=8)
+
+    def one_short(path, body):
+        status, reply = mirror(path, body)
+        return status, {key: rows[:-1] for key, rows in reply.items()}
+
+    server = stub_server_factory(one_short)
+    cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)
+    with pytest.raises(BackendUnavailable, match="returned wrong batch size"):
+        embed_texts(["alpha beta", "gamma"], cfg)
+
+
 def test_remote_batch_order(stub_server_factory):
     server = stub_server_factory(mirror_embedding_app(dimension=8))
     cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=8)

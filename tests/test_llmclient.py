@@ -673,6 +673,8 @@ def test_parse_typed_type_mismatches():
         parse_typed('{"score": 1.0, "label": "correct", "feedback": 7}', SCHEMA)
     with pytest.raises(ParseError, match="score has wrong type bool"):
         parse_typed('{"score": true, "label": "correct", "feedback": "x"}', SCHEMA)
+    with pytest.raises(ParseError, match="label has wrong type int"):
+        parse_typed('{"score": 1.0, "label": 3, "feedback": "x"}', SCHEMA)
 
 
 def test_parse_typed_missing_field():

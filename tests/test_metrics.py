@@ -127,6 +127,13 @@ def test_bleu_errors():
         bleu(["a"], ["a", "b"])
     with pytest.raises(RagradeError, match="every reference tokenized to nothing"):
         bleu(["something here"], [""])
+    with pytest.raises(RagradeError, match="^empty corpus$"):
+        bleu([], [])
+
+
+def test_build_report_of_no_manifests_is_refused():
+    with pytest.raises(RagradeError, match="^need at least one manifest$"):
+        build_report([])
 
 
 def test_bleu_short_candidate_is_zero():

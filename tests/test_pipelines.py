@@ -16,13 +16,14 @@ from ragrade.pipelines import (
     MODE_ZERO_SHOT,
     PipelineConfig,
     build_manifest,
+    grade_item,
     load_manifest,
     optimize_few_shot,
     propose_instructions,
     run_split,
     write_manifest,
 )
-from ragrade.promptkit import Signature
+from ragrade.promptkit import Signature, compile_signature, demo_from_record
 from ragrade.retrieval import build_index
 
 from conftest import gold_by_answer, typed_failure_rate, wait_until
@@ -501,14 +502,49 @@ def test_vote_fails_an_item_whose_every_neighbour_is_excluded(fixture_corpus, ca
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(mode="zero_shot", k=3).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(mode="rag", k=0).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(mode="unknown").validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(mode="zero_shot", k=0, model=None).validate()
+    with pytest.raises(ValueError, match="zero_shot requires k=0"):
+        PipelineConfig(mode="zero_shot", k=3, model=_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(ValueError, match="rag requires k >= 1"):
+        PipelineConfig(mode="rag", k=0, model=_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(ValueError, match="unknown mode 'unknown'"):
+        PipelineConfig(mode="unknown")
+    with pytest.raises(ValueError, match=r"^zero_shot calls a model; pass --endpoint \(and --model\)$"):
+        PipelineConfig(mode="zero_shot", k=0, model=None)
+
+
+@pytest.mark.parametrize("mode, k", [
+    (MODE_ZERO_SHOT, 0), (MODE_RAG, 5), (MODE_VOTE, 5), (MODE_OPTIMIZED, 0),
+])
+def test_config_defaults_k_by_mode_and_vote_keeps_no_model(mode, k):
+    cfg = PipelineConfig(mode=mode, model=_model_cfg("http://127.0.0.1:9"))
+    assert cfg.k == k
+    assert (cfg.model is None) == (mode == MODE_VOTE)
+    assert cfg.model_id == ("vote" if mode == MODE_VOTE else "stub-model")
+
+
+def test_grade_item_refuses_the_live_record_as_its_own_demo(fixture_corpus):
+    record = fixture_corpus.records[0]
+    client = ChatClient(_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(RagradeError, match=f"^live record {record.id} selected as its own demo$"):
+        grade_item(record, compile_signature(Signature()), client, [demo_from_record(record)])
+
+
+@pytest.mark.parametrize("mode", [MODE_RAG, MODE_VOTE])
+def test_run_split_with_retrieval_needs_an_index(fixture_corpus, mode):
+    cfg = PipelineConfig(mode=mode, model=_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(ValueError, match=f"^{mode} mode requires an index$"):
+        run_split(split_view(fixture_corpus, "test_ua"), cfg)
+
+
+@pytest.mark.parametrize("empty, message", [
+    ("dev", "dev set must be non-empty"), ("train", "train pool must be non-empty"),
+])
+def test_optimize_needs_a_dev_set_and_a_train_pool(fixture_corpus, empty, message):
+    train = split_view(fixture_corpus, "train")
+    sets = {"train": train[2:], "dev": train[:2], empty: []}
+    cfg = PipelineConfig(mode=MODE_OPTIMIZED, model=_model_cfg("http://127.0.0.1:9"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        optimize_few_shot(sets["train"], sets["dev"], Signature(), budget=1, k_max=1, cfg=cfg)
 
 
 # --- manifests ---
@@ -518,15 +554,10 @@ def _run_and_manifest(fixture_corpus, train_index, server, seed=7):
     records = split_view(fixture_corpus, "test_ua")
     cfg = PipelineConfig(mode=MODE_RAG, k=3, model=_model_cfg(server.url), seed=seed)
     judgments = run_split(records, cfg, train_index)
-    run_config = {
-        "mode": cfg.mode,
-        "k": cfg.k,
-        "split": "test_ua",
-        "model_id": cfg.model_id,
-        "seed": cfg.seed,
-    }
     return build_manifest(
-        run_config,
+        cfg,
+        "test_ua",
+        train_index.config,
         records,
         judgments,
         index_fingerprint=train_index.fingerprint,

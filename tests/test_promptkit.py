@@ -151,6 +151,15 @@ def test_demo_schema_mismatch():
         render_prompt(template, _LIVE_INPUTS, [bad])
 
 
+def test_demo_output_schema_mismatch():
+    sig = Signature()
+    template = compile_signature(sig, "predict")
+    inputs = tuple((name, _LIVE_INPUTS[name]) for name in sig.input_names())
+    bad = Demo(inputs=inputs, outputs=(("score", "1.0"),), source_record_id="x")
+    with pytest.raises(RagradeError, match=r"demo outputs \['score'\] != signature"):
+        render_prompt(template, _LIVE_INPUTS, [bad])
+
+
 def test_demo_fidelity_score_round_trips():
     sig = Signature()
     prompt = render_prompt(compile_signature(sig, "predict"), _LIVE_INPUTS, _demos(sig))
