@@ -172,11 +172,13 @@ def _cmd_index(args) -> int:
 def _cmd_grade(args) -> int:
     cfg = _run_config(args)
     mode_name = cfg.get("mode")
+    mode = _MODE_ALIASES.get(str(mode_name), mode_name)
     pipe_cfg = pipelines.PipelineConfig(
-        mode=_MODE_ALIASES.get(str(mode_name), mode_name),
+        mode=mode,
         k=cfg.get("k"),
         style=cfg.get("style"),
-        model=_model_config(cfg),
+        # vote calls no model, so its model settings are neither built nor checked
+        model=None if mode == pipelines.MODE_VOTE else _model_config(cfg),
         exclude_same_question=bool(cfg.get("exclude_same_question")),
         seed=cfg.get("seed"),
     )
@@ -249,7 +251,8 @@ def _cmd_evaluate(args) -> int:
     # reports go next to the manifest unless a flag or the config file says otherwise
     cfg = _run_config(args, out_dir=manifest_path.parent)
     manifest = pipelines.load_manifest(args.manifest)
-    embed_cfg = _embedder_config(cfg)
+    # only text metrics embed, so only they build and check the embedder's settings
+    embed_cfg = _embedder_config(cfg) if args.with_text_metrics else None
     row = metrics.manifest_metrics(
         manifest, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
     )
@@ -324,7 +327,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _run_config(args)
     manifests = [pipelines.load_manifest(p) for p in args.manifests]
-    embed_cfg = _embedder_config(cfg)
+    embed_cfg = _embedder_config(cfg) if args.with_text_metrics else None
     rows = metrics.build_report(
         manifests, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
     )

@@ -20,11 +20,11 @@ class RateLimited(TransportError):
 
 
 class BackendUnavailable(RagradeError):
-    """The embedding service failed; ``pipelines`` fails its query group, ``cli.main`` exits 2."""
+    """The embedding service failed; ``top_k_batch`` fails its query group, ``cli.main`` exits 2."""
 
 
 class InvalidEmbedding(RagradeError):
-    """A non-finite, zero or wrong-width embedding; ``pipelines`` fails its query group."""
+    """A non-finite, zero or wrong-width embedding; ``top_k_batch`` fails its query group."""
 
 
 class ParseError(RagradeError):

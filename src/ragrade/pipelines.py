@@ -4,8 +4,8 @@ and offline instruction/demo search.
 Every run over a split produces one judgment per record (input order
 preserved regardless of execution order) and can be serialized into a
 manifest that is sufficient to reproduce and re-evaluate the run. rag and
-vote retrieve the whole split's neighbours in one batch pass before any item
-is graded. ``PipelineConfig`` settles what a mode takes, and
+vote retrieve the whole split's neighbours in one ``top_k_batch`` call before
+any item is graded. ``PipelineConfig`` settles what a mode takes, and
 ``build_manifest`` writes that config into the manifest, whose error ledger
 is tallied from the judgments' parse paths.
 """
@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .dataset import AnswerRecord, atomic_write
 from .embedding import EmbedderConfig
-from .errors import BackendUnavailable, InvalidEmbedding, RagradeError, Stopped, TransportError
+from .errors import RagradeError, Stopped, TransportError
 from .llmclient import (
     ChatClient,
     Judgment,
@@ -43,7 +43,7 @@ from .promptkit import (
     render_prompt,
 )
 # top_k is imported only so that perfbench/spans.py can patch pipelines.top_k
-from .retrieval import MaxSimIndex, RetrievedExample, query_group_size, top_k, top_k_batch
+from .retrieval import MaxSimIndex, RetrievedExample, top_k, top_k_batch
 from .votegrader import vote_classify
 
 logger = logging.getLogger(__name__)
@@ -55,8 +55,6 @@ MODE_RAG = "rag"
 MODE_VOTE = "votegrader"
 MODE_OPTIMIZED = "optimized"
 _MODES = (MODE_ZERO_SHOT, MODE_RAG, MODE_VOTE, MODE_OPTIMIZED)
-# what retrieval raises when the embedding backend is down or replies garbage
-_RETRIEVAL_FAILURES = (BackendUnavailable, InvalidEmbedding)
 
 
 @dataclass
@@ -109,34 +107,16 @@ class OptimizedProgram:
         return asdict(self)
 
 
-def _exclusions(record: AnswerRecord, cfg: PipelineConfig, index: MaxSimIndex) -> Set[str]:
-    exclude: Set[str] = {record.id}
-    if cfg.exclude_same_question:
-        rows = index.question_rows.get(record.question_id, ())
-        exclude.update(index.records[row].id for row in rows)
-    return exclude
-
-
-def _batch_neighbors(
+def _exclusions(
     records: Sequence[AnswerRecord], cfg: PipelineConfig, index: MaxSimIndex
-) -> List[Optional[List[RetrievedExample]]]:
-    """Every record's neighbours, one ``top_k_batch`` per query group; ``None``
-    for each record of a group whose retrieval fails after its retries."""
-    out: List[Optional[List[RetrievedExample]]] = []
-    step = query_group_size(index)
-    for first in range(0, len(records), step):
-        group = records[first : first + step]
-        try:
-            out += top_k_batch(
-                index,
-                [r.student_answer for r in group],
-                cfg.k,
-                [_exclusions(r, cfg, index) for r in group],
-            )
-        except _RETRIEVAL_FAILURES as exc:
-            logger.warning("batch retrieval failed (%s); its %d items fail", exc, len(group))
-            out += [None] * len(group)
-    return out
+) -> List[Set[str]]:
+    """Each record's exclusion set: its own id and, with
+    ``exclude_same_question``, the ids of the index's answers to its question."""
+    same: Dict[str, Set[str]] = {}
+    if cfg.exclude_same_question:
+        for rec in index.records:
+            same.setdefault(rec.question_id, set()).add(rec.id)
+    return [{r.id, *same.get(r.question_id, ())} for r in records]
 
 
 def _vote(record: AnswerRecord, hits: Optional[List[RetrievedExample]]) -> Judgment:
@@ -198,7 +178,8 @@ def run_split(
     if cfg.mode in (MODE_RAG, MODE_VOTE):
         if index is None:
             raise ValueError(f"{cfg.mode} mode requires an index")
-        neighbors = _batch_neighbors(records, cfg, index)
+        answers = [r.student_answer for r in records]
+        neighbors = top_k_batch(index, answers, cfg.k, _exclusions(records, cfg, index))
     if cfg.mode == MODE_VOTE:
         return [_vote(record, hits) for record, hits in zip(records, neighbors)]
 

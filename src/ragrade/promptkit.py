@@ -150,7 +150,6 @@ class PromptTemplate:
     """A compiled signature; ``render_prompt`` fills in the two user texts."""
 
     signature: Signature
-    style: str
     system_text: str
     relaxed_system_text: str
     output_schema: Tuple[Tuple[str, str], ...]  # (field, type tag), prompt order
@@ -231,7 +230,6 @@ def compile_signature(sig: Signature, style: str = STYLE_PREDICT) -> PromptTempl
 
     return PromptTemplate(
         signature=sig,
-        style=style,
         system_text="\n".join(strict),
         relaxed_system_text="\n".join(relaxed),
         output_schema=tuple((name, tag) for name, tag, _ in schema),

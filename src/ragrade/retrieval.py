@@ -11,22 +11,24 @@ documents in ascending token count, stable with respect to input order, so
 the documents of one length form a contiguous run. It embeds every answer in
 one ``embed_texts`` call and fills the matrix with one float32 gather from
 that call's row table, in length order, with no per-answer matrix and no
-reordering afterwards. ``top_k_batch`` embeds a group of queries in one
-call and scans each run once for all of them, in chunks: one
-float32 matmul against the group's distinct query rows, a zero-copy
-(documents, length, rows) view, and a max over token positions by in-place
-pairwise halving; each query then sums its rows' maxima in float64. Per
-query, it re-scores in float64 every document whose float32 score is within
-a proven error bound of the k-th best, so the ranking equals the exact one
-over the stored rows. ``top_k`` is its one-query case. The index persists to
-a single binary file (format v3) of record ids and token rows, not records:
-loading takes the records from the caller's corpus and keeps the file's
-document order. It refuses to load under a different embedder fingerprint
-unless forced, and refuses a header whose ``dim`` is not its config's
-``dimension``. Order changes no ranking, only a scan's speed.
+reordering afterwards. ``top_k_batch``, a split's one retrieval call,
+embeds each group of queries in one call and scans each run once for the
+group, in chunks: one float32 matmul against the group's distinct query rows,
+a zero-copy (documents, length, rows) view, and a max over token positions by
+in-place pairwise halving; each query then sums its rows' maxima in float64.
+Per query, it re-scores in float64 every document whose float32 score is
+within a proven error bound of the k-th best, so the ranking equals the exact
+one over the stored rows. A group whose embedding fails gives its queries
+``None``; the next group goes on. ``top_k`` is one query's group. The index
+persists to a single binary file (format v3) of record ids and token rows,
+not records: loading takes the records from the caller's corpus and keeps the
+file's document order. It refuses to load under a different embedder
+fingerprint unless forced, and refuses a header whose ``dim`` is not its
+config's ``dimension``. Order changes no ranking, only a scan's speed.
 """
 
 import json
+import logging
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,7 +45,9 @@ from .embedding import (
     config_fingerprint,
     embed_texts,
 )
-from .errors import InvalidEmbedding, RagradeError
+from .errors import BackendUnavailable, InvalidEmbedding, RagradeError
+
+logger = logging.getLogger(__name__)
 
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 3
@@ -69,13 +73,9 @@ class MaxSimIndex:
     vectors: np.ndarray  # float32 (offsets[-1], config.dimension), C-contiguous unit rows
     skipped_empty: int = 0
     row_of: Dict[str, int] = field(init=False, repr=False)
-    question_rows: Dict[str, List[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.row_of = {rec.id: row for row, rec in enumerate(self.records)}
-        self.question_rows = {}
-        for row, rec in enumerate(self.records):
-            self.question_rows.setdefault(rec.question_id, []).append(row)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -227,30 +227,22 @@ def _retrieve(
     index: MaxSimIndex,
     query_texts: Sequence[str],
     k: int,
-    excludes: Optional[Sequence[Optional[Set[str]]]],
+    excludes: Sequence[Optional[Set[str]]],
 ) -> List[Optional[List[RetrievedExample]]]:
-    """``top_k`` of every query, ``None`` for a query with no tokens; one
-    embedding call and one scan per group of ``query_group_size`` queries."""
+    """One group's ``top_k`` of each query, ``None`` for one without tokens."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not len(index):
         raise RagradeError("index has no entries")
-    excludes = excludes or [None] * len(query_texts)
-    if len(excludes) != len(query_texts):
-        raise ValueError("one exclusion set per query")
-    out: List[Optional[List[RetrievedExample]]] = []
-    step = query_group_size(index)
-    for first in range(0, len(query_texts), step):
-        embedded = embed_texts(query_texts[first : first + step], index.config, role=ROLE_QUERY)
-        live = np.flatnonzero(np.diff(embedded.offsets)).tolist()
-        # each query's float64 rows are gathered when used, so the group's
-        # rows are held once, in the embedding's table
-        rows = [embedded[j].vectors.astype(np.float32) for j in live]
-        scores = _scan_scores(index, rows) if live else None
-        group: List[Optional[List[RetrievedExample]]] = [None] * len(embedded)
-        for row, j in enumerate(live):
-            group[j] = _select(index, scores[row], embedded[j], k, excludes[first + j])
-        out += group
+    embedded = embed_texts(query_texts, index.config, role=ROLE_QUERY)
+    live = np.flatnonzero(np.diff(embedded.offsets)).tolist()
+    # each query's float64 rows are gathered when used, so the group's rows
+    # are held once, in the embedding's table
+    rows = [embedded[j].vectors.astype(np.float32) for j in live]
+    scores = _scan_scores(index, rows) if live else None
+    out: List[Optional[List[RetrievedExample]]] = [None] * len(embedded)
+    for row, j in enumerate(live):
+        out[j] = _select(index, scores[row], embedded[j], k, excludes[j])
     return out
 
 
@@ -259,13 +251,28 @@ def top_k_batch(
     query_texts: Sequence[str],
     k: int,
     excludes: Optional[Sequence[Optional[Set[str]]]] = None,
-) -> List[List[RetrievedExample]]:
+) -> List[Optional[List[RetrievedExample]]]:
     """``top_k`` of each query text, leaving out the ids in its exclusion set.
 
-    Results equal per-query ``top_k``'s bit for bit; a query with no tokens
-    gets ``[]``. Memory does not grow with the number of queries.
+    The queries are embedded and scanned in groups of ``query_group_size``.
+    Each query gets its hits, equal to per-query ``top_k``'s bit for bit;
+    ``[]`` when it has no tokens; or ``None`` when its group's embedding
+    failed after its retries, which the other groups outlive. Memory does not
+    grow with the number of queries.
     """
-    return [hits or [] for hits in _retrieve(index, query_texts, k, excludes)]
+    excludes = excludes or [None] * len(query_texts)
+    if len(excludes) != len(query_texts):
+        raise ValueError("one exclusion set per query")
+    out: List[Optional[List[RetrievedExample]]] = []
+    step = query_group_size(index)
+    for first in range(0, len(query_texts), step):
+        group = query_texts[first : first + step]
+        try:
+            out += [h or [] for h in _retrieve(index, group, k, excludes[first : first + step])]
+        except (BackendUnavailable, InvalidEmbedding) as exc:
+            logger.warning("batch retrieval failed (%s); its %d items fail", exc, len(group))
+            out += [None] * len(group)
+    return out
 
 
 def top_k(

@@ -183,25 +183,52 @@ def test_index_then_vote_grade(corpus_path, tmp_path, capsys):
 
 
 def test_vote_manifest_names_no_model_whatever_the_config_file_holds(corpus_path, tmp_path):
-    # vote calls no model: a config file's endpoint and model must not reach its manifest
+    # vote calls no model: a config file's endpoint and model must not reach
+    # its manifest, and its model settings are not checked, even invalid ones
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     assert main(["index", "--out-dir", str(out_dir)]) == 0
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(
-        json.dumps({"endpoint": "http://127.0.0.1:9", "model": "mistral:7b"}), encoding="utf-8"
-    )
     flags = ["--mode", "vote", "--k", "3"]
-    assert _grade(out_dir, out_dir / "with.json", *flags, "--config", str(config_path)) == 0
     assert _grade(out_dir, out_dir / "without.json", *flags) == 0
-    with_cfg, without_cfg = (
-        json.loads((out_dir / name).read_text()) for name in ("with.json", "without.json")
-    )
-    config = with_cfg["config"]
-    assert (config["model_id"], config["endpoint"], config["temperature"]) == ("vote", None, None)
-    assert list(with_cfg["ledger"]) == ["vote|votegrader|3"]
-    with_cfg["created_at"] = without_cfg["created_at"]
-    assert with_cfg == without_cfg
+    without_cfg = json.loads((out_dir / "without.json").read_text())
+    config_path = tmp_path / "cfg.json"
+    for file_cfg in ({"model": "mistral:7b"}, {"max_tokens": 0}):
+        config_path.write_text(
+            json.dumps({"endpoint": "http://127.0.0.1:9", **file_cfg}), encoding="utf-8"
+        )
+        assert _grade(out_dir, out_dir / "with.json", *flags, "--config", str(config_path)) == 0
+        with_cfg = json.loads((out_dir / "with.json").read_text())
+        config = with_cfg["config"]
+        assert (config["model_id"], config["endpoint"], config["temperature"]) == (
+            "vote", None, None
+        )
+        assert list(with_cfg["ledger"]) == ["vote|votegrader|3"]
+        with_cfg["created_at"] = without_cfg["created_at"]
+        assert with_cfg == without_cfg
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_metrics_without_text_metrics_leave_the_embedder_settings_unchecked(
+    command, corpus_path, tmp_path, capsys
+):
+    # only text metrics embed: without them an invalid embed_dim is not read
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    manifest = out_dir / "vote.json"
+    assert _grade(out_dir, manifest, "--mode", "vote", "--k", "3") == 0
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"embed_dim": 1}), encoding="utf-8")
+    reports = []
+    for name, flags in (("plain", []), ("config", ["--config", str(config_path)])):
+        report_dir = tmp_path / name
+        assert main([command, str(manifest), "--out-dir", str(report_dir), *flags]) == 0
+        reports.append({path.name: path.read_bytes() for path in report_dir.iterdir()})
+    assert reports[0] and reports[0] == reports[1]
+    argv = [command, str(manifest), "--out-dir", str(tmp_path / "text"), "--config",
+            str(config_path), "--with-text-metrics"]
+    assert main(argv) == 1
+    assert "dimension must be >= 2" in capsys.readouterr().err
 
 
 _INDEX_CORRUPTIONS = {

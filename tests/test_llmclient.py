@@ -328,24 +328,27 @@ def _keep_alive_server(close_after_reply):
     return httpd
 
 
-@pytest.mark.parametrize("server_closes, log", [
-    (False, ["connect", "request", "request"]),
-    (True, ["connect", "request", "connect", "request"]),
-], ids=["kept_alive", "closed_by_server"])
+@pytest.mark.parametrize("closer, log", [
+    (None, ["connect", "request", "request"]),
+    ("server", ["connect", "request", "connect", "request"]),
+    ("client", ["connect", "request", "connect", "request"]),
+], ids=["kept_alive", "closed_by_server", "closed_by_client"])
 def test_idle_connection_is_reused_unless_the_server_closed_it(
-    pool, monkeypatch, server_closes, log
+    pool, monkeypatch, closer, log
 ):
     import select
 
     waits = []
     monkeypatch.setattr(llmclient, "time", SimpleNamespace(sleep=waits.append))
-    httpd = _keep_alive_server(close_after_reply=server_closes)
+    httpd = _keep_alive_server(close_after_reply=closer == "server")
     try:
         client = ChatClient(_cfg(f"http://127.0.0.1:{httpd.server_port}"))
         assert client.complete(_prompt()) == "ok"
         (idle,) = [conn for conns in pool._idle.values() for conn in conns]
-        if server_closes:  # the server's close has reached the idle socket
+        if closer == "server":  # the server's close has reached the idle socket
             assert select.select([idle.sock], [], [], 5)[0]
+        elif closer == "client":  # select cannot poll a closed socket
+            idle.sock.close()
         assert client.complete(_prompt()) == "ok"
     finally:
         httpd.shutdown()

@@ -349,6 +349,45 @@ def test_failing_query_batch_fails_its_items_without_more_requests(
     assert chat.requests == []
 
 
+@pytest.mark.parametrize("mode", [MODE_RAG, MODE_VOTE])
+def test_failing_query_group_fails_only_its_own_items(
+    mode, fixture_corpus, stub_server_factory, monkeypatch
+):
+    # three groups of two; every query request holding the third item's answer gets a 503
+    from stub_servers import mirror_embedding_app
+
+    records = split_view(fixture_corpus, "test_ua") + split_view(fixture_corpus, "test_uq")
+    down = records[2].student_answer
+    mirror = mirror_embedding_app(32)
+
+    def embed_app(path, body):
+        if body["role"] == "query" and down in body["texts"]:
+            return 503, {"error": "down"}
+        return mirror(path, body)
+
+    embed = stub_server_factory(embed_app)
+    embed_cfg = EmbedderConfig(backend="remote", endpoint=embed.url, dimension=32)
+    index = build_index(split_view(fixture_corpus, "train"), embed_cfg)
+    monkeypatch.setattr("ragrade.retrieval._SCORE_BLOCK_BYTES", 8 * len(index) * 2)
+    chat = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    model = _model_cfg(chat.url) if mode == MODE_RAG else None
+    judgments = run_split(records, PipelineConfig(mode=mode, k=3, model=model), index)
+    paths = [j.parse_path for j in judgments]
+    assert paths[2:4] == ["failed", "failed"]
+    assert "failed" not in paths[:2] + paths[4:]
+    queries = [r["body"]["texts"] for r in embed.requests if r["body"]["role"] == "query"]
+    assert sorted(map(len, queries)) == [2, 2, 2, 2, 2]
+    assert [down in texts for texts in queries].count(True) == 3  # its group, 3 attempts
+    live = [
+        m["content"].split("Grade the following item.")[1]
+        for request in chat.requests
+        for m in request["body"]["messages"]
+        if m["role"] == "user"
+    ]
+    graded = sorted(r.id for r in records for text in live if r.student_answer in text)
+    assert graded == ([] if mode == MODE_VOTE else sorted(r.id for r in records[:2] + records[4:]))
+
+
 def test_identity_pipeline_perfect_metrics(fixture_corpus, train_index, stub_server_factory):
     from ragrade.metrics import scoring_metrics
 
@@ -419,13 +458,15 @@ def test_exclude_same_question_flag(fixture_corpus, train_index, stub_server_fac
 
 
 def test_exclude_same_question_matches_payload_filter(fixture_corpus, train_index):
-    from ragrade.pipelines import _batch_neighbors
-    from ragrade.retrieval import top_k
+    from ragrade.pipelines import _exclusions
+    from ragrade.retrieval import top_k, top_k_batch
 
+    records = fixture_corpus.records
+    answers = [r.student_answer for r in records]
     for k in (1, 3, 8):
         cfg = PipelineConfig(mode=MODE_VOTE, k=k, exclude_same_question=True)
-        got = _batch_neighbors(fixture_corpus.records, cfg, train_index)
-        for record, hits in zip(fixture_corpus.records, got):
+        got = top_k_batch(train_index, answers, k, _exclusions(records, cfg, train_index))
+        for record, hits in zip(records, got):
             same_question = {
                 rec.id for rec in train_index.records
                 if rec.question_id == record.question_id

@@ -717,7 +717,7 @@ def test_top_k_batch_equals_per_query_top_k(queries, k, same_question):
         record = records[live]
         excluded = {record.id} if exclude else None
         if exclude and same_question:
-            excluded |= {index.records[row].id for row in index.question_rows[record.question_id]}
+            excluded |= {r.id for r in index.records if r.question_id == record.question_id}
         texts.append(text)
         excludes.append(excluded)
     batch = top_k_batch(index, texts, k, excludes)
