@@ -5,32 +5,39 @@ maximum dot product against any document token (MaxSim). Scoring is exact and
 exhaustive over the index; no approximate pruning. Scores equal to 1e-9 tie;
 ascending record id breaks ties.
 
-Every document's token rows live in one C-contiguous float32 matrix, with an
-offsets array marking where each document starts. ``build_index`` stores
-documents in ascending token count, stable with respect to input order, so
-the documents of one length form a contiguous run. It embeds every answer in
-one ``embed_texts`` call and fills the matrix with one float32 gather from
-that call's row table, in length order, with no per-answer matrix and no
-reordering afterwards. ``top_k_batch``, a split's one retrieval call,
-embeds each group of queries in one call and scans each run once for the
-group, in chunks: one float32 matmul against the group's distinct query rows,
-a zero-copy (documents, length, rows) view, and a max over token positions by
-in-place pairwise halving; each query then sums its rows' maxima in float64.
-Per query, it re-scores in float64 every document whose float32 score is
-within a proven error bound of the k-th best, so the ranking equals the exact
-one over the stored rows. A group whose embedding fails gives its queries
-``None``; the next group goes on. ``top_k`` is one query's group. The index
-persists to a single binary file (format v3) of record ids and token rows,
-not records: loading takes the records from the caller's corpus and keeps the
-file's document order. It refuses to load under a different embedder
-fingerprint unless forced, and refuses a header whose ``dim`` is not its
-config's ``dimension``. Order changes no ranking, only a scan's speed.
+The index keeps a float32 table of unit rows and one int32 row id per
+document token, with an offsets array marking where each document's tokens
+start. The table is the one ``embed_texts`` returned: on the deterministic
+backend it holds each distinct indexed token once; on the remote backend it
+holds one row per token, stored in the index's token order, so its row ids
+count up from 0. ``build_index`` stores documents in ascending token count,
+stable with respect to input order, so the documents of one length form a
+contiguous run. It embeds every answer in one ``embed_texts`` call and lays
+out the row ids in length order, with no per-answer matrix and no reordering
+afterwards. ``top_k_batch``, a split's one retrieval call, embeds each group
+of queries in one call and scans each run once for the group, in chunks: a
+gather of the chunk's rows from the table, one float32 matmul against the
+group's distinct query rows, a zero-copy (documents, length, rows) view, and
+a max over token positions by in-place pairwise halving; each query then sums
+its rows' maxima in float64. Per query, it re-scores in float64 every
+document whose float32 score is within a proven error bound of the k-th best,
+so the ranking equals the exact one over the stored rows. A group whose
+embedding fails gives its queries ``None``; the next group goes on.
+``top_k`` is one query's group. The index persists to a single binary file
+(format v4) of record ids, offsets, row ids and the table, not records, under
+a crc32 of its blocks: loading takes the records from the caller's corpus and
+keeps the file's document order. It refuses a file whose blocks fail the
+checksum or whose row ids fall outside its table, refuses to load under a
+different embedder fingerprint unless forced, and refuses a header whose
+``dim`` is not its config's ``dimension``. Order changes no ranking, only a
+scan's speed.
 """
 
 import json
 import logging
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -50,10 +57,11 @@ from .errors import BackendUnavailable, InvalidEmbedding, RagradeError
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"RGIX"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # most document tokens per float32 matmul of a scan
-_SCAN_CHUNK_TOKENS = 4096
-# the scan's one (chunk tokens x distinct query rows) float32 similarity buffer
+_SCAN_CHUNK_TOKENS = 2048
+# the scan's (chunk tokens x dim) float32 row buffer and (chunk tokens x
+# distinct query rows) float32 similarity buffer, together
 _SCAN_BUFFER_BYTES = 1 << 20
 # one query group's (queries x documents) float64 score block
 _SCORE_BLOCK_BYTES = 4 << 20
@@ -62,15 +70,17 @@ _SCORE_BLOCK_BYTES = 4 << 20
 @dataclass(eq=False)
 class MaxSimIndex:
     """Document ``i`` is ``records[i]``; its token rows are
-    ``vectors[offsets[i]:offsets[i + 1]]``, at least one per document.
+    ``table[row_ids[offsets[i]:offsets[i + 1]]]``, at least one per document.
     Documents may come in any order; a scan is fastest in ascending token
-    count, the order ``build_index`` lays them out in."""
+    count, the order ``build_index`` lays them out in. Any number of tokens
+    may share a table row."""
 
     fingerprint: str
     config: EmbedderConfig
     records: List[AnswerRecord]
     offsets: np.ndarray  # int64, len(records) + 1, offsets[0] == 0
-    vectors: np.ndarray  # float32 (offsets[-1], config.dimension), C-contiguous unit rows
+    table: np.ndarray  # float32 (rows, config.dimension), C-contiguous unit rows
+    row_ids: np.ndarray  # int32 (offsets[-1],), each in [0, rows)
     skipped_empty: int = 0
     row_of: Dict[str, int] = field(init=False, repr=False)
 
@@ -119,8 +129,8 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     """Embed each record's student answer (document role) into a fresh index.
 
     Records with empty student answers are skipped and counted, not indexed.
-    One embedding call embeds every answer, and one float32 gather from its
-    row table lays the rows out in the index's length order.
+    One embedding call embeds every answer; the index keeps its row table in
+    float32 and lays out its row ids in the index's length order.
     """
     if not records:
         raise RagradeError("no records to index")
@@ -136,12 +146,16 @@ def build_index(records: Sequence[AnswerRecord], cfg: EmbedderConfig) -> MaxSimI
     if empty == len(indexable):
         raise RagradeError("no record produced any tokens")
     indexed = [indexable[i] for i in order[empty:].tolist()]
+    table, row_ids = embedded.table.astype(np.float32), embedded.row_ids[rows]
+    if len(table) == len(row_ids):  # a row per token: store them in token order
+        table, row_ids = table[row_ids], np.arange(len(row_ids))
     return MaxSimIndex(
         fingerprint=config_fingerprint(cfg),
         config=cfg,
         records=indexed,
         offsets=offsets[empty:],
-        vectors=embedded.table.astype(np.float32)[embedded.row_ids[rows]],
+        table=table,
+        row_ids=row_ids.astype(np.int32),
         skipped_empty=len(records) - len(indexed),
     )
 
@@ -168,15 +182,22 @@ def _scan_scores(index: MaxSimIndex, queries: Sequence[np.ndarray]) -> np.ndarra
     # one run per stretch of equal-length documents: one per distinct length
     # in an index that ``build_index`` laid out
     bounds = [*np.flatnonzero(np.diff(lengths, prepend=0)).tolist(), len(index)]
-    chunk = max(1, min(_SCAN_CHUNK_TOKENS, _SCAN_BUFFER_BYTES // (4 * len(distinct))))
-    buffer = np.empty((max(chunk, lengths.max()), len(distinct)), np.float32)
+    dim = index.config.dimension
+    chunk = max(1, min(_SCAN_CHUNK_TOKENS, _SCAN_BUFFER_BYTES // (4 * (dim + len(distinct)))))
+    longest = max(chunk, lengths.max())
+    rows_buffer = np.empty((longest, dim), np.float32)
+    buffer = np.empty((longest, len(distinct)), np.float32)
     for run_start, run_stop in zip(bounds[:-1], bounds[1:]):
         length = int(lengths[run_start])
         step = max(1, chunk // length)
         for start in range(run_start, run_stop, step):
             stop = min(start + step, run_stop)
             lo, hi = offsets[start], offsets[stop]
-            sims = np.matmul(index.vectors[lo:hi], distinct.T, out=buffer[: hi - lo])
+            # row ids are in range (built, or checked at load): a mode other
+            # than "raise" lets take write straight into the buffer
+            doc_rows = np.take(index.table, index.row_ids[lo:hi], axis=0,
+                               out=rows_buffer[: hi - lo], mode="clip")
+            sims = np.matmul(doc_rows, distinct.T, out=buffer[: hi - lo])
             sims = sims.reshape(stop - start, length, len(distinct))
             rows = length
             while rows > 1:  # fold the last half of the rows onto the first
@@ -213,7 +234,7 @@ def _select(
 
     exact = []
     for row in kept:
-        rows = index.vectors[index.offsets[row] : index.offsets[row + 1]]
+        rows = index.table[index.row_ids[index.offsets[row] : index.offsets[row + 1]]]
         score = _maxsim(query.vectors, rows.astype(np.float64))
         exact.append((-round(score, 9), index.records[row].id, score, row))
     exact.sort()
@@ -293,13 +314,21 @@ def top_k(
 
 
 def save_index(index: MaxSimIndex, path) -> None:
-    """Format v3: magic, version, JSON header (carrying ``record_ids``), the
-    ``<i8`` offsets block and one ``<f4`` vectors block. Records are not
+    """Format v4: magic, version, JSON header (carrying ``record_ids``, the
+    table's ``rows`` and the ``crc32`` of the blocks), then the ``<i8``
+    offsets, ``<i4`` row ids and ``<f4`` table blocks. Records are not
     stored; ``load_index`` takes them from the corpus."""
+    blocks = [
+        np.ascontiguousarray(index.offsets, dtype="<i8"),
+        np.ascontiguousarray(index.row_ids, dtype="<i4"),
+        np.ascontiguousarray(index.table, dtype="<f4"),
+    ]
     header = {
+        "crc32": _crc32(blocks),
         "dim": index.config.dimension,
         "fingerprint": index.fingerprint,
         "record_ids": [r.id for r in index.records],
+        "rows": len(index.table),
         "skipped_empty": index.skipped_empty,
         "config": {
             "backend": index.config.backend,
@@ -312,8 +341,15 @@ def save_index(index: MaxSimIndex, path) -> None:
     with atomic_write(path) as fh:
         fh.write(_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header_raw)))
         fh.write(header_raw)
-        fh.write(np.ascontiguousarray(index.offsets, dtype="<i8").data)
-        fh.write(np.ascontiguousarray(index.vectors, dtype="<f4").data)
+        for block in blocks:
+            fh.write(block.data)
+
+
+def _crc32(blocks: Sequence[np.ndarray]) -> int:
+    crc = 0
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
+    return crc
 
 
 def _read_bytes(fh, n: int) -> bytes:
@@ -371,9 +407,13 @@ def load_index(
             raise ValueError(f"corrupt index file: header field 'dim' is not the config's {dim}")
         fingerprint = _field(header, "fingerprint", str)
         record_ids = _field(header, "record_ids", list)
+        rows = _field(header, "rows", int)
+        crc = _field(header, "crc32", int)
         skipped_empty = _field(header, "skipped_empty", int)
         if not all(isinstance(rid, str) for rid in record_ids):
             raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
+        if rows < 0:
+            raise ValueError("corrupt index file: header field 'rows' is negative")
         if cfg is not None and config_fingerprint(cfg) != fingerprint:
             if not force:
                 raise RagradeError(
@@ -392,7 +432,12 @@ def load_index(
         offsets = _read_array(fh, "<i8", len(record_ids) + 1)
         if offsets[0] != 0 or np.any(np.diff(offsets) < 1):
             raise ValueError("corrupt index file: offsets must rise from 0")
-        vectors = _read_array(fh, "<f4", int(offsets[-1]) * dim).reshape(-1, dim)
+        row_ids = _read_array(fh, "<i4", int(offsets[-1]))
+        table = _read_array(fh, "<f4", rows * dim).reshape(rows, dim)
+    if _crc32([offsets, row_ids, table]) != crc:
+        raise ValueError("corrupt index file: checksum mismatch; re-index with `ragrade index`")
+    if row_ids.size and (row_ids.min() < 0 or row_ids.max() >= rows):
+        raise ValueError("corrupt index file: a row id is outside the table")
 
     by_id = {rec.id: rec for rec in records}
     missing = [rid for rid in record_ids if rid not in by_id]
@@ -404,7 +449,8 @@ def load_index(
         config=stored_cfg,
         records=[by_id[rid] for rid in record_ids],
         offsets=offsets,
-        vectors=vectors,
+        table=table,
+        row_ids=row_ids,
         skipped_empty=skipped_empty,
     )
     if len(index.row_of) != len(index):

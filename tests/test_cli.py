@@ -239,6 +239,11 @@ _INDEX_CORRUPTIONS = {
     "dim_not_config": "corrupt index file: header field 'dim' is not the config's 32",
     "bad_magic": "not an index file",
     "falling_offsets": "corrupt index file: offsets must rise from 0",
+    "table_byte_flipped": "checksum mismatch; re-index with `ragrade index`",
+    # NaN over the file's last 64 bytes once graded without a word
+    "nan_tail": "checksum mismatch; re-index with `ragrade index`",
+    # a row id past the table, under a checksum that matches it
+    "row_id_past_table": "corrupt index file: a row id is outside the table",
 }
 
 
@@ -249,6 +254,18 @@ def _swap_first_offsets(path):
     at = 12 + header_len + 8  # the offsets start at 0, and offsets[0] stays
     data[at : at + 16] = data[at + 8 : at + 16] + data[at : at + 8]
     path.write_bytes(bytes(data))
+
+
+def _point_row_id_past_table(path):
+    """Set the index's first row id to its table's row count, and its
+    checksum to match."""
+    data = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    at = 12 + header_len + 8 * (len(header["record_ids"]) + 1)
+    data[at : at + 4] = struct.pack("<i", header["rows"])
+    path.write_bytes(bytes(data))
+    rewrite_index_header(path, lambda h: h.update(crc32=zlib.crc32(data[12 + header_len :])))
 
 
 @pytest.mark.parametrize("corruption", sorted(_INDEX_CORRUPTIONS))
@@ -272,6 +289,15 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
         index_path.write_bytes(b"RGIY" + index_path.read_bytes()[4:])
     elif corruption == "falling_offsets":
         _swap_first_offsets(index_path)
+    elif corruption == "table_byte_flipped":
+        data = bytearray(index_path.read_bytes())
+        data[-100] ^= 0x01
+        index_path.write_bytes(bytes(data))
+    elif corruption == "nan_tail":
+        nan = struct.pack("<16f", *[float("nan")] * 16)
+        index_path.write_bytes(index_path.read_bytes()[:-64] + nan)
+    elif corruption == "row_id_past_table":
+        _point_row_id_past_table(index_path)
     else:
         rewrite_index_header(index_path, corrupt)
     capsys.readouterr()

@@ -10,6 +10,9 @@ from ragrade.embedding import EmbedderConfig
 from ragrade.errors import RagradeError
 from ragrade.llmclient import Judgment
 from ragrade.metrics import (
+    ReportRow,
+    ScoreReport,
+    TextReport,
     bleu,
     build_report,
     embed_sim_f1,
@@ -333,6 +336,23 @@ def test_build_report_marks_best_and_second():
     assert "*" in text and "_" in text
     # both manifests identical -> m1 listed best (first), m2 second
     assert text.index("m1") < text.index("m2")
+
+
+def test_report_text_marks_a_row_without_text_metrics_with_dashes():
+    # one split, rows with and without text metrics: a missing value prints
+    # "-", and ranking that column skips it
+    rows = [
+        ReportRow("m1", "rag", 5, "test_ua", ScoreReport(0.75, 0.5, 0.25, 4, 0),
+                  TextReport(12.5, 0.4, 0.8)),
+        ReportRow("m2", "zero_shot", 0, "test_ua", ScoreReport(0.5, 0.625, 0.5, 3, 1)),
+        ReportRow("m3", "vote", 3, "test_ua", ScoreReport(0.25, 0.25, 0.75, 4, 0),
+                  TextReport(10.0, 0.5, 0.7)),
+    ]
+    assert report_to_text(rows).splitlines()[2:] == [
+        "m1     rag        5  test_ua  *0.750*  _0.500_  *0.250*  *12.50*  _0.400_  *0.800*   4  0",
+        "m2     zero_shot  0  test_ua  _0.500_  *0.625*  _0.500_  -        -        -         3  1",
+        "m3     vote       3  test_ua  0.250    0.250    0.750    _10.00_  *0.500*  _0.700_   4  0",
+    ]
 
 
 def test_report_csv_round_trip(tmp_path):

@@ -15,7 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import ragrade
 from ragrade.dataset import AnswerRecord
-from ragrade.embedding import EmbedderConfig, TokenEmbeddingMatrix, embed_texts, normalize_rows
+from ragrade.embedding import (
+    EmbedderConfig,
+    TokenEmbeddingMatrix,
+    deterministic_embed,
+    embed_texts,
+    normalize_rows,
+    tokenize,
+)
 from ragrade.errors import InvalidEmbedding, RagradeError
 from ragrade.retrieval import (
     _SCAN_CHUNK_TOKENS,
@@ -53,12 +60,14 @@ def _naive_maxsim(query, doc):
     return total
 
 
+def _doc_rows(index, i):
+    """Document ``i``'s stored token rows, gathered from the index's table."""
+    return index.table[index.row_ids[index.offsets[i] : index.offsets[i + 1]]]
+
+
 def _stored_docs(index):
     """(record id, stored token rows) for every indexed document."""
-    return [
-        (rec.id, _matrix(index.vectors[index.offsets[i] : index.offsets[i + 1]]))
-        for i, rec in enumerate(index.records)
-    ]
+    return [(rec.id, _matrix(_doc_rows(index, i))) for i, rec in enumerate(index.records)]
 
 
 def _exact_order(scored):
@@ -142,7 +151,7 @@ def test_build_index_counts():
     records = [_record(f"r{i:02d}", f"answer number {i}") for i in range(10)]
     index = build_index(records, EmbedderConfig(dimension=32))
     assert len(index) == 10
-    assert index.vectors.shape[1] == 32
+    assert index.table.shape[1] == 32
     assert index.skipped_empty == 0
 
 
@@ -187,8 +196,9 @@ def _assert_build_equals_reference(texts, cfg):
         return
     index = build_index(records, cfg)
     record_ids, offsets, vectors, skipped = expected
-    assert index.vectors.tobytes() == vectors.tobytes()
-    assert index.vectors.dtype == np.float32 and index.vectors.flags.c_contiguous
+    assert index.table[index.row_ids].tobytes() == vectors.tobytes()
+    assert index.table.dtype == np.float32 and index.table.flags.c_contiguous
+    assert index.row_ids.dtype == np.int32
     assert index.offsets.dtype == np.int64 and index.offsets.tolist() == offsets.tolist()
     assert [r.id for r in index.records] == record_ids
     assert index.skipped_empty == skipped
@@ -300,7 +310,8 @@ def test_empty_index_error():
         config=cfg,
         records=[],
         offsets=np.zeros(1, dtype=np.int64),
-        vectors=np.zeros((0, 16), dtype=np.float32),
+        table=np.zeros((0, 16), dtype=np.float32),
+        row_ids=np.zeros(0, dtype=np.int32),
     )
     with pytest.raises(RagradeError, match="index has no entries"):
         top_k(index, "an answer", 1)
@@ -320,8 +331,10 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.skipped_empty == index.skipped_empty
     assert loaded.records == index.records
     assert np.array_equal(loaded.offsets, index.offsets)
-    assert loaded.vectors.dtype == np.float32 and loaded.vectors.flags.c_contiguous
-    assert loaded.vectors.tobytes() == index.vectors.tobytes()
+    assert loaded.table.dtype == np.float32 and loaded.table.flags.c_contiguous
+    assert loaded.table.tobytes() == index.table.tobytes()
+    assert loaded.row_ids.dtype == np.int32
+    assert loaded.row_ids.tobytes() == index.row_ids.tobytes()
 
     for _ in range(20):
         query = " ".join(rng.choice(["router", "header", "tree", "port"]) for _ in range(4))
@@ -413,6 +426,71 @@ def test_built_and_reloaded_indexes_rank_identically(tmp_path):
     assert differ == 0, f"{differ}/300 queries ranked differently after reload"
 
 
+def test_deterministic_index_table_holds_each_distinct_token_once():
+    rng = random.Random(77)
+    records = _small_vocab_records(rng, 200, _VOCAB40 + ["x-y", "naïve", "!?"])
+    records[5] = _record(records[5].id, "   ")  # skipped, so it adds no token
+    cfg = EmbedderConfig(dimension=16)
+    index = build_index(records, cfg)
+    row_of = {}
+    for i, rec in enumerate(index.records):
+        tokens = tokenize(rec.student_answer)
+        rows = index.row_ids[index.offsets[i] : index.offsets[i + 1]].tolist()
+        assert len(rows) == len(tokens)
+        for token, row in zip(tokens, rows):
+            assert row_of.setdefault(token, row) == row
+    # one row per distinct indexed token, each that token's own row
+    assert len(index.table) == len(set(row_of.values())) == len(row_of)
+    for token, row in row_of.items():
+        expected = deterministic_embed(token, cfg.dimension).astype(np.float32)
+        assert index.table[row].tobytes() == expected.tobytes()
+
+
+def test_remote_index_keeps_one_row_per_token_in_token_order(stub_server_factory):
+    server = stub_server_factory(mirror_embedding_app(dimension=16))
+    records = _small_vocab_records(random.Random(78), 70, _VOCAB40)
+    index = build_index(records, EmbedderConfig(backend="remote", endpoint=server.url,
+                                                dimension=16))
+    assert index.row_ids.dtype == np.int32
+    assert index.row_ids.tolist() == list(range(index.offsets[-1]))
+    assert len(index.table) == index.offsets[-1]
+
+
+@pytest.mark.parametrize("backend", ["deterministic_test", "remote"])
+def test_built_and_reloaded_indexes_rank_identically_on_either_backend(
+    backend, stub_server_factory, tmp_path
+):
+    cfg = EmbedderConfig(dimension=32)
+    if backend == "remote":
+        server = stub_server_factory(mirror_embedding_app(dimension=32))
+        cfg = EmbedderConfig(backend="remote", endpoint=server.url, dimension=32)
+    rng = random.Random(2025)
+    records = _small_vocab_records(rng, 400, _VOCAB40)
+    built = build_index(records, cfg)
+    save_index(built, tmp_path / "index.rgix")
+    loaded = load_index(tmp_path / "index.rgix", records, cfg)
+    queries = [" ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12))) for _ in range(60)]
+    excludes = [{r.id for r in rng.sample(records, 3)} for _ in queries]
+    assert [_hits(h) for h in top_k_batch(loaded, queries, 5, excludes)] == [
+        _hits(h) for h in top_k_batch(built, queries, 5, excludes)
+    ]
+
+
+def test_load_refuses_a_flipped_bit_in_any_block_byte(tmp_path):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(6)]
+    path = tmp_path / "index.rgix"
+    save_index(build_index(records, EmbedderConfig(dimension=16)), path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    for at in range(12 + header_len, len(data)):
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << (at % 8)
+        path.write_bytes(bytes(flipped))
+        # an offset flipped upwards can also point past the end of the file
+        with pytest.raises(ValueError, match="^(corrupt|truncated) index file"):
+            load_index(path, records)
+
+
 def _fraction_maxsim(query_rows, doc_rows):
     query = [[Fraction(float(x)) for x in row] for row in query_rows]
     doc = [[Fraction(float(x)) for x in row] for row in doc_rows]
@@ -450,14 +528,17 @@ _PROPERTY_WORDS = [f"v{i}" for i in range(12)]
 
 @functools.lru_cache(maxsize=1)
 def _property_index():
-    # 400 answers over 4 of the 12 query words, each row nudged by 1e-9 to
-    # 1e-7: many documents score within float32 rounding of each other
+    # 400 answers over 4 of the 12 query words, each token's row nudged by
+    # 1e-9 to 1e-7: many documents score within float32 rounding of each
+    # other. Each token gets a table row of its own.
     records = _small_vocab_records(random.Random(31), 400, _PROPERTY_WORDS[:4])
     index = build_index(records, EmbedderConfig(dimension=32))
+    rows = index.table[index.row_ids]
     rng = np.random.default_rng(31)
-    scale = 10.0 ** -rng.integers(7, 10, size=(len(index.vectors), 1))
-    nudged = index.vectors + rng.normal(size=index.vectors.shape) * scale
-    index.vectors = normalize_rows(nudged).astype(np.float32)
+    scale = 10.0 ** -rng.integers(7, 10, size=(len(rows), 1))
+    nudged = rows + rng.normal(size=rows.shape) * scale
+    index.table = normalize_rows(nudged).astype(np.float32)
+    index.row_ids = np.arange(len(rows), dtype=np.int32)
     return index
 
 
@@ -489,19 +570,21 @@ def test_load_rejects_truncated_file(tmp_path):
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[8:12])
     offsets_at = 12 + header_len
-    vectors_at = offsets_at + index.offsets.nbytes
-    # a cut inside each block: header length, header, offsets, vectors
-    for cut in (10, offsets_at - 5, offsets_at + 20, vectors_at + 100, len(data) - 1):
+    row_ids_at = offsets_at + index.offsets.nbytes
+    table_at = row_ids_at + index.row_ids.nbytes
+    # a cut inside each block: header length, header, offsets, row ids, table
+    for cut in (10, offsets_at - 5, offsets_at + 20, row_ids_at + 10, table_at + 100,
+                len(data) - 1):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
             load_index(path, records)
 
 
 def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
-    # and any other version but 3, with the same message
+    # and any other version but 4, with the same message
     path = tmp_path / "index.rgix"
     header = b'{"dim": 16}'
-    for version in (1, 0, 2, 4):
+    for version in (1, 0, 2, 3, 5):
         path.write_bytes(b"RGIX" + struct.pack("<II", version, len(header)) + header)
         with pytest.raises(ValueError) as raised:
             load_index(path, [])
@@ -546,7 +629,8 @@ def _index_from_docs(docs, length_order=True):
         config=EmbedderConfig(dimension=docs[0].shape[1]),
         records=[_record(f"d{i:03d}", "unused") for i in order],
         offsets=offsets,
-        vectors=np.concatenate([docs[i] for i in order]).astype(np.float32),
+        table=np.concatenate([docs[i] for i in order]).astype(np.float32),
+        row_ids=np.arange(offsets[-1], dtype=np.int32),
     )
 
 
@@ -603,12 +687,12 @@ def test_scan_scores_within_float32_bound_of_exact(lengths, n_query, seed):
 def _save_in_order(index, order, path):
     """Save ``index`` with its documents listed in ``order`` (row numbers of
     ``index``) rather than in the length order ``build_index`` lays out."""
-    docs = [index.vectors[index.offsets[row] : index.offsets[row + 1]] for row in order]
+    docs = [index.row_ids[index.offsets[row] : index.offsets[row + 1]] for row in order]
     offsets = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([len(doc) for doc in docs], out=offsets[1:])
     records = [index.records[row] for row in order]
     save_index(replace(index, records=records, offsets=offsets,
-                       vectors=np.concatenate(docs)), path)
+                       row_ids=np.concatenate(docs)), path)
 
 
 def test_corpus_ordered_file_loads_and_ranks_identically(tmp_path):
@@ -626,8 +710,7 @@ def test_corpus_ordered_file_loads_and_ranks_identically(tmp_path):
     assert not _is_length_ordered(loaded)
     assert {r.id: r for r in loaded.records} == {r.id: r for r in built.records}
     for rid, doc in _stored_docs(loaded):
-        row = built.row_of[rid]
-        stored = built.vectors[built.offsets[row] : built.offsets[row + 1]]
+        stored = _doc_rows(built, built.row_of[rid])
         assert doc.vectors.tobytes() == stored.astype(np.float64).tobytes()
     for _ in range(100):
         query = " ".join(rng.choice(_VOCAB40) for _ in range(rng.randint(1, 12)))
@@ -644,7 +727,7 @@ def test_index_out_of_length_order_ranks_as_the_ordered_one(seed):
     # length order give the same ids, relevances and ranks
     rng = random.Random(seed)
     built = build_index(_small_vocab_records(rng, 300, _VOCAB40), EmbedderConfig(dimension=32))
-    docs = [built.vectors[built.offsets[i] : built.offsets[i + 1]] for i in range(len(built))]
+    docs = [_doc_rows(built, i) for i in range(len(built))]
     rng.shuffle(docs)
     ordered, unordered = _index_from_docs(docs), _index_from_docs(docs, length_order=False)
     assert not _is_length_ordered(unordered)
@@ -799,9 +882,10 @@ def test_saved_file_holds_no_record_payload(tmp_path):
     path = tmp_path / "index.rgix"
     save_index(index, path)
     data = path.read_bytes()
-    assert data[:8] == b"RGIX" + struct.pack("<I", 3)
+    assert data[:8] == b"RGIX" + struct.pack("<I", 4)
     (header_len,) = struct.unpack("<I", data[8:12])
-    assert len(data) == 12 + header_len + index.offsets.nbytes + index.vectors.nbytes
+    blocks = index.offsets.nbytes + index.row_ids.nbytes + index.table.nbytes
+    assert len(data) == 12 + header_len + blocks
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -813,8 +897,12 @@ def test_saved_file_holds_no_record_payload(tmp_path):
     ("record_ids", lambda h: h.update(record_ids="r0")),
     ("record_ids", lambda h: h["record_ids"].__setitem__(0, ["r0"])),
     ("skipped_empty", lambda h: h.update(skipped_empty=None)),
+    ("rows", lambda h: h.pop("rows")),
+    ("rows", lambda h: h.update(rows=-1)),
+    ("crc32", lambda h: h.update(crc32=str(h["crc32"]))),
 ], ids=["config_missing", "config_list", "backend_missing", "dim_string", "fingerprint_missing",
-        "record_ids_string", "record_id_list", "skipped_empty_null"])
+        "record_ids_string", "record_id_list", "skipped_empty_null", "rows_missing",
+        "rows_negative", "crc32_string"])
 def test_load_rejects_missing_or_mistyped_header_field(tmp_path, field, corrupt):
     records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
     path = tmp_path / "index.rgix"
