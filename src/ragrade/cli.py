@@ -1,71 +1,119 @@
 """Command-line entry point: ingest, index, grade, evaluate, optimize, report.
 
-Configuration can come from a JSON file (--config); any explicit flag
-overrides the file, which overrides built-in defaults. Exit codes: 0 on
-success, 1 on usage/validation errors, 2 on runtime errors.
+Each setting is one row of SETTINGS, from which the flags, the check of a
+JSON config file (--config) and the config classes are derived. An explicit
+flag overrides the file, which overrides the default. A file key that no
+command knows exits 1; a key of another command is ignored, so one file can
+serve every command. Exit codes: 0 on success, 1 on usage/validation errors,
+2 on runtime errors.
 """
 
 import argparse
 import dataclasses
+import difflib
 import json
 import logging
 import random
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import dataset, metrics, pipelines, promptkit, retrieval
-from .embedding import EmbedderConfig
+from .embedding import BACKENDS, EmbedderConfig
 from .errors import BackendUnavailable, RagradeError, TransportError
 from .llmclient import PARSE_FAILED, ModelConfig
+from .pipelines import PipelineConfig
 
 logger = logging.getLogger(__name__)
-
-_MODE_ALIASES = {
-    "zero-shot": pipelines.MODE_ZERO_SHOT,
-    "zero_shot": pipelines.MODE_ZERO_SHOT,
-    "rag": pipelines.MODE_RAG,
-    "vote": pipelines.MODE_VOTE,
-    "votegrader": pipelines.MODE_VOTE,
-    "optimized": pipelines.MODE_OPTIMIZED,
-}
-
-_DEFAULTS = {
-    "out_dir": "runs",
-    "seed": 0,
-    "split": "test_ua",
-    "mode": "zero-shot",
-    "style": "predict",
-    "model": "mistral:7b",
-    "endpoint": None,
-    "exclude_same_question": False,
-    "budget": 16,
-    "k_max": 5,
-    "dev_count": 16,
-}
-
 
 # written by `ingest` into the out dir, read by `index`, `grade` and `optimize`
 CORPUS_CACHE = "corpus.cache"
 # the index `index` writes into the out dir and `grade` reads, unless --index-path
 INDEX_FILE = "index.rgix"
 
-# the numeric keys and their types; flags are typed by argparse, a config
-# file's values by _number
-_NUMBERS = {
-    "embed_dim": int, "seed": int, "k": int, "temperature": float, "max_tokens": int,
-    "timeout": float, "max_retries": int, "concurrency": int, "budget": int,
-    "k_max": int, "dev_count": int,
+# each command: its help line and its positional argument (name, nargs), if any
+_COMMANDS = {
+    "ingest": ("validate a corpus file and cache it", ("path", None)),
+    "index": ("build the retrieval index over a split", None),
+    "grade": ("run a grading pipeline over a split", None),
+    "evaluate": ("compute metrics for one manifest", ("manifest", None)),
+    "optimize": ("search instructions and demo subsets", None),
+    "report": ("render metric tables from manifests", ("manifests", "+")),
 }
+_ALL = tuple(_COMMANDS)
+_CORPUS = ("index", "grade", "optimize")
+_EMBED = ("index", "grade", "evaluate", "report")
+_MODEL = ("grade", "optimize")
 
-# the keys that set EmbedderConfig's and ModelConfig's fields; a key that no
-# flag and no config file sets leaves its field at the class's default
-_EMBED_KEYS = {"embed_backend": "backend", "embed_endpoint": "endpoint", "embed_dim": "dimension"}
-_MODEL_KEYS = ("temperature", "max_tokens", "timeout", "max_retries", "concurrency")
+
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One setting: ``kind`` types its flag and a config file's value (a
+    ``bool`` is a switch), and only the ``commands`` that read it take it."""
+
+    key: str
+    kind: type
+    commands: Tuple[str, ...]
+    choices: Optional[Tuple[str, ...]] = None  # the flag's; their module checks a file's value
+    default: object = None  # the CLI's own settings only: a config class keeps its defaults
+    file: bool = True  # whether a config file may set it
+    feeds: Optional[Tuple[type, str]] = None  # the config class and field it sets
+    flag: str = ""  # "--" and the key, dashed, unless given
+    help: Optional[str] = None
+
+    def __post_init__(self):
+        if not self.flag:
+            object.__setattr__(self, "flag", "--" + self.key.replace("_", "-"))
+
+
+SETTINGS = (
+    Setting("config", str, _ALL, file=False, help="JSON config file; flags override it"),
+    Setting("verbose", bool, _ALL, file=False),
+    Setting("out_dir", str, _ALL, default="runs", help="output directory"),
+    Setting("corpus", str, _CORPUS),
+    Setting("format", str, ("ingest", *_CORPUS), dataset.FORMATS),
+    # `index` builds over its own --split; a config file's split names the grading split
+    Setting("index_split", str, ("index",), dataset.SPLITS, "train", file=False, flag="--split"),
+    Setting("split", str, ("grade",), dataset.SPLITS, "test_ua"),
+    Setting("index_path", str, ("index", "grade")),
+    Setting("mode", str, ("grade",), tuple(sorted(pipelines.MODE_ALIASES)), "zero-shot",
+            feeds=(PipelineConfig, "mode")),
+    Setting("k", int, ("grade",), feeds=(PipelineConfig, "k")),
+    Setting("style", str, _MODEL, promptkit.STYLES, feeds=(PipelineConfig, "style")),
+    Setting("seed", int, _MODEL, feeds=(PipelineConfig, "seed"), help="seed for all randomness"),
+    Setting("exclude_same_question", bool, ("grade",),
+            feeds=(PipelineConfig, "exclude_same_question")),
+    Setting("force", bool, ("grade",), file=False, help="load index despite fingerprint mismatch"),
+    Setting("signature", str, _MODEL, help="JSON signature file"),
+    Setting("program", str, ("grade",), help="optimized-program JSON (mode=optimized)"),
+    Setting("out", str, _MODEL, file=False, help="explicit manifest or program path"),
+    Setting("with_text_metrics", bool, ("evaluate", "report")),
+    Setting("embed_backend", str, _EMBED, BACKENDS, feeds=(EmbedderConfig, "backend")),
+    Setting("embed_endpoint", str, _EMBED, feeds=(EmbedderConfig, "endpoint")),
+    Setting("embed_dim", int, _EMBED, feeds=(EmbedderConfig, "dimension")),
+    Setting("endpoint", str, _MODEL, feeds=(ModelConfig, "endpoint"),
+            help="OpenAI-compatible base URL"),
+    Setting("model", str, _MODEL, default="mistral:7b", feeds=(ModelConfig, "model"),
+            help="model id, e.g. mistral:7b"),
+    Setting("temperature", float, _MODEL, feeds=(ModelConfig, "temperature")),
+    Setting("max_tokens", int, _MODEL, feeds=(ModelConfig, "max_tokens")),
+    Setting("timeout", float, _MODEL, feeds=(ModelConfig, "timeout")),
+    Setting("max_retries", int, _MODEL, feeds=(ModelConfig, "max_retries")),
+    Setting("concurrency", int, _MODEL, feeds=(ModelConfig, "concurrency")),
+    Setting("budget", int, ("optimize",), default=16),
+    Setting("k_max", int, ("optimize",), default=5),
+    Setting("dev_count", int, ("optimize",), default=16),
+    Setting("instructions_file", str, ("optimize",)),
+    Setting("proposal_endpoint", str, ("optimize",)),
+    Setting("proposal_model", str, ("optimize",)),
+)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag's prefix is an unknown flag, not the flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -77,69 +125,93 @@ def _timestamp() -> str:
 
 
 def _run_config(args: argparse.Namespace, **defaults) -> Dict:
-    """Built-in defaults, then a command's own ``defaults``, overridden by the
-    config file, overridden by explicit flags."""
-    file_cfg: Dict = {}
+    """The settings of ``args.command``: each row's default or the command's
+    own ``defaults``, overridden by the config file, overridden by flags."""
+    rows = [row for row in SETTINGS if args.command in row.commands]
+    cfg = {row.key: defaults.get(row.key, row.default) for row in rows}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise RagradeError(f"config file {args.config} must hold a JSON object")
-        for key in _NUMBERS.keys() & file_cfg.keys():
-            file_cfg[key] = _number(key, file_cfg[key])
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    return {**_DEFAULTS, **defaults, **file_cfg, **flags}
+        file_cfg = _config_file(args.config)
+        cfg.update((row.key, _typed(row, file_cfg[row.key])) for row in rows if row.key in file_cfg)
+    cfg.update((row.key, vars(args)[row.key]) for row in rows if vars(args)[row.key] is not None)
+    return cfg
 
 
-def _number(key: str, value):
-    """A config file's ``value`` as ``key``'s type; anything else exits 1."""
-    kind = _NUMBERS[key]
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            number = kind(value)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if isinstance(value, str) or number == value:  # 2.5 is not an int
-                return number
-    raise RagradeError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
+def _config_file(path: str) -> Dict:
+    """The JSON object at ``path``; every key must be one a config file may set."""
+    with open(path, encoding="utf-8") as fh:
+        file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise RagradeError(f"config file {path} must hold a JSON object")
+    rows = {row.key: row for row in SETTINGS}
+    for key in file_cfg:
+        if key in rows and not rows[key].file:
+            raise RagradeError(f"config key {key!r} is set by its flag only, {rows[key].flag}")
+        if key not in rows:
+            known = [row.key for row in SETTINGS if row.file]
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise RagradeError(f"unknown config key {key!r} in {path}{hint}")
+    return file_cfg
 
 
-def _embedder_config(cfg: Dict) -> EmbedderConfig:
-    return EmbedderConfig(**{field: cfg[key] for key, field in _EMBED_KEYS.items() if key in cfg})
+def _typed(row: Setting, value):
+    """A config file's ``value`` as ``row``'s type; anything else exits 1. A
+    number may also come as a string of its type."""
+    kind = row.kind
+    if kind in (int, float):
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                number = kind(value)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                if isinstance(value, str) or number == value:  # 2.5 is not an int
+                    return number
+    elif isinstance(value, kind):
+        return value
+    raise RagradeError(f"config key {row.key!r} must be {kind.__name__}, not {value!r}")
+
+
+def _build(cls, cfg: Dict, **given):
+    """``cls`` from the settings in ``cfg`` that feed it, and ``given``; a
+    setting left unset leaves its field at the class's default."""
+    fields = {
+        row.feeds[1]: cfg[row.key]
+        for row in SETTINGS
+        if row.feeds and row.feeds[0] is cls and cfg.get(row.key) is not None
+    }
+    return cls(**{**fields, **given})
 
 
 def _model_config(cfg: Dict) -> Optional[ModelConfig]:
-    endpoint = cfg.get("endpoint")
-    if not endpoint:
-        return None
-    settings = {key: cfg[key] for key in _MODEL_KEYS if key in cfg}
-    return ModelConfig(endpoint=endpoint, model=cfg.get("model"), **settings)
+    return _build(ModelConfig, cfg) if cfg["endpoint"] else None
 
 
 def _load_corpus(cfg: Dict) -> dataset.Corpus:
-    corpus_path = cfg.get("corpus")
-    if not corpus_path:
-        cached = Path(cfg.get("out_dir")) / CORPUS_CACHE
+    if not cfg["corpus"]:
+        cached = Path(cfg["out_dir"]) / CORPUS_CACHE
         if cached.exists():
             return dataset.load_corpus(cached, "cache")
         raise RagradeError(
             "no corpus given; pass --corpus or run `ragrade ingest <path>` first"
         )
-    return dataset.load_corpus(corpus_path, cfg.get("format"))
+    return dataset.load_corpus(cfg["corpus"], cfg["format"])
 
 
 def _signature(cfg: Dict) -> promptkit.Signature:
-    sig_path = cfg.get("signature")
-    if sig_path:
-        return promptkit.load_signature(sig_path)
+    if cfg["signature"]:
+        return promptkit.load_signature(cfg["signature"])
     return promptkit.Signature()
+
+
+def _index_path(cfg: Dict):
+    return cfg["index_path"] or Path(cfg["out_dir"]) / INDEX_FILE
 
 
 def _cmd_ingest(args) -> int:
     cfg = _run_config(args)
-    corpus = dataset.load_corpus(args.path, cfg.get("format"))
-    cache = Path(cfg.get("out_dir")) / CORPUS_CACHE
+    corpus = dataset.load_corpus(args.path, cfg["format"])
+    cache = Path(cfg["out_dir"]) / CORPUS_CACHE
     dataset.save_corpus(corpus, cache)
     counts = {
         split: len(dataset.split_view(corpus, split)) for split in dataset.SPLITS
@@ -155,12 +227,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_index(args) -> int:
     cfg = _run_config(args)
     corpus = _load_corpus(cfg)
-    # the index is built over --split (train by default); a config file's
-    # "split" names the grading split and does not apply here
-    records = dataset.split_view(corpus, args.split or "train")
-    embed_cfg = _embedder_config(cfg)
-    index = retrieval.build_index(records, embed_cfg)
-    index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / INDEX_FILE)
+    records = dataset.split_view(corpus, cfg["index_split"])
+    index = retrieval.build_index(records, _build(EmbedderConfig, cfg))
+    index_path = _index_path(cfg)
     retrieval.save_index(index, index_path)
     print(
         f"indexed {len(index)} records (skipped {index.skipped_empty} empty) "
@@ -171,19 +240,11 @@ def _cmd_index(args) -> int:
 
 def _cmd_grade(args) -> int:
     cfg = _run_config(args)
-    mode_name = cfg.get("mode")
-    mode = _MODE_ALIASES.get(str(mode_name), mode_name)
-    pipe_cfg = pipelines.PipelineConfig(
-        mode=mode,
-        k=cfg.get("k"),
-        style=cfg.get("style"),
-        # vote calls no model, so its model settings are neither built nor checked
-        model=None if mode == pipelines.MODE_VOTE else _model_config(cfg),
-        exclude_same_question=bool(cfg.get("exclude_same_question")),
-        seed=cfg.get("seed"),
-    )
-    embed_cfg = _embedder_config(cfg)
-    split = cfg.get("split")
+    # vote calls no model, so its model settings are neither built nor checked
+    vote = pipelines.MODE_ALIASES.get(cfg["mode"]) == pipelines.MODE_VOTE
+    pipe_cfg = _build(PipelineConfig, cfg, model=None if vote else _model_config(cfg))
+    embed_cfg = _build(EmbedderConfig, cfg)
+    split = cfg["split"]
     corpus = _load_corpus(cfg)
     records = dataset.split_view(corpus, split)
     if not records:
@@ -191,26 +252,27 @@ def _cmd_grade(args) -> int:
 
     index = None
     if pipe_cfg.mode in (pipelines.MODE_RAG, pipelines.MODE_VOTE):
-        index_path = cfg.get("index_path") or (Path(cfg.get("out_dir")) / INDEX_FILE)
+        index_path = _index_path(cfg)
         if not Path(index_path).exists():
             raise RagradeError(
-                f"mode {mode_name!r} needs a retrieval index but {index_path} does "
+                f"mode {cfg['mode']!r} needs a retrieval index but {index_path} does "
                 "not exist; build one with `ragrade index --split train`"
             )
         index = retrieval.load_index(
-            index_path, corpus.records, embed_cfg, force=bool(args.force)
+            index_path, corpus.records, embed_cfg, force=bool(cfg["force"])
         )
 
     signature = _signature(cfg)
     demo_records: List[dataset.AnswerRecord] = []
     if pipe_cfg.mode == pipelines.MODE_OPTIMIZED:
-        if not args.program:
+        program_path = cfg["program"]
+        if not program_path:
             raise RagradeError("optimized mode needs --program from `ragrade optimize`")
-        data = json.loads(Path(args.program).read_text(encoding="utf-8"))
+        data = json.loads(Path(program_path).read_text(encoding="utf-8"))
         try:
             program = pipelines.OptimizedProgram(**data)
         except TypeError as exc:
-            raise RagradeError(f"malformed program file {args.program}: {exc}") from exc
+            raise RagradeError(f"malformed program file {program_path}: {exc}") from exc
         by_id = {r.id: r for r in dataset.split_view(corpus, "train")}
         missing = [rid for rid in program.demo_record_ids if rid not in by_id]
         if missing:
@@ -232,7 +294,7 @@ def _cmd_grade(args) -> int:
     )
 
     name = f"manifest_{pipe_cfg.mode}_k{pipe_cfg.k}_{split}_{_timestamp()}.json"
-    out_path = args.out or (Path(cfg.get("out_dir")) / name)
+    out_path = cfg["out"] or (Path(cfg["out_dir"]) / name)
     pipelines.write_manifest(manifest, out_path)
     failed = sum(1 for j in judgments if j.parse_path == PARSE_FAILED)
     print(f"graded {len(judgments)} records ({failed} failed) -> {out_path}")
@@ -246,15 +308,20 @@ def _cmd_grade(args) -> int:
     return 0
 
 
+def _text_metrics_embedder(cfg: Dict) -> Optional[EmbedderConfig]:
+    # only text metrics embed, so only they build and check the embedder's settings
+    return _build(EmbedderConfig, cfg) if cfg["with_text_metrics"] else None
+
+
 def _cmd_evaluate(args) -> int:
     manifest_path = Path(args.manifest)
     # reports go next to the manifest unless a flag or the config file says otherwise
     cfg = _run_config(args, out_dir=manifest_path.parent)
     manifest = pipelines.load_manifest(args.manifest)
-    # only text metrics embed, so only they build and check the embedder's settings
-    embed_cfg = _embedder_config(cfg) if args.with_text_metrics else None
     row = metrics.manifest_metrics(
-        manifest, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
+        manifest,
+        text_metrics=bool(cfg["with_text_metrics"]),
+        embed_cfg=_text_metrics_embedder(cfg),
     )
 
     out_dir = Path(cfg["out_dir"])
@@ -271,50 +338,46 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _run_config(args)
-    seed = cfg.get("seed")
     model_cfg = _model_config(cfg)
     proposal_cfg = None
-    if args.proposal_endpoint and model_cfg:
+    if cfg["proposal_endpoint"] and model_cfg:
         proposal_cfg = dataclasses.replace(
             model_cfg,
-            endpoint=args.proposal_endpoint,
-            model=args.proposal_model or model_cfg.model,
+            endpoint=cfg["proposal_endpoint"],
+            model=cfg["proposal_model"] or model_cfg.model,
         )
-    pipe_cfg = pipelines.PipelineConfig(
-        mode=pipelines.MODE_OPTIMIZED,
-        style=cfg.get("style"),
-        model=model_cfg,
+    pipe_cfg = _build(
+        PipelineConfig, cfg, mode=pipelines.MODE_OPTIMIZED, model=model_cfg,
         proposal_model=proposal_cfg,
-        seed=seed,
     )
     corpus = _load_corpus(cfg)
     train = dataset.split_view(corpus, "train")
     if len(train) < 2:
         raise RagradeError("optimizer needs at least 2 train records")
 
-    rng = random.Random(seed)
+    rng = random.Random(pipe_cfg.seed)
     shuffled = list(train)
     rng.shuffle(shuffled)
-    dev_count = min(cfg.get("dev_count"), len(shuffled) - 1)
-    if dev_count < 1:  # train has >= 2 records, so only a flag below 1 gets here
+    dev_count = min(cfg["dev_count"], len(shuffled) - 1)
+    if dev_count < 1:  # train has >= 2 records, so only a setting below 1 gets here
         raise RagradeError("--dev-count must be >= 1")
     dev, train_pool = shuffled[:dev_count], shuffled[dev_count:]
 
     instructions = None
-    if args.instructions_file:
-        instructions = Path(args.instructions_file).read_text(encoding="utf-8").splitlines()
+    if cfg["instructions_file"]:
+        instructions = Path(cfg["instructions_file"]).read_text(encoding="utf-8").splitlines()
 
     program = pipelines.optimize_few_shot(
         train_pool,
         dev,
         _signature(cfg),
-        budget=cfg.get("budget"),
-        k_max=cfg.get("k_max"),
+        budget=cfg["budget"],
+        k_max=cfg["k_max"],
         cfg=pipe_cfg,
         instructions=instructions,
     )
 
-    out_path = args.out or (Path(cfg.get("out_dir")) / f"program_{_timestamp()}.json")
+    out_path = cfg["out"] or (Path(cfg["out_dir"]) / f"program_{_timestamp()}.json")
     with dataset.atomic_write(out_path) as fh:
         fh.write((json.dumps(program.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
     print(
@@ -327,110 +390,34 @@ def _cmd_optimize(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _run_config(args)
     manifests = [pipelines.load_manifest(p) for p in args.manifests]
-    embed_cfg = _embedder_config(cfg) if args.with_text_metrics else None
     rows = metrics.build_report(
-        manifests, text_metrics=bool(args.with_text_metrics), embed_cfg=embed_cfg
+        manifests,
+        text_metrics=bool(cfg["with_text_metrics"]),
+        embed_cfg=_text_metrics_embedder(cfg),
     )
-    csv_path, txt_path = metrics.write_report_files(rows, cfg.get("out_dir"), "report")
+    csv_path, txt_path = metrics.write_report_files(rows, cfg["out_dir"], "report")
     print(metrics.report_to_text(rows), end="")
     print(f"reports -> {csv_path}, {txt_path}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--verbose", action="store_true")
-
-
-def _add_embed_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--embed-backend",
-        dest="embed_backend",
-        choices=["deterministic_test", "remote"],
-    )
-    parser.add_argument("--embed-endpoint", dest="embed_endpoint")
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint", help="OpenAI-compatible base URL")
-    parser.add_argument("--model", help="model id, e.g. mistral:7b")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--timeout", type=float)
-    parser.add_argument("--max-retries", dest="max_retries", type=int)
-    parser.add_argument("--concurrency", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ragrade", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate a corpus file and cache it")
-    p.add_argument("path")
-    p.add_argument("--format", choices=["jsonl", "csv"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("index", help="build the retrieval index over a split")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["jsonl", "csv"])
-    p.add_argument("--split", choices=list(dataset.SPLITS))
-    p.add_argument("--index-path", dest="index_path")
-    _add_embed_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_index)
-
-    p = sub.add_parser("grade", help="run a grading pipeline over a split")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["jsonl", "csv"])
-    p.add_argument("--mode", choices=sorted(_MODE_ALIASES))
-    p.add_argument("--k", type=int)
-    p.add_argument("--split", choices=list(dataset.SPLITS))
-    p.add_argument("--style", choices=["predict", "chain_of_thought"])
-    p.add_argument("--index-path", dest="index_path")
-    p.add_argument("--force", action="store_true", help="load index despite fingerprint mismatch")
-    p.add_argument("--exclude-same-question", dest="exclude_same_question", action="store_true", default=None)
-    p.add_argument("--signature", help="JSON signature file")
-    p.add_argument("--program", help="optimized-program JSON (mode=optimized)")
-    p.add_argument("--out", help="explicit manifest path")
-    _add_embed_flags(p)
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_grade)
-
-    p = sub.add_parser("evaluate", help="compute metrics for one manifest")
-    p.add_argument("manifest")
-    p.add_argument("--with-text-metrics", action="store_true")
-    _add_embed_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("optimize", help="search instructions and demo subsets")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["jsonl", "csv"])
-    p.add_argument("--budget", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--dev-count", dest="dev_count", type=int)
-    p.add_argument("--style", choices=["predict", "chain_of_thought"])
-    p.add_argument("--signature", help="JSON signature file")
-    p.add_argument("--instructions-file", dest="instructions_file")
-    p.add_argument("--proposal-endpoint", dest="proposal_endpoint")
-    p.add_argument("--proposal-model", dest="proposal_model")
-    p.add_argument("--out", help="explicit program path")
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("report", help="render metric tables from manifests")
-    p.add_argument("manifests", nargs="+")
-    p.add_argument("--with-text-metrics", action="store_true")
-    _add_embed_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_report)
-
+    for command, (help_text, positional) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if positional:
+            p.add_argument(positional[0], nargs=positional[1])
+        for row in SETTINGS:
+            if command not in row.commands:
+                continue
+            if row.kind is bool:
+                p.add_argument(row.flag, dest=row.key, action="store_true", default=None,
+                               help=row.help)
+            else:
+                p.add_argument(row.flag, dest=row.key, type=row.kind, choices=row.choices,
+                               help=row.help)
+        p.set_defaults(func=globals()[f"_cmd_{command}"])
     return parser
 
 
@@ -447,8 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TransportError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RagradeError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, ValueError) as exc:
+    except (RagradeError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime catch-all for exit code 2

@@ -23,6 +23,7 @@ from .errors import RagradeError
 
 LABELS = ("correct", "incorrect", "partially_correct")
 SPLITS = ("train", "test_ua", "test_uq")
+FORMATS = ("jsonl", "csv")
 
 _REQUIRED_KEYS = (
     "id",
@@ -177,13 +178,11 @@ def _iter_rows(path: Path, fmt: str) -> Iterable[Dict[str, object]]:
                 except (ValueError, RecursionError) as exc:
                     raise RagradeError(f"row {row_no}: malformed JSON: {exc}") from exc
                 yield row
-    elif fmt == "csv":
+    else:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 yield dict(row)
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
@@ -198,6 +197,8 @@ def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
         return _load_cache(path)
     corpus = Corpus()
     fmt = fmt or ("csv" if path.suffix == ".csv" else "jsonl")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown corpus format {fmt!r}")
     for row_no, row in enumerate(_iter_rows(path, fmt), start=1):
         corpus.records.append(parse_row(row, row_no))
     corpus.validate()

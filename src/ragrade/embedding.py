@@ -28,20 +28,21 @@ from .llmclient import post_json
 
 ROLE_QUERY = "query"
 ROLE_DOCUMENT = "document"
+BACKENDS = ("deterministic_test", "remote")
 # texts per embedding-service request
 _REQUEST_TEXTS = 32
 
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    backend: str = "deterministic_test"  # "remote" | "deterministic_test"
+    backend: str = "deterministic_test"  # one of BACKENDS
     endpoint: Optional[str] = None
     dimension: int = 32
 
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("dimension must be >= 2")
-        if self.backend not in ("remote", "deterministic_test"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 

@@ -54,7 +54,15 @@ MODE_ZERO_SHOT = "zero_shot"
 MODE_RAG = "rag"
 MODE_VOTE = "votegrader"
 MODE_OPTIMIZED = "optimized"
-_MODES = (MODE_ZERO_SHOT, MODE_RAG, MODE_VOTE, MODE_OPTIMIZED)
+# every name a mode goes by, and the mode it names
+MODE_ALIASES = {
+    "zero-shot": MODE_ZERO_SHOT,
+    MODE_ZERO_SHOT: MODE_ZERO_SHOT,
+    MODE_RAG: MODE_RAG,
+    "vote": MODE_VOTE,
+    MODE_VOTE: MODE_VOTE,
+    MODE_OPTIMIZED: MODE_OPTIMIZED,
+}
 
 
 @dataclass
@@ -73,8 +81,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in MODE_ALIASES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        self.mode = MODE_ALIASES[self.mode]
         if self.k is None:
             self.k = 5 if self.mode in (MODE_RAG, MODE_VOTE) else 0
         if self.mode == MODE_ZERO_SHOT and self.k != 0:

@@ -19,6 +19,7 @@ from .errors import RagradeError
 
 STYLE_PREDICT = "predict"
 STYLE_CHAIN_OF_THOUGHT = "chain_of_thought"
+STYLES = (STYLE_PREDICT, STYLE_CHAIN_OF_THOUGHT)
 
 TYPE_REAL01 = "real01"
 TYPE_LABEL3 = "label3"
@@ -198,7 +199,7 @@ def _schema_fields(sig: Signature, style: str) -> Tuple[Tuple[str, str, str], ..
 
 def compile_signature(sig: Signature, style: str = STYLE_PREDICT) -> PromptTemplate:
     """Expand a signature into deterministic prompt text for the chosen style."""
-    if style not in (STYLE_PREDICT, STYLE_CHAIN_OF_THOUGHT):
+    if style not in STYLES:
         raise ValueError(f"unknown style {style!r}")
     sig.validate()
     schema = _schema_fields(sig, style)

@@ -24,13 +24,13 @@ document whose float32 score is within a proven error bound of the k-th best,
 so the ranking equals the exact one over the stored rows. A group whose
 embedding fails gives its queries ``None``; the next group goes on.
 ``top_k`` is one query's group. The index persists to a single binary file
-(format v4) of record ids, offsets, row ids and the table, not records, under
-a crc32 of its blocks: loading takes the records from the caller's corpus and
-keeps the file's document order. It refuses a file whose blocks fail the
-checksum or whose row ids fall outside its table, refuses to load under a
-different embedder fingerprint unless forced, and refuses a header whose
-``dim`` is not its config's ``dimension``. Order changes no ranking, only a
-scan's speed.
+(format v5) of record ids, offsets, row ids and the table, not records, under
+a crc32 of its header and blocks: loading takes the records from the caller's
+corpus and keeps the file's document order. It refuses a file that fails the
+checksum, has bytes after its table or has row ids outside its table, refuses
+to load under a different embedder fingerprint unless forced, and refuses a
+header whose ``dim`` is not its config's ``dimension``. Order changes no
+ranking, only a scan's speed.
 """
 
 import json
@@ -57,7 +57,7 @@ from .errors import BackendUnavailable, InvalidEmbedding, RagradeError
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"RGIX"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # most document tokens per float32 matmul of a scan
 _SCAN_CHUNK_TOKENS = 2048
 # the scan's (chunk tokens x dim) float32 row buffer and (chunk tokens x
@@ -314,17 +314,17 @@ def top_k(
 
 
 def save_index(index: MaxSimIndex, path) -> None:
-    """Format v4: magic, version, JSON header (carrying ``record_ids``, the
-    table's ``rows`` and the ``crc32`` of the blocks), then the ``<i8``
-    offsets, ``<i4`` row ids and ``<f4`` table blocks. Records are not
-    stored; ``load_index`` takes them from the corpus."""
+    """Format v5: magic, then ``<u4`` version, header length and crc32 of
+    every byte after them, then the JSON header (carrying ``record_ids`` and
+    the table's ``rows``) and the ``<i8`` offsets, ``<i4`` row ids and
+    ``<f4`` table blocks, and nothing after them. Records are not stored;
+    ``load_index`` takes them from the corpus."""
     blocks = [
         np.ascontiguousarray(index.offsets, dtype="<i8"),
         np.ascontiguousarray(index.row_ids, dtype="<i4"),
         np.ascontiguousarray(index.table, dtype="<f4"),
     ]
     header = {
-        "crc32": _crc32(blocks),
         "dim": index.config.dimension,
         "fingerprint": index.fingerprint,
         "record_ids": [r.id for r in index.records],
@@ -339,31 +339,34 @@ def save_index(index: MaxSimIndex, path) -> None:
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
 
     with atomic_write(path) as fh:
-        fh.write(_MAGIC + struct.pack("<II", _FORMAT_VERSION, len(header_raw)))
+        fh.write(_MAGIC + struct.pack("<III", _FORMAT_VERSION, len(header_raw),
+                                      _crc32([header_raw, *blocks])))
         fh.write(header_raw)
         for block in blocks:
             fh.write(block.data)
 
 
-def _crc32(blocks: Sequence[np.ndarray]) -> int:
+def _crc32(blocks: Sequence) -> int:
     crc = 0
     for block in blocks:
         crc = zlib.crc32(block, crc)
     return crc
 
 
-def _read_bytes(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+def _check_left(fh, n: int) -> None:
+    """Refuse to read ``n`` bytes that the file does not hold, before allocating them."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated index file")
-    return data
+
+
+def _read_bytes(fh, n: int) -> bytes:
+    _check_left(fh, n)
+    return fh.read(n)
 
 
 def _read_array(fh, dtype: str, count: int) -> np.ndarray:
     """The next ``count`` items of the file, read straight into a new array."""
-    itemsize = np.dtype(dtype).itemsize
-    if count * itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("truncated index file")
+    _check_left(fh, count * np.dtype(dtype).itemsize)
     out = np.empty(count, dtype=dtype)
     if fh.readinto(out.data.cast("B")) != out.nbytes:
         raise ValueError("truncated index file")
@@ -384,7 +387,8 @@ def load_index(
     force: bool = False,
 ) -> MaxSimIndex:
     """Load a persisted index, each stored id's record taken from ``records``
-    (the corpus); refuses fingerprint mismatches against ``cfg`` unless forced."""
+    (the corpus); refuses fingerprint mismatches against ``cfg`` unless forced.
+    Only the fields that size the blocks are read before the checksum holds."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not an index file")
@@ -393,51 +397,58 @@ def load_index(
             raise ValueError(
                 f"index format v{version} is not supported; re-index with `ragrade index`"
             )
-        (header_len,) = struct.unpack("<I", _read_bytes(fh, 4))
-        header = json.loads(_read_bytes(fh, header_len).decode("utf-8"))
-
+        header_len, crc = struct.unpack("<II", _read_bytes(fh, 8))
+        header_raw = _read_bytes(fh, header_len)
+        try:
+            header = json.loads(header_raw.decode("utf-8"))
+        except ValueError:
+            raise ValueError("corrupt index file: the header is not JSON") from None
         stored = _field(header, "config", dict)
-        stored_cfg = EmbedderConfig(
-            backend=_field(stored, "backend", str),
-            endpoint=_field(stored, "endpoint", (str, type(None))),
-            dimension=_field(stored, "dimension", int),
-        )
-        dim = stored_cfg.dimension
+        dim = _field(stored, "dimension", int)
         if _field(header, "dim", int) != dim:
             raise ValueError(f"corrupt index file: header field 'dim' is not the config's {dim}")
-        fingerprint = _field(header, "fingerprint", str)
         record_ids = _field(header, "record_ids", list)
         rows = _field(header, "rows", int)
-        crc = _field(header, "crc32", int)
-        skipped_empty = _field(header, "skipped_empty", int)
-        if not all(isinstance(rid, str) for rid in record_ids):
-            raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
         if rows < 0:
             raise ValueError("corrupt index file: header field 'rows' is negative")
-        if cfg is not None and config_fingerprint(cfg) != fingerprint:
-            if not force:
-                raise RagradeError(
-                    f"index built with fingerprint {fingerprint}, "
-                    f"current config is {config_fingerprint(cfg)} (use force to override)"
-                )
-            # a forced load can point at a moved backend, but the stored vectors
-            # pin the geometry; a different dimension can never work
-            if cfg.dimension != dim:
-                raise RagradeError(
-                    f"index stores {dim}-dim vectors; config asks for "
-                    f"{cfg.dimension} (force cannot reconcile dimensions)"
-                )
-            stored_cfg = cfg
 
         offsets = _read_array(fh, "<i8", len(record_ids) + 1)
         if offsets[0] != 0 or np.any(np.diff(offsets) < 1):
             raise ValueError("corrupt index file: offsets must rise from 0")
         row_ids = _read_array(fh, "<i4", int(offsets[-1]))
         table = _read_array(fh, "<f4", rows * dim).reshape(rows, dim)
-    if _crc32([offsets, row_ids, table]) != crc:
+        if fh.read(1):
+            raise ValueError(
+                "corrupt index file: bytes after the table; re-index with `ragrade index`"
+            )
+    if _crc32([header_raw, offsets, row_ids, table]) != crc:
         raise ValueError("corrupt index file: checksum mismatch; re-index with `ragrade index`")
+
+    stored_cfg = EmbedderConfig(
+        backend=_field(stored, "backend", str),
+        endpoint=_field(stored, "endpoint", (str, type(None))),
+        dimension=dim,
+    )
+    fingerprint = _field(header, "fingerprint", str)
+    skipped_empty = _field(header, "skipped_empty", int)
+    if not all(isinstance(rid, str) for rid in record_ids):
+        raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
     if row_ids.size and (row_ids.min() < 0 or row_ids.max() >= rows):
         raise ValueError("corrupt index file: a row id is outside the table")
+    if cfg is not None and config_fingerprint(cfg) != fingerprint:
+        if not force:
+            raise RagradeError(
+                f"index built with fingerprint {fingerprint}, "
+                f"current config is {config_fingerprint(cfg)} (use force to override)"
+            )
+        # a forced load can point at a moved backend, but the stored vectors
+        # pin the geometry; a different dimension can never work
+        if cfg.dimension != dim:
+            raise RagradeError(
+                f"index stores {dim}-dim vectors; config asks for "
+                f"{cfg.dimension} (force cannot reconcile dimensions)"
+            )
+        stored_cfg = cfg
 
     by_id = {rec.id: rec for rec in records}
     missing = [rid for rid in record_ids if rid not in by_id]

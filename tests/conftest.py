@@ -2,6 +2,7 @@ import json
 import struct
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -124,14 +125,26 @@ def wait_until(condition, timeout=10.0):
         time.sleep(0.001)
 
 
+# an index file's fixed prefix: magic, version, header length and crc32
+INDEX_PREFIX = 16
+
+
+def reseal_index(path, data):
+    """Write the index bytes ``data`` to ``path`` under a recomputed checksum."""
+    body = bytes(data[INDEX_PREFIX:])
+    path.write_bytes(bytes(data[:12]) + struct.pack("<I", zlib.crc32(body)) + body)
+
+
 def rewrite_index_header(path, edit):
-    """Apply ``edit`` to the JSON header of the index file at ``path``, in place."""
+    """Apply ``edit`` to the JSON header of the index file at ``path``, in
+    place, and recompute the checksum."""
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
+    header = json.loads(data[INDEX_PREFIX : INDEX_PREFIX + header_len])
     edit(header)
     raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len :])
+    rest = data[INDEX_PREFIX + header_len :]
+    reseal_index(path, data[:8] + struct.pack("<II", len(raw), 0) + raw + rest)
 
 
 @pytest.fixture

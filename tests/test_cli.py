@@ -2,6 +2,8 @@ import base64
 import csv
 import json
 import os
+import re
+import shutil
 import socket
 import struct
 import subprocess
@@ -11,12 +13,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ragrade import cli, dataset
 from ragrade.cli import main
 from ragrade.promptkit import DEFAULT_TASK_DESCRIPTION
 
-from conftest import corpus_row, gold_by_answer, rewrite_index_header
+from conftest import (
+    INDEX_PREFIX, corpus_row, gold_by_answer, reseal_index, rewrite_index_header,
+)
 from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
 
 
@@ -244,6 +249,9 @@ _INDEX_CORRUPTIONS = {
     "nan_tail": "checksum mismatch; re-index with `ragrade index`",
     # a row id past the table, under a checksum that matches it
     "row_id_past_table": "corrupt index file: a row id is outside the table",
+    # r01 read as r11, a test_ua record, once graded with a different manifest
+    "header_id_flipped": "checksum mismatch; re-index with `ragrade index`",
+    "trailing_bytes": "corrupt index file: bytes after the table",
 }
 
 
@@ -251,7 +259,7 @@ def _swap_first_offsets(path):
     """Swap the index's second and third offsets, so that they fall."""
     data = bytearray(path.read_bytes())
     (header_len,) = struct.unpack("<I", data[8:12])
-    at = 12 + header_len + 8  # the offsets start at 0, and offsets[0] stays
+    at = INDEX_PREFIX + header_len + 8  # the offsets start at 0, and offsets[0] stays
     data[at : at + 16] = data[at + 8 : at + 16] + data[at : at + 8]
     path.write_bytes(bytes(data))
 
@@ -261,11 +269,17 @@ def _point_row_id_past_table(path):
     checksum to match."""
     data = bytearray(path.read_bytes())
     (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
-    at = 12 + header_len + 8 * (len(header["record_ids"]) + 1)
+    header = json.loads(data[INDEX_PREFIX : INDEX_PREFIX + header_len])
+    at = INDEX_PREFIX + header_len + 8 * (len(header["record_ids"]) + 1)
     data[at : at + 4] = struct.pack("<i", header["rows"])
+    reseal_index(path, data)
+
+
+def _flip_header_id(path):
+    """Flip the bit that turns the header's record id r01 into r11."""
+    data = bytearray(path.read_bytes())
+    data[data.index(b'"r01"') + 2] ^= 0x01
     path.write_bytes(bytes(data))
-    rewrite_index_header(path, lambda h: h.update(crc32=zlib.crc32(data[12 + header_len :])))
 
 
 @pytest.mark.parametrize("corruption", sorted(_INDEX_CORRUPTIONS))
@@ -298,6 +312,10 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
         index_path.write_bytes(index_path.read_bytes()[:-64] + nan)
     elif corruption == "row_id_past_table":
         _point_row_id_past_table(index_path)
+    elif corruption == "header_id_flipped":
+        _flip_header_id(index_path)
+    elif corruption == "trailing_bytes":
+        index_path.write_bytes(index_path.read_bytes() + bytes(700))
     else:
         rewrite_index_header(index_path, corrupt)
     capsys.readouterr()
@@ -345,11 +363,22 @@ def test_config_file_that_is_not_an_object_exits_1(corpus_path, tmp_path, capsys
         ("optimize", "budget", None),
         ("optimize", "k_max", "1e400"),
         ("optimize", "dev_count", 1e400),
+        # bool("false") once turned the exclusion on
+        ("grade", "exclude_same_question", "false"),
+        # an int path once opened that file descriptor
+        ("grade", "signature", 5),
+        # these three once exited 2 with a traceback
+        ("index", "out_dir", 5),
+        ("index", "corpus", 5),
+        ("index", "index_path", 5),
+        ("grade", "mode", ["vote"]),
+        ("optimize", "instructions_file", None),
     ],
 )
 def test_config_file_number_of_a_wrong_type_exits_1(
     command, key, value, corpus_path, tmp_path, capsys
 ):
+    # every key a command reads is typed, not only the numbers
     out_dir = tmp_path / "runs"
     assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
     config_path = tmp_path / "config.json"
@@ -359,7 +388,8 @@ def test_config_file_number_of_a_wrong_type_exits_1(
     if command != "index":
         flags += ["--endpoint", "http://127.0.0.1:9"]
     assert main([command, *flags]) == 1
-    assert f"config key {key!r}" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config key {key!r} must be ")
 
 
 def test_config_file_numbers_convert_to_their_key_types(
@@ -377,6 +407,257 @@ def test_config_file_numbers_convert_to_their_key_types(
     run_config = json.loads((out_dir / "m.json").read_text())["config"]
     assert (run_config["temperature"], run_config["seed"], run_config["embed_dim"]) == (0.0, 7, 32)
     assert isinstance(run_config["temperature"], float)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_misspelled_config_key_exits_1_on_every_command(
+    command, corpus_path, tmp_path, stub_server_factory, capsys
+):
+    # a misspelled key once went unread: the run went on with the default
+    server = stub_server_factory(fixed_chat_app("{}"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"exclude_same_qestion": True}), encoding="utf-8")
+    out_dir = tmp_path / "runs"
+    corpus, manifest = str(corpus_path), str(tmp_path / "m.json")
+    argv = {
+        "ingest": ["ingest", corpus],
+        "index": ["index", "--corpus", corpus],
+        "grade": ["grade", "--corpus", corpus, "--endpoint", server.url],
+        "evaluate": ["evaluate", manifest],
+        "optimize": ["optimize", "--corpus", corpus, "--endpoint", server.url],
+        "report": ["report", manifest],
+    }[command]
+    assert main([*argv, "--config", str(config_path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown config key 'exclude_same_qestion' in {config_path}; "
+        "did you mean 'exclude_same_question'?"
+    ]
+    assert server.requests == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "force", "config", "verbose"])
+def test_flag_only_setting_in_a_config_file_exits_1(key, corpus_path, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: True}), encoding="utf-8")
+    out_dir = tmp_path / "runs"
+    argv = ["ingest", str(corpus_path), "--config", str(config_path), "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    flag = "--" + key
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config key {key!r} is set by its flag only, {flag}"
+    ]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grade", "--exclude"], "--exclude"),
+    (["optimize", "--k", "3"], "--k 3"),
+    (["index", "--seed", "3"], "--seed 3"),
+    (["evaluate", "m.json", "--seed", "3"], "--seed 3"),
+])
+def test_flag_prefix_or_a_flag_of_another_command_exits_1(argv, flag, capsys):
+    # argparse used to read --exclude as --exclude-same-question and --k as --k-max
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: unrecognized arguments: {flag}"
+
+
+def test_another_commands_key_is_neither_applied_nor_checked(corpus_path, tmp_path):
+    out_dir = tmp_path / "runs"
+    assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["index", "--out-dir", str(out_dir)]) == 0
+    flags = ["--mode", "vote", "--k", "3"]
+    assert _grade(out_dir, tmp_path / "without.json", *flags) == 0
+    config_path = tmp_path / "config.json"
+    # optimize's budget, of a wrong type, once made grade exit 1
+    config_path.write_text(json.dumps({"budget": "x", "with_text_metrics": 5}), encoding="utf-8")
+    assert _grade(out_dir, tmp_path / "with.json", *flags, "--config", str(config_path)) == 0
+    assert _masked((tmp_path / "with.json").read_bytes()) == _masked(
+        (tmp_path / "without.json").read_bytes()
+    )
+
+
+def _masked(data: bytes) -> bytes:
+    return re.sub(rb'"created_at": "[^"]*"', b'"created_at": "<masked>"', data)
+
+
+def _setting_cases(tmp_path, corpus, url):
+    """Each setting a config file may set: (its command line without it, its value)."""
+    pre = tmp_path / "pre"
+    assert main(["ingest", corpus, "--out-dir", str(pre)]) == 0
+    assert main(["index", "--out-dir", str(pre)]) == 0
+    assert main(["grade", "--mode", "vote", "--out-dir", str(pre), "--out", str(pre / "m.json")]) == 0
+    outputs = [{"name": "score", "type": "real01"}, {"name": "label", "type": "label3"},
+               {"name": "feedback", "type": "freetext"}]
+    signature = {"task_description": "Grade tersely.", "output_fields": outputs,
+                 "input_fields": _CUSTOM_SIGNATURE["input_fields"]}
+    (pre / "sig.json").write_text(json.dumps(signature), encoding="utf-8")
+    (pre / "instructions.txt").write_text("Grade tersely.\nGrade kindly.\n", encoding="utf-8")
+    program = {"instruction": "Grade tersely.", "demo_record_ids": ["r01"], "dev_accuracy": 1.0}
+    (pre / "program.json").write_text(json.dumps(program), encoding="utf-8")
+    corpus_flags, endpoint = ["--corpus", corpus], ["--endpoint", url]
+    zero_shot = ["grade", *corpus_flags, *endpoint, "--out", "m.json"]
+    vote = ["grade", *corpus_flags, "--mode", "vote", "--index-path", str(pre / "index.rgix"),
+            "--out", "m.json"]
+
+    def optimize(*skip):
+        flags = {"--budget": "2", "--dev-count": "3"}
+        return ["optimize", *corpus_flags, *endpoint, "--out", "p.json",
+                *[x for flag, value in flags.items() if flag not in skip for x in (flag, value)]]
+
+    return {
+        "out_dir": (["ingest", corpus], "elsewhere"),
+        "corpus": (["index"], corpus),
+        "format": (["ingest", corpus], "jsonl"),
+        "split": (vote, "test_uq"),
+        "index_path": (["index", *corpus_flags], "idx/i.rgix"),
+        "mode": (vote[:3] + vote[5:], "vote"),
+        "k": (vote, 3),
+        "style": (zero_shot, "chain_of_thought"),
+        "seed": (zero_shot, 7),
+        "exclude_same_question": (vote, True),
+        "signature": (zero_shot, str(pre / "sig.json")),
+        "program": (["grade", *corpus_flags, *endpoint, "--mode", "optimized", "--out", "m.json"],
+                    str(pre / "program.json")),
+        "with_text_metrics": (["evaluate", str(pre / "m.json"), "--out-dir", "runs"], True),
+        "embed_backend": (["index", *corpus_flags], "deterministic_test"),
+        "embed_endpoint": (["index", *corpus_flags], "http://127.0.0.1:9"),
+        "embed_dim": (["index", *corpus_flags], 16),
+        "endpoint": (["grade", *corpus_flags, "--out", "m.json"], url),
+        "model": (zero_shot, "other-model"),
+        "temperature": (zero_shot, 0.5),
+        "max_tokens": (zero_shot, 64),
+        "timeout": (zero_shot, 5.0),
+        "max_retries": (zero_shot, 2),
+        "concurrency": (zero_shot, 2),
+        "budget": (optimize("--budget"), 1),
+        "k_max": (optimize(), 1),
+        "dev_count": (optimize("--dev-count"), 2),
+        "instructions_file": (optimize(), str(pre / "instructions.txt")),
+        "proposal_endpoint": (optimize(), url),
+        "proposal_model": (optimize() + ["--proposal-endpoint", url], "proposer"),
+    }
+
+
+# settings whose value here is their default, or shows in no output or request
+_UNSEEN = {"format", "embed_backend", "timeout", "max_retries", "concurrency"}
+
+
+def test_each_file_setting_acts_as_its_flag(
+    corpus_path, fixture_corpus, tmp_path, stub_server_factory, monkeypatch, capsys
+):
+    server = stub_server_factory(echo_gold_chat_app(gold_by_answer(fixture_corpus.records)))
+    cases = _setting_cases(tmp_path, str(corpus_path), server.url)
+    rows = {row.key: row for row in cli.SETTINGS if row.file}
+    assert sorted(cases) == sorted(rows)
+    work = tmp_path / "work"
+
+    def run(argv):
+        """The exit code, stdout, files written and requests sent by one run."""
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        sent = len(server.requests)
+        code = main(argv)
+        files = {str(p.relative_to(work)): _masked(p.read_bytes())
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+        requests = sorted(json.dumps(r, sort_keys=True) for r in server.requests[sent:])
+        return code, capsys.readouterr().out, files, requests
+
+    for key, (argv, value) in cases.items():
+        row = rows[key]
+        flag = [row.flag] if row.kind is bool else [row.flag, str(value)]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        by_flag = run([*argv, *flag])
+        assert by_flag[0] == 0, key
+        assert run([*argv, "--config", str(config_path)]) == by_flag, key
+        if key not in _UNSEEN:
+            assert run(argv) != by_flag, key
+
+
+# path values, relative to the run's working directory: files, a directory,
+# missing names and a name under a file
+_PATH_NAMES = ["corpus.jsonl", "runs", "runs/corpus.cache", "runs/index.rgix", "missing.json",
+               "new/index.rgix", "corpus.jsonl/x"]
+_WORDS = ["vote", "rag", "csv", "jsonl", "train", "test_uq", "remote", "deterministic_test",
+          "chain_of_thought", "false", "3"]
+# numbers stay small: an embed_dim or a k sizes arrays, and running out of
+# memory is a runtime failure (exit 2), not a config fault
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40) | st.text(max_size=4)
+)
+# every key a file may set but the endpoints, the flag-only keys and misspellings
+_FILE_KEYS = sorted(
+    [row.key for row in cli.SETTINGS if "endpoint" not in row.key]
+    + ["exclude_same_qestion", "temprature", "dimension"]
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.dictionaries(
+    st.sampled_from(_FILE_KEYS),
+    st.sampled_from(_PATH_NAMES + _WORDS) | _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+    max_size=4,
+))
+# a path under a file once exited 2 with a traceback
+@example(config={"index_path": "corpus.jsonl/x"})
+@example(config={"out_dir": "corpus.jsonl", "corpus": "runs/index.rgix"})
+@example(config={"signature": "runs/index.rgix", "exclude_same_question": "false"})
+@example(config={"embed_backend": "remote", "format": "csv", "corpus": "corpus.jsonl"})
+def test_any_config_file_exits_0_or_1_with_one_error_line(
+    config, corpus_path, tmp_path, monkeypatch, capsys
+):
+    base = tmp_path / "base"
+    if not base.exists():
+        assert main(["ingest", str(corpus_path), "--out-dir", str(base / "runs")]) == 0
+        assert main(["index", "--out-dir", str(base / "runs")]) == 0
+        shutil.copy(corpus_path, base / "corpus.jsonl")
+    work = tmp_path / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(base, work)
+    monkeypatch.chdir(work)
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for argv in (["index"], ["grade", "--mode", "vote", "--out", "m.json"]):
+        capsys.readouterr()
+        code = main([*argv, "--config", "config.json"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, config, err)
+        if code == 1:
+            (line,) = err.splitlines()
+            assert line.startswith("error: "), (argv, config, err)
+            assert not (work / "m.json").exists()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_index_file_exits_1_with_one_error_line(data, corpus_path, tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    index_path = out_dir / "index.rgix"
+    pristine = tmp_path / "pristine.rgix"
+    if not pristine.exists():
+        assert main(["ingest", str(corpus_path), "--out-dir", str(out_dir)]) == 0
+        assert main(["index", "--out-dir", str(out_dir)]) == 0
+        shutil.copy(index_path, pristine)
+    good = pristine.read_bytes()
+    damage = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if damage == "flip":
+        bit = data.draw(st.integers(0, 8 * len(good) - 1))
+        damaged = bytearray(good)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    elif damage == "truncate":
+        damaged = good[: data.draw(st.integers(0, len(good) - 1))]
+    else:
+        damaged = good + data.draw(st.binary(min_size=1, max_size=64))
+    index_path.write_bytes(bytes(damaged))
+    capsys.readouterr()
+    manifest = tmp_path / "m.json"
+    assert _grade(out_dir, manifest, "--mode", "vote", "--split", "test_ua") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and not manifest.exists()
 
 
 def _grade(out_dir, manifest_path, *flags):

@@ -37,7 +37,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
-from conftest import embed_tokens, rewrite_index_header
+from conftest import INDEX_PREFIX, embed_tokens, rewrite_index_header
 from stub_servers import mirror_embedding_app
 
 
@@ -481,12 +481,13 @@ def test_load_refuses_a_flipped_bit_in_any_block_byte(tmp_path):
     path = tmp_path / "index.rgix"
     save_index(build_index(records, EmbedderConfig(dimension=16)), path)
     data = path.read_bytes()
-    (header_len,) = struct.unpack("<I", data[8:12])
-    for at in range(12 + header_len, len(data)):
+    # every byte after the header length: the checksum, the header and the blocks
+    for at in range(12, len(data)):
         flipped = bytearray(data)
         flipped[at] ^= 1 << (at % 8)
         path.write_bytes(bytes(flipped))
-        # an offset flipped upwards can also point past the end of the file
+        # an offset or a header count flipped upwards can also point past the
+        # end of the file
         with pytest.raises(ValueError, match="^(corrupt|truncated) index file"):
             load_index(path, records)
 
@@ -569,7 +570,7 @@ def test_load_rejects_truncated_file(tmp_path):
     save_index(index, path)
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[8:12])
-    offsets_at = 12 + header_len
+    offsets_at = INDEX_PREFIX + header_len
     row_ids_at = offsets_at + index.offsets.nbytes
     table_at = row_ids_at + index.row_ids.nbytes
     # a cut inside each block: header length, header, offsets, row ids, table
@@ -581,10 +582,10 @@ def test_load_rejects_truncated_file(tmp_path):
 
 
 def test_load_rejects_format_v1_with_reindex_hint(tmp_path):
-    # and any other version but 4, with the same message
+    # and any other version but 5, with the same message
     path = tmp_path / "index.rgix"
     header = b'{"dim": 16}'
-    for version in (1, 0, 2, 3, 5):
+    for version in (1, 0, 2, 3, 4, 6):
         path.write_bytes(b"RGIX" + struct.pack("<II", version, len(header)) + header)
         with pytest.raises(ValueError) as raised:
             load_index(path, [])
@@ -882,10 +883,10 @@ def test_saved_file_holds_no_record_payload(tmp_path):
     path = tmp_path / "index.rgix"
     save_index(index, path)
     data = path.read_bytes()
-    assert data[:8] == b"RGIX" + struct.pack("<I", 4)
+    assert data[:8] == b"RGIX" + struct.pack("<I", 5)
     (header_len,) = struct.unpack("<I", data[8:12])
     blocks = index.offsets.nbytes + index.row_ids.nbytes + index.table.nbytes
-    assert len(data) == 12 + header_len + blocks
+    assert len(data) == INDEX_PREFIX + header_len + blocks
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -899,10 +900,9 @@ def test_saved_file_holds_no_record_payload(tmp_path):
     ("skipped_empty", lambda h: h.update(skipped_empty=None)),
     ("rows", lambda h: h.pop("rows")),
     ("rows", lambda h: h.update(rows=-1)),
-    ("crc32", lambda h: h.update(crc32=str(h["crc32"]))),
 ], ids=["config_missing", "config_list", "backend_missing", "dim_string", "fingerprint_missing",
         "record_ids_string", "record_id_list", "skipped_empty_null", "rows_missing",
-        "rows_negative", "crc32_string"])
+        "rows_negative"])
 def test_load_rejects_missing_or_mistyped_header_field(tmp_path, field, corrupt):
     records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
     path = tmp_path / "index.rgix"
