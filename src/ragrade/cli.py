@@ -11,7 +11,6 @@ serve every command. Exit codes: 0 on success, 1 on usage/validation errors,
 import argparse
 import dataclasses
 import difflib
-import json
 import logging
 import random
 import sys
@@ -138,10 +137,7 @@ def _run_config(args: argparse.Namespace, **defaults) -> Dict:
 
 def _config_file(path: str) -> Dict:
     """The JSON object at ``path``; every key must be one a config file may set."""
-    with open(path, encoding="utf-8") as fh:
-        file_cfg = json.load(fh)
-    if not isinstance(file_cfg, dict):
-        raise RagradeError(f"config file {path} must hold a JSON object")
+    file_cfg = dataset.read_json(path, "config file")
     rows = {row.key: row for row in SETTINGS}
     for key in file_cfg:
         if key in rows and not rows[key].file:
@@ -268,7 +264,7 @@ def _cmd_grade(args) -> int:
         program_path = cfg["program"]
         if not program_path:
             raise RagradeError("optimized mode needs --program from `ragrade optimize`")
-        data = json.loads(Path(program_path).read_text(encoding="utf-8"))
+        data = dataset.read_json(program_path, "program file")
         try:
             program = pipelines.OptimizedProgram(**data)
         except TypeError as exc:
@@ -326,8 +322,7 @@ def _cmd_evaluate(args) -> int:
 
     out_dir = Path(cfg["out_dir"])
     stem = manifest_path.stem + ".report"
-    with dataset.atomic_write(out_dir / f"{stem}.json") as fh:
-        fh.write((json.dumps(row.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    dataset.write_json(out_dir / f"{stem}.json", row.to_dict())
     with dataset.atomic_write(out_dir / f"{stem}.csv") as fh:
         fh.write(metrics.report_to_csv([row]).encode("utf-8"))
 
@@ -378,8 +373,7 @@ def _cmd_optimize(args) -> int:
     )
 
     out_path = cfg["out"] or (Path(cfg["out_dir"]) / f"program_{_timestamp()}.json")
-    with dataset.atomic_write(out_path) as fh:
-        fh.write((json.dumps(program.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    dataset.write_json(out_path, program.to_dict())
     print(
         f"best dev accuracy {program.dev_accuracy:.3f} with "
         f"{len(program.demo_record_ids)} demos -> {out_path}"

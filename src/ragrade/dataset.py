@@ -5,19 +5,24 @@ numeric score in [0, 1], a categorical label, elaborated feedback, and a
 split tag. Rows are grouped by question via ``question_id`` and partitioned
 into ``train`` / ``test_ua`` (new answers to known questions) / ``test_uq``
 (entirely new questions).
+
+Every output goes through ``atomic_write``; ``write_sealed`` and
+``read_sealed`` frame the checksummed files (corpus cache and index), and
+``write_json`` and ``read_json`` every JSON document ragrade writes or reads.
 """
 
 import csv
 import json
 import os
 import re
+import struct
 import zlib
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import RagradeError
 
@@ -205,11 +210,11 @@ def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
     return corpus
 
 
-# The corpus cache: a JSON header line, then one JSON array per field of
-# AnswerRecord, the split last, in corpus order. The header's crc32 covers
-# every byte after the header line.
-CACHE_FORMAT = "ragrade-corpus"
-CACHE_VERSION = 1
+# The corpus cache: a sealed file whose header holds the record count and
+# whose body is one JSON array per field of AnswerRecord, one a line, the
+# split last, in corpus order.
+_CACHE_MAGIC = b"RGCC"
+_CACHE_VERSION = 2
 _RECORD_FIELDS = tuple(f.name for f in fields(AnswerRecord))
 
 
@@ -217,42 +222,18 @@ def save_corpus(corpus: Corpus, path) -> None:
     """Write a validated ``corpus`` as a cache that ``load_corpus(path, "cache")`` reads."""
     records = corpus.records
     columns = [list(map(attrgetter(name), records)) for name in _RECORD_FIELDS]
-    body = "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in columns).encode("utf-8")
-    header = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "records": len(records),
-        "crc32": zlib.crc32(body),
-    }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(body)
+    body = [(json.dumps(c, ensure_ascii=False) + "\n").encode("utf-8") for c in columns]
+    write_sealed(path, _CACHE_MAGIC, _CACHE_VERSION, {"records": len(records)}, body)
 
 
 def _load_cache(path: Path) -> Corpus:
     stale = RagradeError(f"{path} is not a current corpus cache; re-run `ragrade ingest`")
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except (ValueError, RecursionError):
-            raise stale from None
-        if not (
-            isinstance(header, dict)
-            and header.get("format") == CACHE_FORMAT
-            and header.get("version") == CACHE_VERSION
-        ):
-            raise stale
-        body_start = fh.tell()
-        crc = 0
-        for block in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB at a time
-            crc = zlib.crc32(block, crc)
-        if crc != header.get("crc32"):
-            raise stale
-        fh.seek(body_start)
-        try:
+    try:
+        with read_sealed(path, _CACHE_MAGIC, _CACHE_VERSION, "corpus", "re-ingest") as sealed:
+            header, _, fh = sealed
             columns = [json.loads(line) for line in fh]
-        except (ValueError, RecursionError):
-            raise stale from None
+    except (ValueError, RecursionError):
+        raise stale from None
     n = header.get("records")
     if len(columns) != len(_RECORD_FIELDS) or not all(
         isinstance(c, list) and len(c) == n for c in columns
@@ -280,6 +261,81 @@ def atomic_write(path) -> Iterator[BinaryIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# A sealed file: a 4-byte magic, then the ``<u4`` version, header length and
+# crc32 of every byte after these 16, then the JSON header and the body.
+_SEALED_PREFIX = struct.Struct("<4sIII")
+
+
+def write_sealed(path, magic: bytes, version: int, header: Dict, blocks: Sequence) -> None:
+    """Write ``header`` and the bytes-like ``blocks``, in order, as the body of
+    a sealed file that ``read_sealed`` opens."""
+    header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    crc = zlib.crc32(header_raw)
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
+    with atomic_write(path) as fh:
+        fh.write(_SEALED_PREFIX.pack(magic, version, len(header_raw), crc) + header_raw)
+        for block in blocks:
+            fh.write(block)
+
+
+@contextmanager
+def read_sealed(
+    path, magic: bytes, version: int, kind: str, fix: str
+) -> Iterator[Tuple[Dict, int, BinaryIO]]:
+    """Open a sealed file and yield its JSON object header, the length of its
+    body and the file, at the body's first byte. The magic, the version and
+    the checksum are checked before the header is parsed; a ``ValueError``
+    naming ``kind`` refuses a file that fails a check, ``fix`` saying what to do."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(_SEALED_PREFIX.size)
+        if prefix[:4] != magic:
+            raise ValueError(f"not a ragrade {kind} file")
+        if len(prefix) < _SEALED_PREFIX.size:
+            raise ValueError(f"truncated {kind} file")
+        _, got, header_len, crc = _SEALED_PREFIX.unpack(prefix)
+        if got != version:
+            raise ValueError(f"{kind} format v{got} is not supported; {fix}")
+        body_crc = 0
+        for block in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB at a time
+            body_crc = zlib.crc32(block, body_crc)
+        if body_crc != crc:
+            raise ValueError(f"corrupt {kind} file: checksum mismatch; {fix}")
+        body_len = fh.tell() - _SEALED_PREFIX.size - header_len
+        if body_len < 0:  # checked before a read of header_len bytes allocates them
+            raise ValueError(f"corrupt {kind} file: the header runs past the end")
+        fh.seek(_SEALED_PREFIX.size)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError):
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"corrupt {kind} file: the header is not a JSON object")
+        yield header, body_len, fh
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` atomically as UTF-8 JSON: keys sorted, an
+    indent of 2, non-ASCII text as itself and a newline at the end."""
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_json(path, what: str) -> Dict:
+    """The JSON object in the file at ``path``. A file that is not UTF-8, not
+    JSON, nested too deeply or not an object is refused with one
+    ``RagradeError`` naming ``what`` and ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise RagradeError(f"{what} {path} is not readable JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise RagradeError(f"{what} {path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def split_view(corpus: Corpus, split: str) -> List[AnswerRecord]:

@@ -236,8 +236,6 @@ def manifest_metrics(
     embed_cfg: Optional[EmbedderConfig] = None,
 ) -> ReportRow:
     """Recompute the metric row for one run manifest."""
-    if not isinstance(manifest, dict):
-        raise RagradeError("manifest is not a JSON object")
     items = manifest.get("items")
     config = manifest.get("config")
     if items is None or config is None:
@@ -281,8 +279,7 @@ def build_report(
 ) -> List[ReportRow]:
     if not manifests:
         raise RagradeError("need at least one manifest")
-    # a manifest that is not an object is left to manifest_metrics to reject
-    versions = {m.get("manifest_version") for m in manifests if isinstance(m, dict)}
+    versions = {m.get("manifest_version") for m in manifests}
     if len(versions) > 1:
         raise RagradeError(f"mixed manifest versions: {sorted(map(str, versions))}")
     return [manifest_metrics(m, text_metrics, embed_cfg) for m in manifests]

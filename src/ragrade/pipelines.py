@@ -10,7 +10,6 @@ any item is graded. ``PipelineConfig`` settles what a mode takes, and
 is tallied from the judgments' parse paths.
 """
 
-import json
 import logging
 import random
 import re
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .dataset import AnswerRecord, atomic_write
+from .dataset import AnswerRecord, read_json, write_json
 from .embedding import EmbedderConfig
 from .errors import RagradeError, Stopped, TransportError
 from .llmclient import (
@@ -109,8 +108,11 @@ class OptimizedProgram:
 
     def __post_init__(self):
         # programs are read back from JSON files, so OptimizedProgram(**data) checks types
-        if not isinstance(self.instruction, str) or not isinstance(self.demo_record_ids, list):
-            raise TypeError("instruction must be a string and demo_record_ids a list")
+        ids = self.demo_record_ids
+        if not isinstance(self.instruction, str) or not (
+            isinstance(ids, list) and all(isinstance(rid, str) for rid in ids)
+        ):
+            raise TypeError("instruction must be a string and demo_record_ids a list of strings")
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -434,11 +436,8 @@ def build_manifest(
 
 
 def write_manifest(manifest: Dict, path) -> None:
-    text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
+    write_json(path, manifest)
 
 
 def load_manifest(path) -> Dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path, "manifest")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dataset import AnswerRecord, LABELS
+from .dataset import AnswerRecord, LABELS, read_json
 from .errors import RagradeError
 
 STYLE_PREDICT = "predict"
@@ -71,19 +71,22 @@ class Signature:
 def signature_from_dict(data: Dict) -> Signature:
     """Build a signature from a JSON-style dict (see README for the schema); a
     malformed one is refused with a ``ValueError`` that names its key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a signature must be a JSON object, not {type(data).__name__}")
 
     def fields(key, *strings):
         entries = data.get(key)
         if not isinstance(entries, list) or not all(
             isinstance(f, dict) and all(isinstance(f.get(k), str) for k in strings)
+            and isinstance(f.get("description", ""), str)
             for f in entries
         ):
             raise ValueError(f"signature {key!r} must be a list of objects, each with a "
-                             f"string {' and '.join(map(repr, strings))}")
+                             f"string {' and '.join(map(repr, strings))} and, optionally, "
+                             "a string 'description'")
         return entries
 
+    for key in ("task_description", "scoring_criteria"):
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"signature {key!r} must be a string, not {data[key]!r}")
     sig = Signature(
         task_description=data.get("task_description", DEFAULT_TASK_DESCRIPTION),
         scoring_criteria=data.get("scoring_criteria", DEFAULT_SCORING_CRITERIA),
@@ -100,8 +103,7 @@ def signature_from_dict(data: Dict) -> Signature:
 
 
 def load_signature(path) -> Signature:
-    with open(path, encoding="utf-8") as fh:
-        return signature_from_dict(json.load(fh))
+    return signature_from_dict(read_json(path, "signature file"))
 
 
 @dataclass(frozen=True)

@@ -23,27 +23,23 @@ its rows' maxima in float64. Per query, it re-scores in float64 every
 document whose float32 score is within a proven error bound of the k-th best,
 so the ranking equals the exact one over the stored rows. A group whose
 embedding fails gives its queries ``None``; the next group goes on.
-``top_k`` is one query's group. The index persists to a single binary file
-(format v5) of record ids, offsets, row ids and the table, not records, under
-a crc32 of its header and blocks: loading takes the records from the caller's
-corpus and keeps the file's document order. It refuses a file that fails the
-checksum, has bytes after its table or has row ids outside its table, refuses
-to load under a different embedder fingerprint unless forced, and refuses a
-header whose ``dim`` is not its config's ``dimension``. Order changes no
-ranking, only a scan's speed.
+``top_k`` is one query's group. The index persists to a sealed file
+(``dataset.write_sealed``, format v5) of record ids, offsets, row ids and the
+table, not records: loading checks the checksum before it parses anything,
+takes the records from the caller's corpus and keeps the file's document
+order. It refuses a file that fails the checksum, whose blocks do not fill it
+or whose row ids fall outside its table, refuses to load under a different
+embedder fingerprint unless forced, and refuses a header whose ``dim`` is not
+its config's ``dimension``. Order changes no ranking, only a scan's speed.
 """
 
-import json
 import logging
-import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .dataset import AnswerRecord, atomic_write
+from .dataset import AnswerRecord, read_sealed, write_sealed
 from .embedding import (
     EmbedderConfig,
     ROLE_DOCUMENT,
@@ -58,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 _MAGIC = b"RGIX"
 _FORMAT_VERSION = 5
+_REINDEX = "re-index with `ragrade index`"
 # most document tokens per float32 matmul of a scan
 _SCAN_CHUNK_TOKENS = 2048
 # the scan's (chunk tokens x dim) float32 row buffer and (chunk tokens x
@@ -314,11 +311,11 @@ def top_k(
 
 
 def save_index(index: MaxSimIndex, path) -> None:
-    """Format v5: magic, then ``<u4`` version, header length and crc32 of
-    every byte after them, then the JSON header (carrying ``record_ids`` and
-    the table's ``rows``) and the ``<i8`` offsets, ``<i4`` row ids and
-    ``<f4`` table blocks, and nothing after them. Records are not stored;
-    ``load_index`` takes them from the corpus."""
+    """Format v5, a sealed file (``dataset.write_sealed``) whose JSON header
+    carries ``record_ids`` and the table's ``rows`` and whose body is the
+    ``<i8`` offsets, ``<i4`` row ids and ``<f4`` table blocks, and nothing
+    after them. Records are not stored; ``load_index`` takes them from the
+    corpus."""
     blocks = [
         np.ascontiguousarray(index.offsets, dtype="<i8"),
         np.ascontiguousarray(index.row_ids, dtype="<i4"),
@@ -336,41 +333,7 @@ def save_index(index: MaxSimIndex, path) -> None:
             "dimension": index.config.dimension,
         },
     }
-    header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC + struct.pack("<III", _FORMAT_VERSION, len(header_raw),
-                                      _crc32([header_raw, *blocks])))
-        fh.write(header_raw)
-        for block in blocks:
-            fh.write(block.data)
-
-
-def _crc32(blocks: Sequence) -> int:
-    crc = 0
-    for block in blocks:
-        crc = zlib.crc32(block, crc)
-    return crc
-
-
-def _check_left(fh, n: int) -> None:
-    """Refuse to read ``n`` bytes that the file does not hold, before allocating them."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("truncated index file")
-
-
-def _read_bytes(fh, n: int) -> bytes:
-    _check_left(fh, n)
-    return fh.read(n)
-
-
-def _read_array(fh, dtype: str, count: int) -> np.ndarray:
-    """The next ``count`` items of the file, read straight into a new array."""
-    _check_left(fh, count * np.dtype(dtype).itemsize)
-    out = np.empty(count, dtype=dtype)
-    if fh.readinto(out.data.cast("B")) != out.nbytes:
-        raise ValueError("truncated index file")
-    return out
+    write_sealed(path, _MAGIC, _FORMAT_VERSION, header, [block.data for block in blocks])
 
 
 def _field(fields, key: str, kind):
@@ -388,21 +351,9 @@ def load_index(
 ) -> MaxSimIndex:
     """Load a persisted index, each stored id's record taken from ``records``
     (the corpus); refuses fingerprint mismatches against ``cfg`` unless forced.
-    Only the fields that size the blocks are read before the checksum holds."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an index file")
-        (version,) = struct.unpack("<I", _read_bytes(fh, 4))
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"index format v{version} is not supported; re-index with `ragrade index`"
-            )
-        header_len, crc = struct.unpack("<II", _read_bytes(fh, 8))
-        header_raw = _read_bytes(fh, header_len)
-        try:
-            header = json.loads(header_raw.decode("utf-8"))
-        except ValueError:
-            raise ValueError("corrupt index file: the header is not JSON") from None
+    Nothing after the file's fixed prefix is parsed before its checksum holds."""
+    with read_sealed(path, _MAGIC, _FORMAT_VERSION, "index", _REINDEX) as sealed:
+        header, body_len, fh = sealed
         stored = _field(header, "config", dict)
         dim = _field(stored, "dimension", int)
         if _field(header, "dim", int) != dim:
@@ -411,18 +362,17 @@ def load_index(
         rows = _field(header, "rows", int)
         if rows < 0:
             raise ValueError("corrupt index file: header field 'rows' is negative")
-
-        offsets = _read_array(fh, "<i8", len(record_ids) + 1)
+        unfilled = ValueError(f"corrupt index file: its blocks do not fill its body; {_REINDEX}")
+        if 8 * (len(record_ids) + 1) > body_len:
+            raise unfilled
+        offsets = np.fromfile(fh, "<i8", len(record_ids) + 1)
         if offsets[0] != 0 or np.any(np.diff(offsets) < 1):
             raise ValueError("corrupt index file: offsets must rise from 0")
-        row_ids = _read_array(fh, "<i4", int(offsets[-1]))
-        table = _read_array(fh, "<f4", rows * dim).reshape(rows, dim)
-        if fh.read(1):
-            raise ValueError(
-                "corrupt index file: bytes after the table; re-index with `ragrade index`"
-            )
-    if _crc32([header_raw, offsets, row_ids, table]) != crc:
-        raise ValueError("corrupt index file: checksum mismatch; re-index with `ragrade index`")
+        tokens = int(offsets[-1])
+        if offsets.nbytes + 4 * tokens + 4 * rows * dim != body_len:
+            raise unfilled
+        row_ids = np.fromfile(fh, "<i4", tokens)
+        table = np.fromfile(fh, "<f4", rows * dim).reshape(rows, dim)
 
     stored_cfg = EmbedderConfig(
         backend=_field(stored, "backend", str),

@@ -125,26 +125,28 @@ def wait_until(condition, timeout=10.0):
         time.sleep(0.001)
 
 
-# an index file's fixed prefix: magic, version, header length and crc32
-INDEX_PREFIX = 16
+# a sealed file's fixed prefix (corpus.cache, index.rgix): magic, version,
+# header length and crc32
+SEALED_PREFIX = 16
 
 
-def reseal_index(path, data):
-    """Write the index bytes ``data`` to ``path`` under a recomputed checksum."""
-    body = bytes(data[INDEX_PREFIX:])
+def reseal(path, data):
+    """Write the sealed-file bytes ``data`` to ``path`` under a recomputed checksum."""
+    body = bytes(data[SEALED_PREFIX:])
     path.write_bytes(bytes(data[:12]) + struct.pack("<I", zlib.crc32(body)) + body)
 
 
-def rewrite_index_header(path, edit):
-    """Apply ``edit`` to the JSON header of the index file at ``path``, in
-    place, and recompute the checksum."""
+def rewrite_sealed(path, header=None, body=None):
+    """Apply ``header`` to the JSON header of the sealed file at ``path`` and
+    ``body`` to its body's bytes, in place, and reseal it."""
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[INDEX_PREFIX : INDEX_PREFIX + header_len])
-    edit(header)
-    raw = json.dumps(header).encode("utf-8")
-    rest = data[INDEX_PREFIX + header_len :]
-    reseal_index(path, data[:8] + struct.pack("<II", len(raw), 0) + raw + rest)
+    fields = json.loads(data[SEALED_PREFIX : SEALED_PREFIX + header_len])
+    if header:
+        header(fields)
+    raw = json.dumps(fields).encode("utf-8")
+    rest = data[SEALED_PREFIX + header_len :]
+    reseal(path, data[:8] + struct.pack("<II", len(raw), 0) + raw + (body(rest) if body else rest))
 
 
 @pytest.fixture

@@ -238,6 +238,26 @@ def echo_gold_chat_app(gold_by_answer, malform_answers=frozenset(), malform_ever
     return app
 
 
+def schema_chat_app():
+    """Answers a typed request with a JSON object of the output fields its
+    system text lists, whatever their names: 1.0 for a number, "correct" for
+    a label and "ok" for text."""
+
+    def app(path, body):
+        system = _message_text(body, "system")
+        keys = system.rsplit("in this order: ", 1)[-1].rstrip(".")
+        answer = {}
+        for name in json.loads(f"[{keys}]"):
+            hint = system.rsplit(f"\n- {name} (", 1)[-1]
+            answer[name] = (
+                1.0 if hint.startswith("a number") else
+                "correct" if hint.startswith("one of") else "ok"
+            )
+        return 200, _chat_payload(json.dumps(answer))
+
+    return app
+
+
 def copy_first_demo_chat_app(fallback_text='{"score": 0.5, "label": "partially_correct", "feedback": "mid"}'):
     """Returns the first demo's rendered output JSON; fixed JSON when no demo."""
 

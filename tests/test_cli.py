@@ -19,10 +19,10 @@ from ragrade import cli, dataset
 from ragrade.cli import main
 from ragrade.promptkit import DEFAULT_TASK_DESCRIPTION
 
-from conftest import (
-    INDEX_PREFIX, corpus_row, gold_by_answer, reseal_index, rewrite_index_header,
+from conftest import SEALED_PREFIX, corpus_row, gold_by_answer, reseal, rewrite_sealed
+from stub_servers import (
+    echo_gold_chat_app, fixed_chat_app, mirror_embedding_app, schema_chat_app,
 )
-from stub_servers import echo_gold_chat_app, fixed_chat_app, mirror_embedding_app
 
 
 def test_ingest_fixture(corpus_path, tmp_path, capsys):
@@ -35,33 +35,38 @@ def test_ingest_fixture(corpus_path, tmp_path, capsys):
     assert "train=8" in out and "test_ua=3" in out and "test_uq=3" in out
 
 
-def _rewrite_cache(path, header=None, columns=None):
-    """Rewrite the corpus cache at ``path``; the crc32 is recomputed."""
-    header_line, body = path.read_bytes().split(b"\n", 1)
-    lines = body.splitlines(keepends=True)
-    if columns is not None:
-        lines = columns(lines)
-    body = b"".join(lines)
-    fields = {**json.loads(header_line), "crc32": zlib.crc32(body), **(header or {})}
-    path.write_bytes(json.dumps(fields).encode() + b"\n" + body)
-
-
-def _flip_body_byte(path):
+def _flip_byte(path, at):
     data = bytearray(path.read_bytes())
-    data[data.index(b"\n") + 5] ^= 0x01
+    data[at] ^= 0x01
     path.write_bytes(bytes(data))
 
 
+def _v1_cache(path):
+    """The cache at ``path`` in version 1's layout: a JSON header line, whose
+    crc32 covers the column lines after it."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    body = data[SEALED_PREFIX + header_len :]
+    header = {"format": "ragrade-corpus", "version": 1, "records": 14, "crc32": zlib.crc32(body)}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
 _CACHE_CORRUPTIONS = {
-    "flipped_body_byte": _flip_body_byte,
+    "flipped_body_byte": lambda p: _flip_byte(p, -5),
+    # the header is '{"records": 14}': '{' becomes 'z'
+    "flipped_header_byte": lambda p: _flip_byte(p, SEALED_PREFIX),
     "truncated": lambda p: p.write_bytes(p.read_bytes()[:-40]),
     "empty": lambda p: p.write_bytes(b""),
-    "header_not_json": lambda p: p.write_bytes(b"corpus\n" + p.read_bytes().split(b"\n", 1)[1]),
-    "other_version": lambda p: _rewrite_cache(p, header={"version": 2}),
-    "other_format": lambda p: _rewrite_cache(p, header={"format": "jsonl"}),
-    "eight_columns": lambda p: _rewrite_cache(p, columns=lambda lines: lines[:8]),
-    "body_not_json_lines": lambda p: _rewrite_cache(p, columns=lambda lines: [b"corpus\n"] * 9),
-    "record_count": lambda p: _rewrite_cache(p, header={"records": 15}),
+    "header_not_json": lambda p: reseal(p, p.read_bytes()[:SEALED_PREFIX] + b"corpus"
+                                        + p.read_bytes()[SEALED_PREFIX + 6 :]),
+    "other_version": lambda p: p.write_bytes(p.read_bytes()[:4] + struct.pack("<I", 3)
+                                             + p.read_bytes()[8:]),
+    "v1_layout": _v1_cache,
+    "other_format": lambda p: p.write_bytes(b"RGIX" + p.read_bytes()[4:]),
+    "eight_columns": lambda p: rewrite_sealed(
+        p, body=lambda body: b"".join(body.splitlines(keepends=True)[:8])),
+    "body_not_json_lines": lambda p: rewrite_sealed(p, body=lambda body: b"corpus\n" * 9),
+    "record_count": lambda p: rewrite_sealed(p, header=lambda h: h.update(records=15)),
 }
 
 
@@ -242,8 +247,12 @@ _INDEX_CORRUPTIONS = {
     "config_missing": "corrupt index file: header field 'config' is missing",
     # its vectors would load as 16-dim rows, and every query group would then fail
     "dim_not_config": "corrupt index file: header field 'dim' is not the config's 32",
-    "bad_magic": "not an index file",
-    "falling_offsets": "corrupt index file: offsets must rise from 0",
+    "bad_magic": "not a ragrade index file",
+    # the checksum covers the blocks: offsets that fall and bytes after the
+    # table fail it first, and under a checksum that matches them fail their
+    # own checks
+    "falling_offsets": "checksum mismatch; re-index with `ragrade index`",
+    "falling_offsets_resealed": "corrupt index file: offsets must rise from 0",
     "table_byte_flipped": "checksum mismatch; re-index with `ragrade index`",
     # NaN over the file's last 64 bytes once graded without a word
     "nan_tail": "checksum mismatch; re-index with `ragrade index`",
@@ -251,17 +260,21 @@ _INDEX_CORRUPTIONS = {
     "row_id_past_table": "corrupt index file: a row id is outside the table",
     # r01 read as r11, a test_ua record, once graded with a different manifest
     "header_id_flipped": "checksum mismatch; re-index with `ragrade index`",
-    "trailing_bytes": "corrupt index file: bytes after the table",
+    "trailing_bytes": "checksum mismatch; re-index with `ragrade index`",
+    "trailing_bytes_resealed": "corrupt index file: its blocks do not fill its body",
 }
 
 
-def _swap_first_offsets(path):
+def _swap_first_offsets(path, resealed):
     """Swap the index's second and third offsets, so that they fall."""
     data = bytearray(path.read_bytes())
     (header_len,) = struct.unpack("<I", data[8:12])
-    at = INDEX_PREFIX + header_len + 8  # the offsets start at 0, and offsets[0] stays
+    at = SEALED_PREFIX + header_len + 8  # the offsets start at 0, and offsets[0] stays
     data[at : at + 16] = data[at + 8 : at + 16] + data[at : at + 8]
-    path.write_bytes(bytes(data))
+    if resealed:
+        reseal(path, data)
+    else:
+        path.write_bytes(bytes(data))
 
 
 def _point_row_id_past_table(path):
@@ -269,10 +282,10 @@ def _point_row_id_past_table(path):
     checksum to match."""
     data = bytearray(path.read_bytes())
     (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[INDEX_PREFIX : INDEX_PREFIX + header_len])
-    at = INDEX_PREFIX + header_len + 8 * (len(header["record_ids"]) + 1)
+    header = json.loads(data[SEALED_PREFIX : SEALED_PREFIX + header_len])
+    at = SEALED_PREFIX + header_len + 8 * (len(header["record_ids"]) + 1)
     data[at : at + 4] = struct.pack("<i", header["rows"])
-    reseal_index(path, data)
+    reseal(path, data)
 
 
 def _flip_header_id(path):
@@ -301,8 +314,8 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
     index_path = out_dir / "index.rgix"
     if corruption == "bad_magic":
         index_path.write_bytes(b"RGIY" + index_path.read_bytes()[4:])
-    elif corruption == "falling_offsets":
-        _swap_first_offsets(index_path)
+    elif corruption.startswith("falling_offsets"):
+        _swap_first_offsets(index_path, resealed=corruption.endswith("resealed"))
     elif corruption == "table_byte_flipped":
         data = bytearray(index_path.read_bytes())
         data[-100] ^= 0x01
@@ -316,8 +329,10 @@ def test_grade_corrupt_index_exits_1(corruption, corpus_path, tmp_path, capsys):
         _flip_header_id(index_path)
     elif corruption == "trailing_bytes":
         index_path.write_bytes(index_path.read_bytes() + bytes(700))
+    elif corruption == "trailing_bytes_resealed":
+        reseal(index_path, index_path.read_bytes() + bytes(700))
     else:
-        rewrite_index_header(index_path, corrupt)
+        rewrite_sealed(index_path, corrupt)
     capsys.readouterr()
     flags = ["--mode", "vote", "--k", "3", "--split", "test_ua"]
     assert _grade(out_dir, out_dir / "m.json", *flags) == 1
@@ -660,6 +675,111 @@ def test_any_damaged_index_file_exits_1_with_one_error_line(data, corpus_path, t
     assert line.startswith("error: ") and not manifest.exists()
 
 
+_SIGNATURE = {
+    "task_description": "grade the student answer.",
+    "input_fields": [
+        {"name": "question", "description": "the question"},
+        {"name": "student_answer", "description": "the answer to grade"},
+    ],
+    "output_fields": [
+        {"name": "score", "type": "real01", "description": "how correct"},
+        {"name": "label", "type": "label3"},
+        {"name": "feedback", "type": "freetext", "description": "why"},
+    ],
+}
+
+
+def _damaged_file_run(kind, chat_url):
+    """In the working directory, which holds corpus.jsonl, make what a run
+    that reads a file of ``kind`` needs; return the file and the run's
+    command line, both relative. Only a vote ``grade`` calls no model."""
+    assert main(["ingest", "corpus.jsonl", "--out-dir", "runs"]) == 0
+    grade = ["grade", "--split", "test_ua", "--out-dir", "runs", "--out", "m.json"]
+    model = ["--endpoint", chat_url]
+    if kind == "corpus.cache":
+        assert main(["index", "--out-dir", "runs"]) == 0
+        return "runs/corpus.cache", [*grade, "--mode", "vote"]
+    if kind == "manifest":
+        assert main([*grade[:-1], "graded.json", "--mode", "zero-shot", *model]) == 0
+        return "graded.json", ["evaluate", "graded.json", "--out-dir", "reports"]
+    if kind == "program":
+        program = {"instruction": "grade the answer.", "demo_record_ids": ["r01", "r05"],
+                   "dev_accuracy": 0.5,
+                   "trace": [{"trial": 0, "instruction": "grade.", "demo_record_ids": ["r02"]}]}
+        Path("program.json").write_text(json.dumps(program, indent=2), encoding="utf-8")
+        return "program.json", [*grade, "--mode", "optimized", "--program", "program.json", *model]
+    Path("signature.json").write_text(json.dumps(_SIGNATURE, indent=2), encoding="utf-8")
+    return "signature.json", [*grade, "--mode", "zero-shot", "--signature", "signature.json",
+                              *model]
+
+
+@pytest.mark.parametrize("kind", ["corpus.cache", "manifest", "program", "signature"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_file_exits_0_or_1_with_one_error_line(
+    kind, data, corpus_path, tmp_path, stub_server_factory, monkeypatch, capsys
+):
+    # a flipped bit or a truncation, as in the index test; a damaged corpus
+    # cache always fails its checks
+    pristine = tmp_path / "pristine"
+    if not (pristine / "run.json").exists():
+        pristine.mkdir(exist_ok=True)
+        shutil.copy(corpus_path, pristine / "corpus.jsonl")
+        monkeypatch.chdir(pristine)
+        run = _damaged_file_run(kind, stub_server_factory(schema_chat_app()).url)
+        Path("run.json").write_text(json.dumps(run), encoding="utf-8")
+    work = tmp_path / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(pristine, work)
+    monkeypatch.chdir(work)
+    target, argv = json.loads(Path("run.json").read_text(encoding="utf-8"))
+    good = Path(target).read_bytes()
+    if data.draw(st.booleans()):
+        bit = data.draw(st.integers(0, 8 * len(good) - 1))
+        damaged = bytearray(good)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    else:
+        damaged = good[: data.draw(st.integers(0, len(good) - 1))]
+    Path(target).write_bytes(bytes(damaged))
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err, (code, err)
+    if code == 1 or kind == "corpus.cache":
+        (line,) = err.splitlines()
+        assert code == 1 and line.startswith("error: "), err
+        assert kind != "corpus.cache" or line.endswith("re-run `ragrade ingest`")
+        assert not Path("m.json").exists()
+
+
+@pytest.mark.parametrize("reader", ["manifest", "program", "signature", "config"])
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'["an array"]',
+    '{"not": "utf-8: \u00e9"}'.encode("latin-1"),
+    b'{"not": json}',
+], ids=["nested_100000_deep", "not_an_object", "not_utf8", "not_json"])
+def test_unreadable_json_file_exits_1_with_one_line_naming_it(
+    reader, content, corpus_path, tmp_path, stub_server_factory, capsys
+):
+    server = stub_server_factory(fixed_chat_app("unused"))
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    grade = ["grade", "--corpus", str(corpus_path), "--split", "test_ua", "--endpoint", server.url,
+             "--out-dir", str(tmp_path), "--out", str(tmp_path / "m.json")]
+    argv = {
+        "manifest": ["evaluate", str(path)],
+        "program": [*grade, "--mode", "optimized", "--program", str(path)],
+        "signature": [*grade, "--mode", "zero-shot", "--signature", str(path)],
+        "config": [*grade, "--mode", "zero-shot", "--config", str(path)],
+    }[reader]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(path) in line, line
+    assert server.requests == [] and not (tmp_path / "m.json").exists()
+
+
 def _grade(out_dir, manifest_path, *flags):
     return main(
         ["grade", *flags, "--out-dir", str(out_dir), "--out", str(manifest_path)]
@@ -871,6 +991,9 @@ def test_grade_rag_malformed_embedding_reply_fails_items(
         ({"instruction": "Grade.", "dev_accuracy": 1.0}, "malformed program file"),
         ({"instruction": "Grade.", "demo_record_ids": "r01", "dev_accuracy": 1.0}, "malformed"),
         ({"instruction": 5, "demo_record_ids": [], "dev_accuracy": 1.0}, "malformed"),
+        # once "unhashable type: 'list'", exit 2 with a traceback
+        ({"instruction": "x", "demo_record_ids": [["r01"]], "dev_accuracy": 1.0},
+         "malformed program file"),
     ],
 )
 def test_grade_bad_program_exits_1(program, message, corpus_path, tmp_path, capsys):
@@ -990,7 +1113,13 @@ _FIELDS = _CUSTOM_SIGNATURE["input_fields"]
     ({"output_fields": _CUSTOM_SIGNATURE["output_fields"]}, "'input_fields'"),
     ({"input_fields": _FIELDS, "output_fields": [{"type": "real01"}]}, "'output_fields'"),
     ({**_CUSTOM_SIGNATURE, "input_fields": [["question", "the question"]]}, "'input_fields'"),
-], ids=["list", "no_input_fields", "field_without_name", "field_as_list"])
+    # a number once exited 2 with a traceback, or was shown as its digits
+    ({**_CUSTOM_SIGNATURE, "task_description": 5}, "'task_description'"),
+    ({**_CUSTOM_SIGNATURE, "scoring_criteria": ["full marks"]}, "'scoring_criteria'"),
+    ({**_CUSTOM_SIGNATURE, "input_fields": [{"name": "question", "description": 5}]},
+     "'description'"),
+], ids=["list", "no_input_fields", "field_without_name", "field_as_list", "task_description_int",
+        "scoring_criteria_list", "description_int"])
 def test_malformed_signature_exits_1_before_any_request(
     command, spec, key, corpus_path, tmp_path, stub_server_factory, capsys
 ):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import struct
 import tempfile
 import zlib
 from pathlib import Path
@@ -18,12 +19,15 @@ from ragrade.dataset import (
     canonical_label,
     canonical_split,
     load_corpus,
+    read_json,
+    read_sealed,
     save_corpus,
     split_view,
+    write_json,
 )
 from ragrade.errors import RagradeError
 
-from conftest import corpus_row
+from conftest import SEALED_PREFIX, corpus_row
 
 
 def _row(
@@ -356,18 +360,31 @@ def test_round_trip(fixture_corpus, tmp_path, fmt):
 def test_cache_layout(fixture_corpus, tmp_path):
     path = tmp_path / "c.cache"
     save_corpus(fixture_corpus, path)
-    header_line, body = path.read_bytes().split(b"\n", 1)
-    assert json.loads(header_line) == {
-        "format": "ragrade-corpus",
-        "version": 1,
-        "records": 14,
-        "crc32": zlib.crc32(body),
-    }
-    columns = [json.loads(line) for line in body.splitlines()]
+    data = path.read_bytes()
+    magic, version, header_len, crc = struct.unpack("<4sIII", data[:SEALED_PREFIX])
+    assert (magic, version, crc) == (b"RGCC", 2, zlib.crc32(data[SEALED_PREFIX:]))
+    assert json.loads(data[SEALED_PREFIX : SEALED_PREFIX + header_len]) == {"records": 14}
+    columns = [json.loads(line) for line in data[SEALED_PREFIX + header_len :].splitlines()]
     assert len(columns) == 9
     assert columns[0] == [r.id for r in fixture_corpus.records]
     assert columns[5] == [r.gold_score for r in fixture_corpus.records]
     assert columns[8] == [r.split for r in fixture_corpus.records]
+
+
+def test_cache_checks_its_checksum_before_its_header_and_columns(fixture_corpus, tmp_path):
+    path = tmp_path / "c.cache"
+    save_corpus(fixture_corpus, path)
+    data = path.read_bytes()
+    # every byte after the header length: the checksum, the header and the columns
+    for at in range(12, len(data)):
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << (at % 8)
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="^corrupt corpus file: checksum mismatch"):
+            with read_sealed(path, b"RGCC", 2, "corpus", "re-ingest"):
+                pass
+        with pytest.raises(RagradeError, match="is not a current corpus cache"):
+            load_corpus(path, "cache")
 
 
 # text that a line-per-column format must keep on its line
@@ -424,6 +441,16 @@ def test_cache_loads_what_the_source_loads(rows):
     assert cached.records == source.records
     assert [type(r.gold_score) for r in cached.records] == [float] * len(rows)
     assert [r.split for r in cached.records] == [row["split"] for row in rows]
+
+
+def test_json_files_are_sorted_indented_utf8_with_a_final_newline(tmp_path):
+    path = tmp_path / "out.json"
+    document = {"b": "caf\u00e9 \u4e2d", "a": [1, None]}
+    write_json(path, document)
+    assert path.read_bytes() == (
+        '{\n  "a": [\n    1,\n    null\n  ],\n  "b": "caf\u00e9 \u4e2d"\n}\n'.encode("utf-8")
+    )
+    assert read_json(path, "document") == document
 
 
 def test_atomic_write_that_raises_keeps_the_old_file(tmp_path):

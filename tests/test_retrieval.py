@@ -37,7 +37,7 @@ from ragrade.retrieval import (
     top_k_batch,
 )
 
-from conftest import INDEX_PREFIX, embed_tokens, rewrite_index_header
+from conftest import SEALED_PREFIX, embed_tokens, reseal, rewrite_sealed
 from stub_servers import mirror_embedding_app
 
 
@@ -481,14 +481,13 @@ def test_load_refuses_a_flipped_bit_in_any_block_byte(tmp_path):
     path = tmp_path / "index.rgix"
     save_index(build_index(records, EmbedderConfig(dimension=16)), path)
     data = path.read_bytes()
-    # every byte after the header length: the checksum, the header and the blocks
+    # every byte after the header length: the checksum, the header and the
+    # blocks; none is parsed before the checksum holds
     for at in range(12, len(data)):
         flipped = bytearray(data)
         flipped[at] ^= 1 << (at % 8)
         path.write_bytes(bytes(flipped))
-        # an offset or a header count flipped upwards can also point past the
-        # end of the file
-        with pytest.raises(ValueError, match="^(corrupt|truncated) index file"):
+        with pytest.raises(ValueError, match="^corrupt index file: checksum mismatch"):
             load_index(path, records)
 
 
@@ -570,14 +569,25 @@ def test_load_rejects_truncated_file(tmp_path):
     save_index(index, path)
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[8:12])
-    offsets_at = INDEX_PREFIX + header_len
+    offsets_at = SEALED_PREFIX + header_len
     row_ids_at = offsets_at + index.offsets.nbytes
     table_at = row_ids_at + index.row_ids.nbytes
-    # a cut inside each block: header length, header, offsets, row ids, table
+    # a cut inside each block: header length, header, offsets, row ids, table;
+    # past the prefix, the checksum fails first
     for cut in (10, offsets_at - 5, offsets_at + 20, row_ids_at + 10, table_at + 100,
                 len(data) - 1):
         path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated" if cut < 12 else "checksum mismatch"):
+            load_index(path, records)
+    # under a checksum that matches the cut, the header or the blocks are short
+    for cut, message in ((offsets_at - 5, "the header runs past the end"),
+                         (offsets_at + 4, "its blocks do not fill its body"),
+                         (offsets_at + 20, "its blocks do not fill its body"),
+                         (row_ids_at + 10, "its blocks do not fill its body"),
+                         (table_at + 100, "its blocks do not fill its body"),
+                         (len(data) - 1, "its blocks do not fill its body")):
+        reseal(path, data[:cut])
+        with pytest.raises(ValueError, match=f"^corrupt index file: {message}"):
             load_index(path, records)
 
 
@@ -886,7 +896,7 @@ def test_saved_file_holds_no_record_payload(tmp_path):
     assert data[:8] == b"RGIX" + struct.pack("<I", 5)
     (header_len,) = struct.unpack("<I", data[8:12])
     blocks = index.offsets.nbytes + index.row_ids.nbytes + index.table.nbytes
-    assert len(data) == INDEX_PREFIX + header_len + blocks
+    assert len(data) == SEALED_PREFIX + header_len + blocks
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -907,7 +917,7 @@ def test_load_rejects_missing_or_mistyped_header_field(tmp_path, field, corrupt)
     records = [_record(f"r{i}", f"answer number {i}") for i in range(4)]
     path = tmp_path / "index.rgix"
     save_index(build_index(records, EmbedderConfig(dimension=16)), path)
-    rewrite_index_header(path, corrupt)
+    rewrite_sealed(path, corrupt)
     with pytest.raises(ValueError, match=f"corrupt index file: header field '{field}'"):
         load_index(path, records)
 
