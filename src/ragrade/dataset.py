@@ -211,18 +211,38 @@ def load_corpus(path, fmt: Optional[str] = None) -> Corpus:
 
 
 # The corpus cache: a sealed file whose header holds the record count and
-# whose body is one JSON array per field of AnswerRecord, one a line, the
-# split last, in corpus order.
+# whose body is two JSON array lines per field of AnswerRecord, the split
+# last: the field's distinct values in order of first use, then each record's
+# index into them, in corpus order. Records loaded from it share one object
+# per distinct value.
 _CACHE_MAGIC = b"RGCC"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _RECORD_FIELDS = tuple(f.name for f in fields(AnswerRecord))
+
+
+def _distinct(column: Iterable) -> Tuple[list, List[int]]:
+    """The distinct values of ``column`` in order of first use, and each
+    entry's index into them. A float is told apart by its repr, so 0.0 and
+    -0.0, which are equal, stay apart."""
+    first: Dict[object, int] = {}
+    values: list = []
+    indices = []
+    for value in column:
+        key = (float, repr(value)) if isinstance(value, float) else value
+        at = first.setdefault(key, len(values))
+        if at == len(values):
+            values.append(value)
+        indices.append(at)
+    return values, indices
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a validated ``corpus`` as a cache that ``load_corpus(path, "cache")`` reads."""
     records = corpus.records
-    columns = [list(map(attrgetter(name), records)) for name in _RECORD_FIELDS]
-    body = [(json.dumps(c, ensure_ascii=False) + "\n").encode("utf-8") for c in columns]
+    lines = []
+    for name in _RECORD_FIELDS:
+        lines += _distinct(map(attrgetter(name), records))
+    body = [(json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8") for line in lines]
     write_sealed(path, _CACHE_MAGIC, _CACHE_VERSION, {"records": len(records)}, body)
 
 
@@ -231,14 +251,24 @@ def _load_cache(path: Path) -> Corpus:
     try:
         with read_sealed(path, _CACHE_MAGIC, _CACHE_VERSION, "corpus", "re-ingest") as sealed:
             header, _, fh = sealed
-            columns = [json.loads(line) for line in fh]
+            lines = [json.loads(line) for line in fh]
     except (ValueError, RecursionError):
         raise stale from None
     n = header.get("records")
-    if len(columns) != len(_RECORD_FIELDS) or not all(
-        isinstance(c, list) and len(c) == n for c in columns
-    ):
+    if len(lines) != 2 * len(_RECORD_FIELDS):
         raise stale
+    columns = []
+    for values, indices in zip(lines[::2], lines[1::2]):
+        if not (
+            isinstance(values, list)
+            and isinstance(indices, list)
+            and len(indices) == n
+            and set(map(type, indices)) <= {int}  # a bool is not an index
+            and min(indices, default=0) >= 0
+            and max(indices, default=-1) < len(values)
+        ):
+            raise stale
+        columns.append(map(values.__getitem__, indices))
     return Corpus(records=list(map(AnswerRecord, *columns)))
 
 

@@ -17,7 +17,6 @@ gathers the whole index from it at once.
 import base64
 import unicodedata
 from dataclasses import dataclass
-from hashlib import sha256
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,10 +45,17 @@ class EmbedderConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
+def config_key(cfg: EmbedderConfig) -> Tuple[str, str, int]:
+    """Identity of an embedding space: its backend, endpoint (``None`` read as
+    ``""``) and dimension; the query/document role is per-call, not identity."""
+    return cfg.backend, cfg.endpoint or "", cfg.dimension
+
+
 def config_fingerprint(cfg: EmbedderConfig) -> str:
-    """Identity of an embedding space; the query/document role is per-call, not identity."""
-    key = f"{cfg.backend}|{cfg.endpoint or ''}|{cfg.dimension}"
-    return sha256(key.encode("utf-8")).hexdigest()[:16]
+    """A short hash of ``config_key``: an index file records it, and manifests copy it."""
+    from hashlib import sha256  # only `index` hashes, so no other command maps OpenSSL
+
+    return sha256("|".join(map(str, config_key(cfg))).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass

@@ -29,8 +29,10 @@ table, not records: loading checks the checksum before it parses anything,
 takes the records from the caller's corpus and keeps the file's document
 order. It refuses a file that fails the checksum, whose blocks do not fill it
 or whose row ids fall outside its table, refuses to load under a different
-embedder fingerprint unless forced, and refuses a header whose ``dim`` is not
-its config's ``dimension``. Order changes no ranking, only a scan's speed.
+embedder backend, endpoint or dimension unless forced, and refuses a header
+whose ``dim`` is not its config's ``dimension``. It hashes nothing: the header
+keeps the fingerprint that ``build_index`` computed. Order changes no ranking,
+only a scan's speed.
 """
 
 import logging
@@ -46,6 +48,7 @@ from .embedding import (
     ROLE_QUERY,
     TokenEmbeddingMatrix,
     config_fingerprint,
+    config_key,
     embed_texts,
 )
 from .errors import BackendUnavailable, InvalidEmbedding, RagradeError
@@ -345,13 +348,24 @@ def _field(fields, key: str, kind):
     raise ValueError(f"corrupt index file: header field {key!r} is missing or mistyped")
 
 
+def _read_block(fh, dtype: str, count: int) -> np.ndarray:
+    """The next ``count`` items of ``dtype`` in ``fh``. ``np.fromfile`` returns
+    a short array, without a warning, from a file that shrank after its
+    checksum pass; such a file is refused."""
+    block = np.fromfile(fh, dtype, count)
+    if len(block) != count:
+        raise ValueError(f"corrupt index file: it ends inside a block; {_REINDEX}")
+    return block
+
+
 def load_index(
     path, records: Sequence[AnswerRecord], cfg: Optional[EmbedderConfig] = None,
     force: bool = False,
 ) -> MaxSimIndex:
     """Load a persisted index, each stored id's record taken from ``records``
-    (the corpus); refuses fingerprint mismatches against ``cfg`` unless forced.
-    Nothing after the file's fixed prefix is parsed before its checksum holds."""
+    (the corpus); refuses a stored config whose ``config_key`` is not
+    ``cfg``'s unless forced. Nothing after the file's fixed prefix is parsed
+    before its checksum holds."""
     with read_sealed(path, _MAGIC, _FORMAT_VERSION, "index", _REINDEX) as sealed:
         header, body_len, fh = sealed
         stored = _field(header, "config", dict)
@@ -365,14 +379,14 @@ def load_index(
         unfilled = ValueError(f"corrupt index file: its blocks do not fill its body; {_REINDEX}")
         if 8 * (len(record_ids) + 1) > body_len:
             raise unfilled
-        offsets = np.fromfile(fh, "<i8", len(record_ids) + 1)
+        offsets = _read_block(fh, "<i8", len(record_ids) + 1)
         if offsets[0] != 0 or np.any(np.diff(offsets) < 1):
             raise ValueError("corrupt index file: offsets must rise from 0")
         tokens = int(offsets[-1])
         if offsets.nbytes + 4 * tokens + 4 * rows * dim != body_len:
             raise unfilled
-        row_ids = np.fromfile(fh, "<i4", tokens)
-        table = np.fromfile(fh, "<f4", rows * dim).reshape(rows, dim)
+        row_ids = _read_block(fh, "<i4", tokens)
+        table = _read_block(fh, "<f4", rows * dim).reshape(rows, dim)
 
     stored_cfg = EmbedderConfig(
         backend=_field(stored, "backend", str),
@@ -385,7 +399,7 @@ def load_index(
         raise ValueError("corrupt index file: header field 'record_ids' is mistyped")
     if row_ids.size and (row_ids.min() < 0 or row_ids.max() >= rows):
         raise ValueError("corrupt index file: a row id is outside the table")
-    if cfg is not None and config_fingerprint(cfg) != fingerprint:
+    if cfg is not None and config_key(cfg) != config_key(stored_cfg):
         if not force:
             raise RagradeError(
                 f"index built with fingerprint {fingerprint}, "

@@ -51,6 +51,16 @@ def _v1_cache(path):
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
+def _split_indices(edit):
+    """A body rewrite that replaces the cache's last line, each record's index
+    into the split values, with ``edit(values, indices)``."""
+    def rewrite(body):
+        lines = body.splitlines(keepends=True)
+        indices = edit(json.loads(lines[-2]), json.loads(lines[-1]))
+        return b"".join(lines[:-1]) + json.dumps(indices).encode() + b"\n"
+    return rewrite
+
+
 _CACHE_CORRUPTIONS = {
     "flipped_body_byte": lambda p: _flip_byte(p, -5),
     # the header is '{"records": 14}': '{' becomes 'z'
@@ -59,12 +69,19 @@ _CACHE_CORRUPTIONS = {
     "empty": lambda p: p.write_bytes(b""),
     "header_not_json": lambda p: reseal(p, p.read_bytes()[:SEALED_PREFIX] + b"corpus"
                                         + p.read_bytes()[SEALED_PREFIX + 6 :]),
-    "other_version": lambda p: p.write_bytes(p.read_bytes()[:4] + struct.pack("<I", 3)
+    # version 2, the previous layout: one line per field
+    "other_version": lambda p: p.write_bytes(p.read_bytes()[:4] + struct.pack("<I", 2)
                                              + p.read_bytes()[8:]),
     "v1_layout": _v1_cache,
     "other_format": lambda p: p.write_bytes(b"RGIX" + p.read_bytes()[4:]),
     "eight_columns": lambda p: rewrite_sealed(
-        p, body=lambda body: b"".join(body.splitlines(keepends=True)[:8])),
+        p, body=lambda body: b"".join(body.splitlines(keepends=True)[:16])),
+    "index_past_its_values": lambda p: rewrite_sealed(
+        p, body=_split_indices(lambda values, indices: [len(values), *indices[1:]])),
+    "negative_index": lambda p: rewrite_sealed(
+        p, body=_split_indices(lambda values, indices: [-1, *indices[1:]])),
+    "non_integer_index": lambda p: rewrite_sealed(
+        p, body=_split_indices(lambda values, indices: [float(indices[0]), *indices[1:]])),
     "body_not_json_lines": lambda p: rewrite_sealed(p, body=lambda body: b"corpus\n" * 9),
     "record_count": lambda p: rewrite_sealed(p, header=lambda h: h.update(records=15)),
 }
@@ -699,9 +716,10 @@ def _damaged_file_run(kind, chat_url):
     if kind == "corpus.cache":
         assert main(["index", "--out-dir", "runs"]) == 0
         return "runs/corpus.cache", [*grade, "--mode", "vote"]
-    if kind == "manifest":
+    if kind in ("manifest", "report"):  # a manifest, read by evaluate or by report
         assert main([*grade[:-1], "graded.json", "--mode", "zero-shot", *model]) == 0
-        return "graded.json", ["evaluate", "graded.json", "--out-dir", "reports"]
+        command = "evaluate" if kind == "manifest" else "report"
+        return "graded.json", [command, "graded.json", "--out-dir", "reports"]
     if kind == "program":
         program = {"instruction": "grade the answer.", "demo_record_ids": ["r01", "r05"],
                    "dev_accuracy": 0.5,
@@ -713,7 +731,7 @@ def _damaged_file_run(kind, chat_url):
                               *model]
 
 
-@pytest.mark.parametrize("kind", ["corpus.cache", "manifest", "program", "signature"])
+@pytest.mark.parametrize("kind", ["corpus.cache", "manifest", "report", "program", "signature"])
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -1280,6 +1298,31 @@ def test_commands_load_no_http_library_they_do_not_use(
     assert out.stdout.splitlines()[-1] == loaded
     if mode != "vote":
         assert len(server.requests) == 3
+
+
+def test_commands_that_hash_nothing_map_no_openssl(corpus_path, tmp_path):
+    # each in a fresh interpreter: tier-1 itself loads _hashlib (hypothesis does)
+    out_dir, manifest = str(tmp_path / "runs"), str(tmp_path / "m.json")
+    assert main(["ingest", str(corpus_path), "--out-dir", out_dir]) == 0
+    assert main(["index", "--split", "train", "--out-dir", out_dir]) == 0
+    env = dict(os.environ)
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (
+        ["ingest", str(corpus_path), "--out-dir", out_dir],
+        ["grade", "--mode", "vote", "--split", "test_ua", "--out-dir", out_dir, "--out", manifest],
+        ["evaluate", manifest, "--out-dir", out_dir],
+    ):
+        code = "\n".join([
+            "import sys",
+            "from ragrade.cli import main",
+            f"assert main({argv!r}) == 0",
+            "print(*(f'{m}={m in sys.modules}' for m in ('_hashlib', 'ssl')))",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "_hashlib=False ssl=False", argv
 
 
 def test_grade_and_evaluate_echo_stub(

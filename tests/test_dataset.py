@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -362,13 +363,22 @@ def test_cache_layout(fixture_corpus, tmp_path):
     save_corpus(fixture_corpus, path)
     data = path.read_bytes()
     magic, version, header_len, crc = struct.unpack("<4sIII", data[:SEALED_PREFIX])
-    assert (magic, version, crc) == (b"RGCC", 2, zlib.crc32(data[SEALED_PREFIX:]))
+    assert (magic, version, crc) == (b"RGCC", 3, zlib.crc32(data[SEALED_PREFIX:]))
     assert json.loads(data[SEALED_PREFIX : SEALED_PREFIX + header_len]) == {"records": 14}
-    columns = [json.loads(line) for line in data[SEALED_PREFIX + header_len :].splitlines()]
-    assert len(columns) == 9
-    assert columns[0] == [r.id for r in fixture_corpus.records]
-    assert columns[5] == [r.gold_score for r in fixture_corpus.records]
-    assert columns[8] == [r.split for r in fixture_corpus.records]
+    lines = [json.loads(line) for line in data[SEALED_PREFIX + header_len :].splitlines()]
+    assert len(lines) == 18
+    # each field: its distinct values in order of first use, then one index per record
+    records = fixture_corpus.records
+    assert lines[0:2] == [[r.id for r in records], list(range(14))]
+    assert lines[16:18] == [["train", "test_ua", "test_uq"], [0] * 8 + [1] * 3 + [2] * 3]
+    for f, values, indices in zip(fields(AnswerRecord), lines[::2], lines[1::2]):
+        column = [getattr(r, f.name) for r in records]
+        assert values == list(dict.fromkeys(column))
+        assert [values[i] for i in indices] == column
+    loaded = load_corpus(path, "cache").records
+    # one object per distinct value, shared by the records that hold it
+    assert len({id(r.question) for r in loaded}) == len({r.question for r in records})
+    assert len({id(r.split) for r in loaded}) == 3
 
 
 def test_cache_checks_its_checksum_before_its_header_and_columns(fixture_corpus, tmp_path):
@@ -381,7 +391,7 @@ def test_cache_checks_its_checksum_before_its_header_and_columns(fixture_corpus,
         flipped[at] ^= 1 << (at % 8)
         path.write_bytes(bytes(flipped))
         with pytest.raises(ValueError, match="^corrupt corpus file: checksum mismatch"):
-            with read_sealed(path, b"RGCC", 2, "corpus", "re-ingest"):
+            with read_sealed(path, b"RGCC", 3, "corpus", "re-ingest"):
                 pass
         with pytest.raises(RagradeError, match="is not a current corpus cache"):
             load_corpus(path, "cache")
@@ -397,8 +407,10 @@ _CACHE_TEXT = st.one_of(
 @st.composite
 def _source_rows(draw):
     """Rows of a valid corpus: questions of even number are seen in train
-    (test_ua may reuse them), those of odd number only in test_uq."""
+    (test_ua may reuse them), those of odd number only in test_uq. Rows share
+    question texts and reference answers, and scores of 0.0 and -0.0 mix."""
     n = draw(st.integers(min_value=0, max_value=8))
+    references = draw(st.lists(_CACHE_TEXT, min_size=1, max_size=3))
     rows, seen = [], set()
     for i in range(n):
         q = draw(st.integers(min_value=0, max_value=3))
@@ -413,9 +425,10 @@ def _source_rows(draw):
             "id": f"{i}{draw(_CACHE_TEXT)}",
             "question": f"{draw(_CACHE_TEXT)}#{q}",
             "question_id": f"q{q}",
-            "reference_answer": draw(_CACHE_TEXT),
+            "reference_answer": draw(st.sampled_from(references)),
             "student_answer": draw(_CACHE_TEXT),
-            "score": draw(st.one_of(st.sampled_from([0.0, 1e-7, 1 / 3, 1.0]), st.floats(0.0, 1.0))),
+            "score": draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 1 / 3, 1.0]),
+                                    st.floats(-0.0, 1.0))),
             "label": draw(st.sampled_from(["correct", "Partially correct", "INCORRECT"])),
             "feedback": draw(_CACHE_TEXT),
             "split": split,
@@ -440,6 +453,10 @@ def test_cache_loads_what_the_source_loads(rows):
         cached = load_corpus(Path(tmp) / "corpus.cache", "cache")
     assert cached.records == source.records
     assert [type(r.gold_score) for r in cached.records] == [float] * len(rows)
+    # 0.0 == -0.0, so the records' equality alone would not tell them apart
+    assert [repr(r.gold_score) for r in cached.records] == [
+        repr(r.gold_score) for r in source.records
+    ]
     assert [r.split for r in cached.records] == [row["split"] for row in rows]
 
 

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ragrade
+from ragrade import retrieval
 from ragrade.dataset import AnswerRecord
 from ragrade.embedding import (
     EmbedderConfig,
@@ -365,6 +367,26 @@ def test_load_rejects_fingerprint_mismatch(tmp_path):
         load_index(path, records, narrow_cfg, force=True)
 
 
+def test_load_compares_the_stored_config_and_hashes_nothing(tmp_path, monkeypatch):
+    records = [_record("r1", "an answer")]
+    path = tmp_path / "index.rgix"
+    save_index(build_index(records, EmbedderConfig(dimension=32)), path)
+
+    def boom(cfg):
+        raise AssertionError("load_index hashed a config")
+
+    monkeypatch.setattr(retrieval, "config_fingerprint", boom)
+    # an endpoint of None and one of "" are the same embedding space
+    for cfg in (EmbedderConfig(dimension=32), EmbedderConfig(endpoint="", dimension=32)):
+        assert load_index(path, records, cfg).config == EmbedderConfig(dimension=32)
+    monkeypatch.undo()
+    # a stored config that is not the requested one is refused, even under
+    # the requested config's fingerprint
+    rewrite_sealed(path, lambda h: h["config"].update(backend="remote", endpoint="http://old"))
+    with pytest.raises(RagradeError, match=r"index built with fingerprint .*use force to override"):
+        load_index(path, records, EmbedderConfig(dimension=32))
+
+
 def test_load_without_config_trusts_header(tmp_path):
     records = [_record("r1", "an answer")]
     index = build_index(records, EmbedderConfig(dimension=32))
@@ -588,6 +610,34 @@ def test_load_rejects_truncated_file(tmp_path):
                          (len(data) - 1, "its blocks do not fill its body")):
         reseal(path, data[:cut])
         with pytest.raises(ValueError, match=f"^corrupt index file: {message}"):
+            load_index(path, records)
+
+
+def test_load_rejects_a_file_that_shrinks_after_its_checksum(tmp_path, monkeypatch):
+    records = [_record(f"r{i}", f"answer number {i}") for i in range(6)]
+    index = build_index(records, EmbedderConfig(dimension=16))
+    path = tmp_path / "index.rgix"
+    save_index(index, path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    offsets_at = SEALED_PREFIX + header_len
+    row_ids_at = offsets_at + index.offsets.nbytes
+    table_at = row_ids_at + index.row_ids.nbytes
+    read_sealed = retrieval.read_sealed
+
+    @contextmanager
+    def shrinking(path, *args):
+        with read_sealed(path, *args) as sealed:
+            os.truncate(path, cut)  # after the checksum pass, before the blocks are read
+            yield sealed
+
+    monkeypatch.setattr(retrieval, "read_sealed", shrinking)
+    # a cut inside the offsets, the row ids and the table
+    for cut in (offsets_at, offsets_at + 20, row_ids_at + 10, table_at + 100, len(data) - 1):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=(
+            r"^corrupt index file: it ends inside a block; re-index with `ragrade index`$"
+        )):
             load_index(path, records)
 
 
